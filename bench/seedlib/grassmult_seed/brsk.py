@@ -1,0 +1,219 @@
+"""The bounded RSK correspondence between nonvanishing multisets on N^2
+and nonvanishing semistandard notched bitableaux, with its reverse and
+the boundedness-preservation verifier.
+"""
+
+from collections import namedtuple
+
+from .multisets import (
+    iota,
+    is_nonvanishing,
+    multiset_order_leq,
+    negative_part,
+    pairs,
+    positive_part,
+    sign,
+)
+from .tableaux import (
+    bidegree,
+    bitableau_bounded_by,
+    bounded_insert,
+    classify_bitableau,
+    is_semistandard_bitableau,
+    iota_bitableau,
+    reverse_bounded_insert,
+    row_strict,
+    tableau,
+)
+
+BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
+BrskStep.__doc__ = "One insertion: the pair fed in, its BumpingRecord, and the snapshot after."
+
+
+class PreconditionError(ValueError):
+    """The input multiset was not bounded to begin with."""
+
+
+def lex_sort(U):
+    """Pairs of a negative multiset in insertion order.
+
+    Second components weakly decreasing; ties broken by weakly
+    decreasing first components.  The sort is stable.
+    """
+    if any(sign(u) >= 0 for u in U):
+        raise ValueError("expected a negative multiset")
+    return tuple(sorted(U, key=lambda p: (-p[1], -p[0])))
+
+
+def _place_left(Q, row: int, b: int):
+    rows = [list(r) for r in Q]
+    if row == len(rows) + 1:
+        rows.append([b])
+    else:
+        rows[row - 1].insert(0, b)
+    return tableau(rows)
+
+
+def brsk_negative(U, keep_trace: bool = False):
+    """Insert a negative multiset pair by pair.
+
+    Returns ((P, Q), trace); the trace is None unless requested.  Each
+    pair (a, b) is bounded-inserted into P, and b is placed at the left
+    end of the row of Q in which the new box appeared.
+    """
+    P, Q = (), ()
+    trace = [] if keep_trace else None
+    for a, b in lex_sort(U):
+        P, record = bounded_insert(P, a, b)
+        Q = _place_left(Q, record.new_box[0], b)
+        if keep_trace:
+            trace.append(BrskStep((a, b), record, P, Q))
+    assert row_strict(Q)
+    assert classify_bitableau((P, Q)) in ("negative", "nonvanishing")
+    return (P, Q), trace
+
+
+def rbrsk(B):
+    """Recover the negative multiset from a negative semistandard bitableau.
+
+    Each step removes the minimum entry b of Q from the left end of the
+    lowest row of Q containing it, and reverse-inserts starting at the
+    greatest entry of that row of P below b.  Pairs come out in
+    insertion order; the returned multiset is canonical.
+    """
+    P, Q = B
+    if not is_semistandard_bitableau((P, Q)):
+        raise ValueError("expected a semistandard bitableau")
+    if bidegree((P, Q)) and classify_bitableau((P, Q)) != "negative":
+        raise ValueError("expected a negative bitableau")
+    P, Q = tableau(P), tableau(Q)
+    emitted = []
+    while any(Q):
+        b = min(x for row in Q for x in row)
+        i = max(idx + 1 for idx, row in enumerate(Q) if b in row)
+        j = sum(1 for x in P[i - 1] if x < b)
+        P, a = reverse_bounded_insert(P, b, (i, j))
+        rows = [list(r) for r in Q]
+        rows[i - 1].remove(b)
+        if rows and not rows[-1] and len(rows) > len(P):
+            rows.pop()
+        Q = tableau(rows)
+        emitted.append((a, b))
+    assert list(emitted) == sorted(emitted, key=lambda p: (p[1], p[0]))
+    return pairs(emitted)
+
+
+def brsk(U):
+    """Bounded RSK of a nonvanishing multiset.
+
+    The negative part is inserted directly; the positive part goes
+    through the component swap (insert the swapped multiset, swap the
+    bitableau back); the results are stacked, negative rows on top.
+    """
+    if not is_nonvanishing(U):
+        raise ValueError("multiset has vanishing points")
+    (Pn, Qn), _ = brsk_negative(negative_part(U))
+    Up = positive_part(U)
+    if Up:
+        neg_image, _ = brsk_negative(iota(Up))
+        Pp, Qp = iota_bitableau(neg_image)
+    else:
+        Pp, Qp = (), ()
+    B = (Pn + Pp, Qn + Qp)
+    assert is_semistandard_bitableau(B)
+    assert classify_bitableau(B) != "neither"
+    return B
+
+
+def _chains_of(points):
+    """All nonempty chains in a set of points: first components strictly
+    increasing while second components strictly decrease."""
+    pts = sorted(set(points))
+    out = []
+
+    def extend(chain, start):
+        for k in range(start, len(pts)):
+            e, f = pts[k]
+            if not chain or (e > chain[-1][0] and f < chain[-1][1]):
+                nxt = chain + [(e, f)]
+                out.append(tuple(nxt))
+                extend(nxt, k + 1)
+
+    extend([], 0)
+    return out
+
+
+def multiset_bounded_by(U, T, W) -> bool:
+    """Boundedness of a multiset between a negative multiset T and a
+    positive multiset W: every chain C in the underlying set of U must
+    satisfy T <= C^- and C^+ <= W in the multiset order.
+
+    Since the signed parts of a chain are chains, it is enough to test
+    T <= D over negative chains D of U and E <= W over positive chains
+    E.  Enumeration is exponential in the antichain width.
+    """
+    if any(sign(t) >= 0 for t in T):
+        raise ValueError("lower bound must be a negative multiset")
+    if any(sign(w) <= 0 for w in W):
+        raise ValueError("upper bound must be a positive multiset")
+    for D in _chains_of(negative_part(U)):
+        if not multiset_order_leq(T, D):
+            return False
+    for E in _chains_of(positive_part(U)):
+        if not multiset_order_leq(E, W):
+            return False
+    return True
+
+
+def _verify_negative_side(V, T) -> bool:
+    """Check boundedness is preserved along the insertion of a negative
+    multiset V bounded below by T, rebuilding a witness chain for every
+    first-row entry below min(Q_1) at every prefix."""
+    (P, Q), trace = brsk_negative(V, keep_trace=True)
+    chains = []
+    prefix = set()
+    for step in trace:
+        a, b = step.pair
+        prefix.add((a, b))
+        new_row, new_col = step.record.new_box
+        if new_row == 1:
+            low = new_col
+            keep_rest = []
+        else:
+            low = step.record.route[0][1]
+            keep_rest = chains[low:]
+        if low - 1 > len(chains):
+            return False
+        grown = (chains[low - 2] if low >= 2 else []) + [(a, b)]
+        chains = chains[: low - 1] + [grown] + keep_rest
+        P1, Q1 = step.P[0], step.Q[0]
+        if len(chains) != sum(1 for x in P1 if x < Q1[0]):
+            return False
+        for j, C in enumerate(chains, 1):
+            if len(C) != j or C[-1][0] != P1[j - 1]:
+                return False
+            if any(u not in prefix for u in C):
+                return False
+            if any(not (C[k][0] < C[k + 1][0] and C[k][1] > C[k + 1][1]) for k in range(len(C) - 1)):
+                return False
+        if not bitableau_bounded_by((step.P, step.Q), T, ()):
+            return False
+    return bitableau_bounded_by((P, Q), T, ())
+
+
+def verify_boundedness_preservation(U, T, W) -> bool:
+    """Check that bounded RSK carries a multiset bounded by T, W to a
+    bitableau bounded by T, W, validating the prefix witness chains on
+    both signed parts.  Raises PreconditionError if U is not bounded by
+    T, W in the first place; returns False only if the preserved
+    boundedness itself fails.
+    """
+    if not is_nonvanishing(U):
+        raise ValueError("multiset has vanishing points")
+    if not multiset_bounded_by(U, T, W):
+        raise PreconditionError("input multiset is not bounded by the given pair")
+    if not _verify_negative_side(negative_part(U), pairs(T)):
+        return False
+    if not _verify_negative_side(iota(positive_part(U)), iota(W)):
+        return False
+    return bitableau_bounded_by(brsk(U), T, W)

@@ -1,0 +1,196 @@
+"""Twisted chains, the canonical arrangement, and the depth order on
+negative (and, via the component swap, positive) subsets of N^2.
+"""
+
+from itertools import permutations
+
+from .multisets import iota, negative_part, pairs, positive_part, sign
+
+
+def _same_negative(u, v):
+    if sign(u) >= 0 or sign(v) >= 0:
+        raise ValueError("expected negative points")
+
+
+def prec(u, v) -> bool:
+    """(e,f) strictly precedes (g,h) when f < h and e > g."""
+    _same_negative(u, v)
+    return u[1] < v[1] and u[0] > v[0]
+
+
+def trianglelefteq_pt(u, v) -> bool:
+    """Weak version of prec: f <= h and e >= g."""
+    _same_negative(u, v)
+    return u[1] <= v[1] and u[0] >= v[0]
+
+
+def meet(u, v):
+    """Componentwise (max of firsts, min of seconds)."""
+    _same_negative(u, v)
+    return (max(u[0], v[0]), min(u[1], v[1]))
+
+
+def completely_disjointed(T) -> bool:
+    """All 2m coordinates across both components are distinct."""
+    coords = [c for p in T for c in p]
+    return len(coords) == len(set(coords))
+
+
+def is_negative_twisted_chain(T) -> bool:
+    pts = list(set(T))
+    if any(sign(p) >= 0 for p in pts):
+        return False
+    if not completely_disjointed(pts):
+        return False
+    for i, u in enumerate(pts):
+        for v in pts[i + 1 :]:
+            if not (prec(u, v) or prec(v, u) or sign(meet(u, v)) >= 0):
+                return False
+    return True
+
+
+def is_positive_twisted_chain(T) -> bool:
+    pts = set(T)
+    return all(sign(p) > 0 for p in pts) and is_negative_twisted_chain(iota(pts))
+
+
+def _greedy_arrange(firsts, seconds):
+    """Pair each second component, ascending, with the largest unused
+    first component below it.  Returns None when some second cannot be
+    matched, which happens exactly when no negative arrangement exists.
+    """
+    free = sorted(firsts)
+    out = []
+    for f in sorted(seconds):
+        candidates = [e for e in free if e < f]
+        if not candidates:
+            return None
+        e = candidates[-1]
+        free.remove(e)
+        out.append((e, f))
+    return out
+
+
+def _brute_force_arrange(firsts, seconds):
+    seconds = sorted(seconds)
+    best = None
+    for perm in permutations(sorted(firsts)):
+        if all(e < f for e, f in zip(perm, seconds)):
+            if best is None or perm > best:
+                best = perm
+    if best is None:
+        return None
+    return list(zip(best, seconds))
+
+
+def canonicalize(T, brute_force: bool = False):
+    """The canonical twisted chain with the same two projections as T.
+
+    Among all arrangements of T's first components against its second
+    components that keep every point strictly below the diagonal (or
+    strictly above, for positive T), returns the lex-least one: listed
+    with second components ascending, first components are compared
+    largest-first.  Raises ValueError if T is not completely disjointed
+    or no such arrangement exists.
+
+    The greedy assignment is used by default; brute_force=True reruns
+    the search over all permutations instead.
+    """
+    pts = list(T)
+    if not pts:
+        return ()
+    if not completely_disjointed(pts):
+        raise ValueError("multiset is not completely disjointed")
+    signs = {sign(p) for p in pts}
+    if signs == {-1}:
+        firsts = [p[0] for p in pts]
+        seconds = [p[1] for p in pts]
+    elif signs == {1}:
+        firsts = [p[1] for p in pts]
+        seconds = [p[0] for p in pts]
+    else:
+        raise ValueError("expected a uniform-sign set of nonvanishing points")
+    arrange = _brute_force_arrange if brute_force else _greedy_arrange
+    arranged = arrange(firsts, seconds)
+    if arranged is None:
+        raise ValueError("no negative arrangement exists")
+    if signs == {1}:
+        arranged = iota(arranged)
+    result = pairs(arranged)
+    assert is_negative_twisted_chain(result) if signs == {-1} else is_positive_twisted_chain(result)
+    return result
+
+
+def depth(R, x) -> int:
+    """Longest prec-chain within the part of R weakly above x.
+
+    Both R and x must be negative; positive data goes through the
+    component swap first.
+    """
+    if sign(x) >= 0 or any(sign(u) >= 0 for u in R):
+        raise ValueError("depth is defined for negative data")
+    pts = sorted({u for u in set(R) if trianglelefteq_pt(x, u)}, key=lambda p: p[1])
+    best = [0] * len(pts)
+    for i, v in enumerate(pts):
+        longest = 0
+        for j in range(i):
+            if prec(pts[j], v) and best[j] > longest:
+                longest = best[j]
+        best[i] = longest + 1
+    return max(best, default=0)
+
+
+def _depth_leq(R, S) -> bool:
+    return all(depth(R, x) >= depth(S, x) for x in set(S))
+
+
+def _label(X):
+    signs = {sign(p) for p in X}
+    if not signs:
+        return "empty"
+    if signs == {-1}:
+        return "negative"
+    if signs == {1}:
+        return "positive"
+    raise ValueError("subset mixes signs or touches the diagonal")
+
+
+def chain_order_leq(R, S) -> bool:
+    """The depth order: R is below S when depth in R dominates depth in
+    S at every point of S.  Positive subsets are compared by swapping
+    components and sides; a negative R is below any positive S; the
+    order is not defined from a positive R to a negative S.
+    """
+    r, s = _label(R), _label(S)
+    if r == "positive" and s == "negative":
+        raise ValueError("no order from a positive subset to a negative one")
+    if r == "negative" and s == "positive":
+        return True
+    if "positive" in (r, s):
+        return _depth_leq(iota(S), iota(R))
+    return _depth_leq(R, S)
+
+
+def chain_order_leq_diagonal(R, S) -> bool:
+    """Same order, decided only at the points (z, z+1): compare the
+    counts of elements straddling each z.  Valid for negative twisted
+    chains.
+    """
+    if not (is_negative_twisted_chain(R) and is_negative_twisted_chain(S)):
+        raise ValueError("diagonal criterion applies to negative twisted chains")
+    zs = {c for p in list(R) + list(S) for c in p}
+    for z in range(1, max(zs, default=1) + 1):
+        r = sum(1 for e, f in set(R) if e <= z < f)
+        s = sum(1 for e, f in set(S) if e <= z < f)
+        if r < s:
+            return False
+    return True
+
+
+def chain_bounded(U, R, S) -> bool:
+    """U is chain-bounded by (R, S) when R is below the underlying set
+    of its negative part and the underlying set of its positive part is
+    below S."""
+    return chain_order_leq(R, set(negative_part(U))) and chain_order_leq(
+        set(positive_part(U)), S
+    )

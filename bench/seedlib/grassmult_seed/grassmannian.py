@@ -1,0 +1,91 @@
+"""Index combinatorics for the Grassmannian of d-planes in n-space:
+d-subsets, lengths, the grid attached to a fixed subset beta, and the
+bound multisets of a Richardson variety at the fixed point of beta.
+"""
+
+from collections import namedtuple
+
+from .chains import canonicalize
+from .multisets import pairs
+
+BetaGrid = namedtuple("BetaGrid", ["beta", "complement", "n"])
+BetaGrid.__doc__ = "A fixed column set beta, its complement (the rows), and the ambient n."
+
+
+def validate_index(elems, n: int):
+    """Canonicalize a d-subset of {1..n} to a sorted tuple."""
+    t = tuple(sorted(elems))
+    if len(set(t)) != len(t) or not t or t[0] < 1 or t[-1] > n:
+        raise ValueError("expected distinct integers in 1..%d" % n)
+    return t
+
+
+def length(a) -> int:
+    """Sum of the entries minus the minimum possible sum."""
+    d = len(a)
+    return sum(a) - d * (d + 1) // 2
+
+
+def index_leq(a, b) -> bool:
+    """Componentwise comparison of two sorted index sets."""
+    if len(a) != len(b):
+        raise ValueError("indices have different sizes")
+    return all(x <= y for x, y in zip(sorted(a), sorted(b)))
+
+
+def complement(beta, n: int):
+    beta = set(beta)
+    return tuple(x for x in range(1, n + 1) if x not in beta)
+
+
+def beta_grid(beta, n: int) -> BetaGrid:
+    beta = validate_index(beta, n)
+    return BetaGrid(beta, complement(beta, n), n)
+
+
+def in_grid(p, grid: BetaGrid) -> bool:
+    return p[0] in grid.complement and p[1] in grid.beta
+
+
+def negative_region(grid: BetaGrid):
+    return {(e, f) for e in grid.complement for f in grid.beta if e < f}
+
+
+def positive_region(grid: BetaGrid):
+    return {(e, f) for e in grid.complement for f in grid.beta if e > f}
+
+
+def theta_to_rs(theta, beta):
+    """The bijection theta -> (theta minus beta, beta minus theta)."""
+    theta, beta = set(theta), set(beta)
+    return tuple(sorted(theta - beta)), tuple(sorted(beta - theta))
+
+
+def rs_to_theta(R, S, beta):
+    R, S, beta = set(R), set(S), set(beta)
+    if not S <= beta or R & beta or len(R) != len(S):
+        raise ValueError("expected R disjoint from beta and S inside beta, equal sizes")
+    return tuple(sorted((beta - S) | R))
+
+
+def build_bound_multisets(alpha, gamma, grid: BetaGrid):
+    """The canonical twisted chains bounding the Richardson variety of
+    (alpha, gamma) at the fixed point of beta.
+
+    The lower chain pairs alpha minus beta against beta minus alpha
+    below the diagonal; the upper chain pairs gamma minus beta against
+    beta minus gamma above it.  Raises ValueError unless
+    alpha <= beta <= gamma, the nonemptiness condition.
+    """
+    beta, n = grid.beta, grid.n
+    alpha = validate_index(alpha, n)
+    gamma = validate_index(gamma, n)
+    if not (index_leq(alpha, beta) and index_leq(beta, gamma)):
+        raise ValueError("empty Richardson data: need alpha <= beta <= gamma")
+    Ra, Sa = theta_to_rs(alpha, beta)
+    Rg, Sg = theta_to_rs(gamma, beta)
+    Ttil = canonicalize(pairs(zip(Ra, Sa)))
+    Wtil = canonicalize(pairs(zip(Rg, Sg)))
+    assert all(e < f for e, f in Ttil) and all(e > f for e, f in Wtil)
+    assert all(in_grid(p, grid) for p in tuple(Ttil) + tuple(Wtil))
+    return Ttil, Wtil

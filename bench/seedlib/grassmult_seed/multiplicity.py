@@ -1,0 +1,237 @@
+"""Lattice paths on the grid attached to beta, disjoint path families,
+and multiplicities of Richardson varieties at fixed points, together
+with the brute-force bounded-subset oracle.
+"""
+
+from itertools import combinations
+
+from .chains import chain_bounded, chain_order_leq, depth, trianglelefteq_pt
+from .grassmannian import (
+    BetaGrid,
+    beta_grid,
+    build_bound_multisets,
+    in_grid,
+    negative_region,
+    positive_region,
+    validate_index,
+)
+from .multisets import iota, negative_part, positive_part, sign
+
+
+def _require_region(r, grid: BetaGrid):
+    if not in_grid(r, grid) or sign(r) == 0:
+        raise ValueError("point %r is not in the grid regions" % (r,))
+
+
+def floor_pt(r, grid: BetaGrid):
+    """Extremal grid point of the row of r, on the far side of the
+    staircase boundary: the smallest admissible column for a negative
+    point, the largest for a positive one."""
+    _require_region(r, grid)
+    e, f = r
+    if sign(r) < 0:
+        return (e, min(y for y in grid.beta if e < y))
+    return (e, max(y for y in grid.beta if y < e))
+
+
+def ceil_pt(r, grid: BetaGrid):
+    """Extremal grid point of the column of r: the largest admissible
+    row for a negative point, the smallest for a positive one."""
+    _require_region(r, grid)
+    e, f = r
+    if sign(r) < 0:
+        return (max(x for x in grid.complement if x < f), f)
+    return (min(x for x in grid.complement if x > f), f)
+
+
+def _axes(r, grid: BetaGrid):
+    """Rows and columns spanned by the staircase rectangle of r, listed
+    in walking order from floor to ceil."""
+    e, f = r
+    e1, _ = ceil_pt(r, grid)
+    _, f0 = floor_pt(r, grid)
+    if sign(r) < 0:
+        rows = [x for x in grid.complement if e <= x <= e1]
+        cols = [y for y in grid.beta if f0 <= y <= f]
+    else:
+        rows = [x for x in grid.complement if e1 <= x <= e][::-1]
+        cols = [y for y in grid.beta if f <= y <= f0][::-1]
+    return rows, cols
+
+
+def canonical_path(r, grid: BetaGrid):
+    """The path that starts at floor(r), walks along the row of r, and
+    then along the column of r to ceil(r)."""
+    rows, cols = _axes(r, grid)
+    return tuple((rows[0], y) for y in cols) + tuple((x, cols[-1]) for x in rows[1:])
+
+
+def enumerate_paths(r, grid: BetaGrid):
+    """Every monotone staircase from floor(r) to ceil(r).
+
+    All of them have the same number of points as the canonical path,
+    and none contains a two-element chain.
+    """
+    rows, cols = _axes(r, grid)
+    s = sign(r)
+    out = []
+
+    def walk(i, j, acc):
+        if i == len(rows) - 1 and j == len(cols) - 1:
+            out.append(tuple(acc))
+            return
+        if j + 1 < len(cols) and sign((rows[i], cols[j + 1])) == s:
+            walk(i, j + 1, acc + [(rows[i], cols[j + 1])])
+        if i + 1 < len(rows) and sign((rows[i + 1], cols[j])) == s:
+            walk(i + 1, j, acc + [(rows[i + 1], cols[j])])
+
+    walk(0, 0, [(rows[0], cols[0])])
+    assert len({len(p) for p in out}) == 1
+    assert canonical_path(r, grid) in out
+    return out
+
+
+def _anchor_key(r):
+    return (min(r), max(r))
+
+
+def _count_disjoint(anchor_paths, used, idx) -> int:
+    if idx == len(anchor_paths):
+        return 1
+    total = 0
+    for path in anchor_paths[idx][1]:
+        pts = set(path)
+        if pts & used:
+            continue
+        total += _count_disjoint(anchor_paths, used | pts, idx + 1)
+    return total
+
+
+def _anchor_paths(anchors, grid):
+    return [(r, enumerate_paths(r, grid)) for r in sorted(anchors, key=_anchor_key)]
+
+
+def count_families(Ttil, Wtil, grid: BetaGrid, joint: bool = False) -> int:
+    """Number of families of pairwise disjoint paths, one per anchor.
+
+    The negative and positive anchors live on opposite sides of the
+    staircase, so the two counts are taken independently and
+    multiplied; joint=True backtracks over both regions at once as a
+    cross-check.
+    """
+    for r in Ttil:
+        _require_region(r, grid)
+        if sign(r) >= 0:
+            raise ValueError("lower anchors must be negative")
+    for r in Wtil:
+        _require_region(r, grid)
+        if sign(r) <= 0:
+            raise ValueError("upper anchors must be positive")
+    if joint:
+        return _count_disjoint(_anchor_paths(tuple(Ttil) + tuple(Wtil), grid), set(), 0)
+    neg = _count_disjoint(_anchor_paths(Ttil, grid), set(), 0)
+    pos = _count_disjoint(_anchor_paths(Wtil, grid), set(), 0)
+    return neg * pos
+
+
+def enumerate_families(Ttil, Wtil, grid: BetaGrid):
+    """All disjoint families, as maps anchor -> path."""
+    anchor_paths = _anchor_paths(tuple(Ttil) + tuple(Wtil), grid)
+    families = []
+
+    def walk(idx, used, acc):
+        if idx == len(anchor_paths):
+            families.append(dict(acc))
+            return
+        r, paths = anchor_paths[idx]
+        for path in paths:
+            pts = set(path)
+            if pts & used:
+                continue
+            walk(idx + 1, used | pts, acc + [(r, path)])
+
+    walk(0, set(), [])
+    return families
+
+
+def multiplicity(alpha, beta, gamma, n: int, d: int) -> int:
+    """Multiplicity of the Richardson variety of (alpha, gamma) at the
+    torus-fixed point of beta, by counting disjoint path families."""
+    alpha, beta, gamma = (validate_index(x, n) for x in (alpha, beta, gamma))
+    if not (0 < d < n) or {len(alpha), len(beta), len(gamma)} != {d}:
+        raise ValueError("indices must be d-subsets with 0 < d < n")
+    grid = beta_grid(beta, n)
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+    return count_families(Ttil, Wtil, grid)
+
+
+def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid, cap: int = 24):
+    """Brute-force oracle: over all subsets of the grid, find the ones
+    chain-bounded by (Ttil, Wtil) of maximal size.  Returns (number of
+    such subsets, that maximal size).  Exponential; refuses grids with
+    more than cap points."""
+    points = sorted(negative_region(grid) | positive_region(grid))
+    if len(points) > cap:
+        raise ValueError("grid has %d points, above the cap %d" % (len(points), cap))
+    best, count = 0, 0
+    for k in range(len(points), -1, -1):
+        for subset in combinations(points, k):
+            if chain_bounded(subset, Ttil, Wtil):
+                if k > best:
+                    best, count = k, 1
+                elif k == best:
+                    count += 1
+        if count:
+            break
+    return count, best
+
+
+def render_family(family, grid: BetaGrid) -> str:
+    """ASCII picture of one family: complement labels down the side,
+    beta labels across the top, anchors as x (or * when a path runs
+    through the anchor's cell), other path points as o, and the
+    staircase between the sign regions drawn dotted."""
+    anchors = set(family)
+    on_path = {p for path in family.values() for p in path}
+    w = max([len(str(v)) for v in grid.beta + grid.complement] + [1])
+    lines = [" " * (w + 2) + " ".join(str(f).rjust(w) for f in grid.beta) + "  "]
+    for e in grid.complement:
+        cells = []
+        for f in grid.beta:
+            p = (e, f)
+            if p in anchors:
+                mark = "*" if p in on_path else "x"
+            else:
+                mark = "o" if p in on_path else "."
+            cells.append(mark.rjust(w))
+        row = ""
+        for f, cell in zip(grid.beta, cells):
+            row += (":" if f > e > max(
+                (y for y in grid.beta if y < f), default=0
+            ) else " ") + cell
+        boundary = ":" if e > max(grid.beta) else " "
+        lines.append(str(e).rjust(w) + " " + row + boundary)
+    return "\n".join(lines)
+
+
+def decompose_bounded_subset(U, R):
+    """Partition a subset U lying above the twisted chain R: the part
+    of an anchor r collects the points of U weakly below r whose depth
+    in U equals the depth of r in R.  Positive data is decomposed
+    through the component swap."""
+    U, R = set(U), set(R)
+    signs = {sign(p) for p in U | R}
+    if signs == {1}:
+        swapped = decompose_bounded_subset(iota(U), iota(R))
+        return {tuple(reversed(r)): iota(part) for r, part in swapped.items()}
+    if signs - {-1}:
+        raise ValueError("expected uniform-sign nonvanishing data")
+    if not chain_order_leq(R, U):
+        raise ValueError("the twisted chain is not below the subset")
+    parts = {
+        r: tuple(sorted(u for u in U if trianglelefteq_pt(u, r) and depth(U, u) == depth(R, r)))
+        for r in sorted(R)
+    }
+    scattered = [u for part in parts.values() for u in part]
+    assert sorted(scattered) == sorted(U) and len(scattered) == len(U)
+    return parts

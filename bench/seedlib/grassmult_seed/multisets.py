@@ -1,0 +1,134 @@
+"""Multisets on N and N^2, and the comparison orders built on them.
+
+A multiset on N is stored as a sorted tuple of positive integers; a
+multiset on N^2 as a sorted tuple of (e, f) pairs.  Both carry
+repetitions.  Infinite multisets (formal differences A - B) are never
+materialized: comparisons against them reduce to counting inequalities.
+"""
+
+from collections import Counter
+
+
+def nmul(values) -> tuple[int, ...]:
+    """Canonical multiset on N: a sorted tuple."""
+    return tuple(sorted(values))
+
+
+def pairs(points) -> tuple[tuple[int, int], ...]:
+    """Canonical multiset on N^2: a sorted tuple of (e, f) pairs."""
+    return tuple(sorted((e, f) for e, f in points))
+
+
+def sign(point) -> int:
+    """-1 if e < f (negative), +1 if e > f (positive), 0 on the diagonal."""
+    e, f = point
+    return (e > f) - (e < f)
+
+
+def negative_part(U):
+    return pairs(u for u in U if sign(u) < 0)
+
+
+def positive_part(U):
+    return pairs(u for u in U if sign(u) > 0)
+
+
+def is_nonvanishing(U) -> bool:
+    """True iff no point of U lies on the diagonal of N^2."""
+    return all(sign(u) != 0 for u in U)
+
+
+def proj(U, k: int) -> tuple[int, ...]:
+    """The multiset of first (k=1) or second (k=2) components of U."""
+    if k not in (1, 2):
+        raise ValueError("component index must be 1 or 2")
+    return nmul(u[k - 1] for u in U)
+
+
+def iota(U):
+    """Swap the components of every point; exchanges negative and positive."""
+    return pairs((f, e) for e, f in U)
+
+
+def union(A, B):
+    """Disjoint union of two multisets (same kind)."""
+    return tuple(sorted(A + B))
+
+
+def difference(A, B):
+    """Multiset difference A \\ B, truncated at zero multiplicity."""
+    counts = Counter(A)
+    counts.subtract(Counter(B))
+    out = []
+    for value, c in counts.items():
+        out.extend([value] * max(c, 0))
+    return tuple(sorted(out))
+
+
+def restrict_leq(A, z: int):
+    """The sub-multiset of entries <= z."""
+    return tuple(a for a in A if a <= z)
+
+
+def count_leq(A, z: int) -> int:
+    return sum(1 for a in A if a <= z)
+
+
+def _termwise_sorted(A, B) -> bool:
+    return all(a <= b for a, b in zip(sorted(A), sorted(B)))
+
+
+def _termwise_counting(A, B) -> bool:
+    # a_i <= b_i for all i  <=>  |A restricted to <=z| >= |B restricted to <=z| for all z
+    for z in set(A) | set(B):
+        if count_leq(A, z) < count_leq(B, z):
+            return False
+    return True
+
+
+def termwise_leq(A, B) -> bool:
+    """Termwise order on equal-degree multisets on N: a_i <= b_i after sorting.
+
+    Computed two independent ways (sorted comparison and counting
+    inequalities) which are asserted to agree.
+    """
+    if len(A) != len(B):
+        raise ValueError("termwise comparison requires equal degrees")
+    by_sorting = _termwise_sorted(A, B)
+    by_counting = _termwise_counting(A, B)
+    assert by_sorting == by_counting
+    return by_sorting
+
+
+def termwise_less(A, B) -> bool:
+    """Strict termwise order: a_i < b_i for all i.  False on empty multisets."""
+    if len(A) != len(B):
+        raise ValueError("termwise comparison requires equal degrees")
+    if not A:
+        return False
+    return all(a < b for a, b in zip(sorted(A), sorted(B)))
+
+
+def formal_diff_leq(A, B, C, D) -> bool:
+    """Order on formal differences: A - B <= C - D.
+
+    Both differences are against the infinite complement convention, so
+    the comparison reduces to the termwise order on the finite unions:
+    A - B <= C - D  <=>  A + D <= C + B termwise.
+    """
+    if len(A) + len(D) != len(C) + len(B):
+        raise ValueError("formal differences of unequal degree are incomparable")
+    return termwise_leq(union(A, D), union(C, B))
+
+
+def multiset_order_leq(U, V) -> bool:
+    """The order on multisets on N^2: U <= V iff U(1) - U(2) <= V(1) - V(2)."""
+    return formal_diff_leq(proj(U, 1), proj(U, 2), proj(V, 1), proj(V, 2))
+
+
+def pairs_to_json(U) -> list:
+    return [[e, f] for e, f in U]
+
+
+def pairs_from_json(data):
+    return pairs((int(e), int(f)) for e, f in data)

@@ -1,0 +1,258 @@
+"""Notched tableaux, bounded insertion, and semistandard notched bitableaux.
+
+A notched tableau is a sequence of rows, each a strictly increasing list
+of positive integers; rows may be empty, and row lengths need not
+decrease.  Rows and columns are 1-indexed everywhere.  Column entries
+weakly increase downward in a semistandard Young tableau (the transpose
+of the more common convention, so insertion bumps along rows).
+"""
+
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
+
+from .multisets import formal_diff_leq, nmul, proj, sign, termwise_less
+
+BumpingRecord = namedtuple("BumpingRecord", ["route", "new_box"])
+BumpingRecord.__doc__ = """Boxes bumped by an insertion, ending with the new box.
+
+Coordinates are (row, column), 1-indexed, and are valid both in the
+truncated tableau where the insertion ran and in the full tableau
+(entries below the bound precede the rest in each row).
+"""
+
+
+def tableau(rows) -> tuple[tuple[int, ...], ...]:
+    """Normalize rows to a tuple of integer tuples."""
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def size(P) -> int:
+    return sum(len(row) for row in P)
+
+
+def content(P):
+    """The multiset of all entries of P."""
+    return nmul(x for row in P for x in row)
+
+
+def row_strict(P) -> bool:
+    return all(all(row[j] < row[j + 1] for j in range(len(row) - 1)) for row in P)
+
+
+def is_young_semistandard(P) -> bool:
+    """Row strict, row lengths weakly decreasing, columns weakly increasing down.
+
+    Trailing empty rows are ignored; an empty row above a nonempty one
+    disqualifies.
+    """
+    if not row_strict(P):
+        return False
+    rows = list(P)
+    while rows and not rows[-1]:
+        rows.pop()
+    for i in range(len(rows) - 1):
+        if len(rows[i]) < len(rows[i + 1]):
+            return False
+        for j in range(len(rows[i + 1])):
+            if rows[i][j] > rows[i + 1][j]:
+                return False
+    return all(rows[i] for i in range(len(rows)))
+
+
+def truncate_below(P, b: int):
+    """The tableau P^{<b}: every entry >= b removed, rows kept in place."""
+    if not row_strict(P):
+        raise ValueError("tableau must be row strict")
+    return tableau(tuple(x for x in row if x < b) for row in P)
+
+
+def is_semistandard_on(P, b: int) -> bool:
+    """True iff P^{<b} is a semistandard Young tableau."""
+    return is_young_semistandard(truncate_below(P, b))
+
+
+def schensted_insert(R, a: int):
+    """Insert a into a semistandard Young tableau by row bumping.
+
+    In each row the inserted value either exceeds every entry and is
+    placed at the right end, or it bumps the smallest entry >= it into
+    the next row.  Returns the new tableau and the BumpingRecord.
+    """
+    if not is_young_semistandard(R):
+        raise ValueError("insertion requires a semistandard Young tableau")
+    rows = [list(row) for row in R]
+    route = []
+    cur = a
+    i = 0
+    while True:
+        if i == len(rows):
+            rows.append([cur])
+            new_box = (i + 1, 1)
+            break
+        j = bisect_left(rows[i], cur)
+        if j == len(rows[i]):
+            rows[i].append(cur)
+            new_box = (i + 1, j + 1)
+            break
+        route.append((i + 1, j + 1))
+        cur, rows[i][j] = rows[i][j], cur
+        i += 1
+    route.append(new_box)
+    return tableau(rows), BumpingRecord(tuple(route), new_box)
+
+
+def bounded_insert(P, a: int, b: int):
+    """Bounded insertion P <-_b a.
+
+    Entries >= b are set aside row by row, a is Schensted-inserted into
+    the remaining Young tableau, and the removed entries are placed back
+    into the rows they came from.  Requires a < b and P semistandard on b.
+    """
+    if a >= b:
+        raise ValueError("inserted value must be below the bound")
+    if not is_semistandard_on(P, b):
+        raise ValueError("tableau must be semistandard on the bound")
+    lower = [[x for x in row if x < b] for row in P]
+    upper = [[x for x in row if x >= b] for row in P]
+    inserted, record = schensted_insert(tuple(map(tuple, lower)), a)
+    rows = [list(inserted[i]) + (upper[i] if i < len(upper) else []) for i in range(len(inserted))]
+    result = tableau(rows)
+    assert is_semistandard_on(result, b)
+    return result, record
+
+
+def reverse_bounded_insert(Pp, b: int, new_box):
+    """Invert bounded insertion given the bound and the new box.
+
+    The new box must name the rightmost entry below b in its row.  A
+    trailing row emptied by the removal is dropped (it was created by the
+    forward insertion).  Returns (P, a) with bounded_insert(P, a, b)
+    reproducing the input.
+    """
+    if not is_semistandard_on(Pp, b):
+        raise ValueError("tableau must be semistandard on the bound")
+    i, j = new_box
+    if not (1 <= i <= len(Pp)):
+        raise ValueError("new box outside the tableau")
+    lower = [[x for x in row if x < b] for row in Pp]
+    upper = [[x for x in row if x >= b] for row in Pp]
+    if not lower[i - 1] or j != len(lower[i - 1]):
+        raise ValueError("new box must be the rightmost entry below the bound in its row")
+    if i < len(lower) and len(lower[i - 1]) - 1 < len(lower[i]):
+        raise ValueError("removing the new box breaks the truncated shape")
+    cur = lower[i - 1].pop()
+    for k in range(i - 2, -1, -1):
+        idx = bisect_right(lower[k], cur) - 1
+        if idx < 0:
+            raise ValueError("no entry available to reverse-bump")
+        cur, lower[k][idx] = lower[k][idx], cur
+    rows = [lower[k] + upper[k] for k in range(len(Pp))]
+    if rows and not rows[-1] and i == len(Pp):
+        rows.pop()
+    return tableau(rows), cur
+
+
+def bitableau(P, Q):
+    """A pair of notched tableaux of equal shape."""
+    P, Q = tableau(P), tableau(Q)
+    if len(P) != len(Q) or any(len(p) != len(q) for p, q in zip(P, Q)):
+        raise ValueError("bitableau halves must have equal shape")
+    return (P, Q)
+
+
+def bidegree(B) -> int:
+    return size(B[0])
+
+
+def is_semistandard_bitableau(B) -> bool:
+    """Row strict with weakly increasing row differences P_i - Q_i."""
+    P, Q = bitableau(*B)
+    if not (row_strict(P) and row_strict(Q)):
+        return False
+    for i in range(len(P) - 1):
+        if not formal_diff_leq(P[i], Q[i], P[i + 1], Q[i + 1]):
+            return False
+    return True
+
+
+def classify_row(p_row, q_row) -> int:
+    """-1 for a negative row, +1 for positive, 0 for neither."""
+    if termwise_less(p_row, q_row):
+        return -1
+    if termwise_less(q_row, p_row):
+        return 1
+    return 0
+
+
+def classify_bitableau(B) -> str:
+    """'negative', 'positive', 'nonvanishing', or 'neither'.
+
+    Every row must compare strictly one way or the other for the
+    bitableau to be nonvanishing; uniform rows refine the class.  The
+    empty bitableau counts as nonvanishing.
+    """
+    P, Q = bitableau(*B)
+    labels = [classify_row(p, q) for p, q in zip(P, Q)]
+    if any(s == 0 for s in labels):
+        return "neither"
+    if labels and all(s == -1 for s in labels):
+        return "negative"
+    if labels and all(s == 1 for s in labels):
+        return "positive"
+    return "nonvanishing"
+
+
+def split_parts(B):
+    """Split a nonvanishing semistandard bitableau into negative and positive parts."""
+    P, Q = bitableau(*B)
+    if classify_bitableau(B) == "neither" or not is_semistandard_bitableau(B):
+        raise ValueError("expected a nonvanishing semistandard bitableau")
+    labels = [classify_row(p, q) for p, q in zip(P, Q)]
+    i = 0
+    while i < len(labels) and labels[i] == -1:
+        i += 1
+    if any(s == -1 for s in labels[i:]):
+        raise ValueError("negative rows must precede positive rows")
+    return (P[:i], Q[:i]), (P[i:], Q[i:])
+
+
+def iota_bitableau(B):
+    """Reverse the rows of (Q, P); exchanges negative and positive parts."""
+    P, Q = bitableau(*B)
+    return (tuple(reversed(Q)), tuple(reversed(P)))
+
+
+def bitableau_bounded_by(B, T, W) -> bool:
+    """Boundedness of a semistandard bitableau between a negative multiset
+    T and a positive multiset W on N^2:
+
+        T(1) - T(2) <= P_1 - Q_1   and   P_r - Q_r <= W(1) - W(2).
+
+    An empty bitableau is bounded by anything; an empty T rules out a
+    negative first row, an empty W a positive last row.
+    """
+    P, Q = bitableau(*B)
+    if any(sign(t) >= 0 for t in T):
+        raise ValueError("lower bound must be a negative multiset")
+    if any(sign(w) <= 0 for w in W):
+        raise ValueError("upper bound must be a positive multiset")
+    if not is_semistandard_bitableau(B):
+        raise ValueError("expected a semistandard bitableau")
+    if not P:
+        return True
+    if not formal_diff_leq(proj(T, 1), proj(T, 2), P[0], Q[0]):
+        return False
+    return formal_diff_leq(P[-1], Q[-1], proj(W, 1), proj(W, 2))
+
+
+def render(P) -> str:
+    """One row per line, entries space-separated."""
+    return "\n".join(" ".join(str(x) for x in row) for row in P)
+
+
+def tableau_to_json(P) -> list:
+    return [list(row) for row in P]
+
+
+def tableau_from_json(data):
+    return tableau(data)
