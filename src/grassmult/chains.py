@@ -2,8 +2,6 @@
 negative (and, via the component swap, positive) subsets of N^2.
 """
 
-from itertools import permutations
-
 from .multisets import iota, negative_part, pairs, positive_part, sign
 
 
@@ -71,19 +69,7 @@ def _greedy_arrange(firsts, seconds):
     return out
 
 
-def _brute_force_arrange(firsts, seconds):
-    seconds = sorted(seconds)
-    best = None
-    for perm in permutations(sorted(firsts)):
-        if all(e < f for e, f in zip(perm, seconds)):
-            if best is None or perm > best:
-                best = perm
-    if best is None:
-        return None
-    return list(zip(best, seconds))
-
-
-def canonicalize(T, brute_force: bool = False):
+def canonicalize(T):
     """The canonical twisted chain with the same two projections as T.
 
     Among all arrangements of T's first components against its second
@@ -92,9 +78,6 @@ def canonicalize(T, brute_force: bool = False):
     with second components ascending, first components are compared
     largest-first.  Raises ValueError if T is not completely disjointed
     or no such arrangement exists.
-
-    The greedy assignment is used by default; brute_force=True reruns
-    the search over all permutations instead.
     """
     pts = list(T)
     if not pts:
@@ -110,8 +93,7 @@ def canonicalize(T, brute_force: bool = False):
         seconds = [p[0] for p in pts]
     else:
         raise ValueError("expected a uniform-sign set of nonvanishing points")
-    arrange = _brute_force_arrange if brute_force else _greedy_arrange
-    arranged = arrange(firsts, seconds)
+    arranged = _greedy_arrange(firsts, seconds)
     if arranged is None:
         raise ValueError("no negative arrangement exists")
     if signs == {1}:

@@ -8,7 +8,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
 from .brsk import brsk, brsk_negative, rbrsk
@@ -16,28 +15,8 @@ from .chains import canonicalize
 from .grassmannian import beta_grid, build_bound_multisets, index_leq
 from .groebner import count_monomials_outside_initial, count_standard_monomials, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
-from .multisets import negative_part, pairs, sign
+from .multisets import iota, negative_part, pairs, pairs_from_json, positive_part
 from .tableaux import render
-
-
-@dataclass
-class JobSpec:
-    command: str
-    n: int = 0
-    d: int = 0
-    alpha: tuple = ()
-    beta: tuple = ()
-    gamma: tuple = ()
-    mmax: int = 4
-    pairs_text: str = ""
-    input_path: str = ""
-    trace_path: str = ""
-    json_out: bool = False
-    do_render: bool = False
-    all_triples: bool = False
-    brute_force: bool = False
-    sample: int = 0
-    seed: int = 0
 
 
 def _parse_index(text):
@@ -52,83 +31,91 @@ def _parse_pairs(text):
     return pairs(out)
 
 
-def _load_multiset(spec: JobSpec):
-    if spec.pairs_text:
-        return _parse_pairs(spec.pairs_text)
-    if spec.input_path:
-        with open(spec.input_path) as fh:
-            return pairs(tuple(p) for p in json.load(fh))
+def _read_input(path, parse, expected):
+    """Parse the JSON file at path.  An unreadable file or a document
+    of the wrong shape is invalid input: a ValueError, hence exit 2."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except OSError as err:
+        raise ValueError("cannot read %s: %s" % (path, err.strerror)) from err
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError("%s is not %s" % (path, expected)) from err
+
+
+def _load_multiset(ns):
+    if ns.pairs:
+        return _parse_pairs(ns.pairs)
+    if ns.input:
+        return _read_input(ns.input, pairs_from_json, "a JSON list of [e, f] pairs")
     raise ValueError("provide --pairs or --input")
+
+
+def _bitableau_from_json(data):
+    return tuple(tuple(r) for r in data["P"]), tuple(tuple(r) for r in data["Q"])
 
 
 def _pairs_text(U):
     return " ".join("%d,%d" % p for p in U)
 
 
-def _emit_bitableau(B, out, as_json):
-    P, Q = B
-    if as_json:
+def _write_trace(U, path):
+    """One JSON line per insertion, tagged with the sign of its half.
+    The positive half is inserted as brsk runs it, on the swapped
+    points, so its steps show swapped pairs and tableaux."""
+    with open(path, "w") as fh:
+        for sgn, half in ((-1, negative_part(U)), (1, iota(positive_part(U)))):
+            _, trace = brsk_negative(half, keep_trace=True)
+            for step in trace:
+                fh.write(
+                    json.dumps(
+                        {
+                            "sign": sgn,
+                            "pair": list(step.pair),
+                            "route": [list(b) for b in step.record.route],
+                            "new_box": list(step.record.new_box),
+                            "P": [list(r) for r in step.P],
+                            "Q": [list(r) for r in step.Q],
+                        }
+                    )
+                    + "\n"
+                )
+
+
+def _cmd_brsk(ns, out):
+    U = _load_multiset(ns)
+    P, Q = brsk(U)
+    if ns.trace:
+        _write_trace(U, ns.trace)
+    if ns.json:
         print(json.dumps({"P": [list(r) for r in P], "Q": [list(r) for r in Q]}), file=out)
     else:
-        print("P:", file=out)
-        print(render(P), file=out)
-        print("Q:", file=out)
-        print(render(Q), file=out)
-
-
-def _write_trace(trace, path):
-    with open(path, "w") as fh:
-        for step in trace:
-            fh.write(
-                json.dumps(
-                    {
-                        "pair": list(step.pair),
-                        "route": [list(b) for b in step.record.route],
-                        "new_box": list(step.record.new_box),
-                        "P": [list(r) for r in step.P],
-                        "Q": [list(r) for r in step.Q],
-                    }
-                )
-                + "\n"
-            )
-
-
-def _cmd_brsk(spec: JobSpec, out):
-    U = _load_multiset(spec)
-    if spec.trace_path:
-        _, trace = brsk_negative(negative_part(U), keep_trace=True)
-        _write_trace(trace, spec.trace_path)
-    _emit_bitableau(brsk(U), out, spec.json_out)
+        print("P:\n%s\nQ:\n%s" % (render(P), render(Q)), file=out)
     return 0
 
 
-def _cmd_rbrsk(spec: JobSpec, out):
-    if not spec.input_path:
+def _cmd_rbrsk(ns, out):
+    if not ns.input:
         raise ValueError("rbrsk reads a bitableau from --input (JSON with P and Q)")
-    with open(spec.input_path) as fh:
-        data = json.load(fh)
-    B = (
-        tuple(tuple(r) for r in data["P"]),
-        tuple(tuple(r) for r in data["Q"]),
-    )
+    B = _read_input(ns.input, _bitableau_from_json, "a JSON object with P and Q")
     U = rbrsk(B)
-    if spec.json_out:
+    if ns.json:
         print(json.dumps([list(p) for p in U]), file=out)
     else:
         print(_pairs_text(U), file=out)
     return 0
 
 
-def _cmd_mult(spec: JobSpec, out):
-    print(multiplicity(spec.alpha, spec.beta, spec.gamma, spec.n, spec.d), file=out)
+def _cmd_mult(ns, out):
+    print(multiplicity(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d), file=out)
     return 0
 
 
-def _cmd_paths(spec: JobSpec, out):
-    grid = beta_grid(spec.beta, spec.n)
-    Ttil, Wtil = build_bound_multisets(spec.alpha, spec.gamma, grid)
+def _cmd_paths(ns, out):
+    grid = beta_grid(ns.beta, ns.n)
+    Ttil, Wtil = build_bound_multisets(ns.alpha, ns.gamma, grid)
     families = enumerate_families(Ttil, Wtil, grid)
-    if spec.json_out:
+    if ns.json:
         blob = [
             {"%d,%d" % r: [list(p) for p in path] for r, path in fam.items()}
             for fam in families
@@ -136,19 +123,19 @@ def _cmd_paths(spec: JobSpec, out):
         print(json.dumps({"count": len(families), "families": blob}), file=out)
         return 0
     print("%d families" % len(families), file=out)
-    if spec.do_render:
+    if ns.render:
         for k, fam in enumerate(families, 1):
             print("family %d:" % k, file=out)
             print(render_family(fam, grid), file=out)
     return 0
 
 
-def _cmd_count(spec: JobSpec, out):
-    grid = beta_grid(spec.beta, spec.n)
+def _cmd_count(ns, out):
+    grid = beta_grid(ns.beta, ns.n)
     print("m\tmonomials\tstandard\tequal", file=out)
-    for m in range(spec.mmax + 1):
-        a = count_monomials_outside_initial(spec.alpha, spec.gamma, grid, m)
-        b = count_standard_monomials(spec.alpha, spec.gamma, grid, m)
+    for m in range(ns.mmax + 1):
+        a = count_monomials_outside_initial(ns.alpha, ns.gamma, grid, m)
+        b = count_standard_monomials(ns.alpha, ns.gamma, grid, m)
         print("%d\t%d\t%d\t%s" % (m, a, b, "yes" if a == b else "NO"), file=out)
     return 0
 
@@ -164,18 +151,18 @@ def _iter_triples(n, d):
                     yield alpha, beta, gamma
 
 
-def _cmd_verify(spec: JobSpec, out):
-    if spec.all_triples or spec.sample:
-        triples = list(_iter_triples(spec.n, spec.d))
-        if spec.sample:
-            rng = random.Random(spec.seed)
-            triples = rng.sample(triples, min(spec.sample, len(triples)))
+def _cmd_verify(ns, out):
+    if ns.all_triples or ns.sample:
+        triples = list(_iter_triples(ns.n, ns.d))
+        if ns.sample:
+            rng = random.Random(ns.seed)
+            triples = rng.sample(triples, min(ns.sample, len(triples)))
     else:
-        triples = [(spec.alpha, spec.beta, spec.gamma)]
+        triples = [(ns.alpha, ns.beta, ns.gamma)]
     bad = 0
     for alpha, beta, gamma in triples:
-        grid = beta_grid(beta, spec.n)
-        report = verify_groebner(alpha, gamma, grid, spec.mmax)
+        grid = beta_grid(beta, ns.n)
+        report = verify_groebner(alpha, gamma, grid, ns.mmax)
         ok = report.counts_equal and report.brsk_injective
         if not ok:
             bad += 1
@@ -193,31 +180,20 @@ def _cmd_verify(spec: JobSpec, out):
     return 1 if bad else 0
 
 
-def _cmd_canonicalize(spec: JobSpec, out):
-    U = _load_multiset(spec)
-    T = canonicalize(U, brute_force=spec.brute_force)
-    if spec.json_out:
+def _cmd_canonicalize(ns, out):
+    T = canonicalize(_load_multiset(ns))
+    if ns.json:
         print(json.dumps([list(p) for p in T]), file=out)
     else:
         print(_pairs_text(T), file=out)
     return 0
 
 
-_COMMANDS = {
-    "brsk": _cmd_brsk,
-    "rbrsk": _cmd_rbrsk,
-    "mult": _cmd_mult,
-    "paths": _cmd_paths,
-    "count": _cmd_count,
-    "verify": _cmd_verify,
-    "canonicalize": _cmd_canonicalize,
-}
-
-
-def run(spec: JobSpec, out=None) -> int:
+def run(ns, out=None) -> int:
+    """Run the subcommand of a parsed namespace, writing to out."""
     out = out or sys.stdout
     try:
-        return _COMMANDS[spec.command](spec, out)
+        return ns.func(ns, out)
     except ValueError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
@@ -231,75 +207,56 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
+
     def common_triple(p):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--alpha", default="")
-        p.add_argument("--beta", default="")
-        p.add_argument("--gamma", default="")
+        p.add_argument("--alpha", type=_parse_index, default="")
+        p.add_argument("--beta", type=_parse_index, default="")
+        p.add_argument("--gamma", type=_parse_index, default="")
 
-    p = sub.add_parser("brsk", help="run the correspondence on a multiset")
+    p = command("brsk", _cmd_brsk, "run the correspondence on a multiset")
     p.add_argument("--pairs", default="")
     p.add_argument("--input", default="")
     p.add_argument("--trace", default="", help="write per-step JSONL trace here")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("rbrsk", help="invert the correspondence on a bitableau")
+    p = command("rbrsk", _cmd_rbrsk, "invert the correspondence on a bitableau")
     p.add_argument("--input", default="")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("mult", help="multiplicity at the fixed point of beta")
+    p = command("mult", _cmd_mult, "multiplicity at the fixed point of beta")
     common_triple(p)
 
-    p = sub.add_parser("paths", help="enumerate disjoint path families")
+    p = command("paths", _cmd_paths, "enumerate disjoint path families")
     common_triple(p)
     p.add_argument("--render", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("count", help="tabulate both monomial counts per degree")
+    p = command("count", _cmd_count, "tabulate both monomial counts per degree")
     common_triple(p)
     p.add_argument("--mmax", type=int, default=4)
 
-    p = sub.add_parser("verify", help="check the counting identity; exit 1 on mismatch")
+    p = command("verify", _cmd_verify, "check the counting identity; exit 1 on mismatch")
     common_triple(p)
     p.add_argument("--mmax", type=int, default=3)
     p.add_argument("--all-triples", action="store_true")
     p.add_argument("--sample", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("canonicalize", help="canonical twisted chain of a multiset")
+    p = command("canonicalize", _cmd_canonicalize, "canonical twisted chain of a multiset")
     p.add_argument("--pairs", default="")
     p.add_argument("--input", default="")
-    p.add_argument("--brute-force", action="store_true")
     p.add_argument("--json", action="store_true")
     return parser
 
 
-def spec_from_args(argv=None) -> JobSpec:
-    ns = _build_parser().parse_args(argv)
-    get = lambda name, fall: getattr(ns, name, fall)
-    return JobSpec(
-        command=ns.command,
-        n=get("n", 0) or 0,
-        d=get("d", 0) or 0,
-        alpha=_parse_index(get("alpha", "") or ""),
-        beta=_parse_index(get("beta", "") or ""),
-        gamma=_parse_index(get("gamma", "") or ""),
-        mmax=get("mmax", 4),
-        pairs_text=get("pairs", "") or "",
-        input_path=get("input", "") or "",
-        trace_path=get("trace", "") or "",
-        json_out=get("json", False),
-        do_render=get("render", False),
-        all_triples=get("all_triples", False),
-        brute_force=get("brute_force", False),
-        sample=get("sample", 0),
-        seed=get("seed", 0),
-    )
-
-
 def main(argv=None) -> int:
-    return run(spec_from_args(argv))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

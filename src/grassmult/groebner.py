@@ -8,27 +8,18 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .brsk import brsk, multiset_bounded_by, _chains_of
+from .brsk import brsk, multiset_bounded_by
 from .grassmannian import (
     BetaGrid,
     beta_grid,
     build_bound_multisets,
-    length,
     negative_region,
     positive_region,
     theta_to_rs,
     validate_index,
 )
-from .multisets import (
-    formal_diff_leq,
-    multiset_order_leq,
-    negative_part,
-    pairs,
-    positive_part,
-    proj,
-    termwise_less,
-)
-from .multiplicity import count_families, maximal_bounded_subsets
+from .multisets import formal_diff_leq, pairs, proj, termwise_less
+from .multiplicity import maximal_bounded_subsets
 from .tableaux import bitableau_bounded_by
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
@@ -126,52 +117,23 @@ def initial_term(f: SignedMinor):
     return best
 
 
-def _grid_points(grid: BetaGrid):
-    return sorted(negative_region(grid) | positive_region(grid))
-
-
-def _bound_data(alpha, gamma, grid: BetaGrid):
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    return Ttil, Wtil
-
-
 def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
     """All degree-m multisets on the grid bounded by the pair."""
     out = []
-    for combo in combinations_with_replacement(_grid_points(grid), m):
+    points = sorted(negative_region(grid) | positive_region(grid))
+    for combo in combinations_with_replacement(points, m):
         if multiset_bounded_by(combo, Ttil, Wtil):
             out.append(pairs(combo))
     return out
 
 
-def _forbidden_chains(Ttil, Wtil, grid: BetaGrid):
-    bad = []
-    for C in _chains_of(_grid_points(grid)):
-        ok = multiset_order_leq(Ttil, negative_part(C)) and multiset_order_leq(
-            positive_part(C), Wtil
-        )
-        if not ok:
-            bad.append(set(C))
-    return bad
-
-
 def count_monomials_outside_initial(alpha, gamma, grid: BetaGrid, m: int) -> int:
     """Number of degree-m monomials on the grid divisible by no
-    forbidden chain monomial.
-
-    Computed twice — as bounded multisets, and by sieving monomials
-    against the forbidden chains — and cross-asserted.
-    """
-    Ttil, Wtil = _bound_data(alpha, gamma, grid)
-    by_boundedness = len(bounded_multisets_of_degree(Ttil, Wtil, grid, m))
-    forbidden = _forbidden_chains(Ttil, Wtil, grid)
-    by_sieve = 0
-    for combo in combinations_with_replacement(_grid_points(grid), m):
-        support = set(combo)
-        if all(not C <= support for C in forbidden):
-            by_sieve += 1
-    assert by_boundedness == by_sieve
-    return by_sieve
+    forbidden chain monomial: the degree-m multisets bounded by the
+    pair, since a monomial avoids every forbidden chain exactly when
+    all the chains in its support are bounded."""
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+    return len(bounded_multisets_of_degree(Ttil, Wtil, grid, m))
 
 
 def _signed_rows(grid: BetaGrid):
@@ -190,7 +152,7 @@ def _signed_rows(grid: BetaGrid):
 def count_standard_monomials(alpha, gamma, grid: BetaGrid, m: int) -> int:
     """Number of degree-m nonvanishing semistandard bitableaux on the
     grid bounded by the pair, generated by extending row by row."""
-    Ttil, Wtil = _bound_data(alpha, gamma, grid)
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
     T1, T2 = proj(Ttil, 1), proj(Ttil, 2)
     W1, W2 = proj(Wtil, 1), proj(Wtil, 2)
     rows = _signed_rows(grid)
@@ -226,15 +188,16 @@ def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
     per_degree = []
     witness = None
     injective = True
-    Ttil, Wtil = _bound_data(alpha, gamma, grid)
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
     for m in range(m_max + 1):
-        a = count_monomials_outside_initial(alpha, gamma, grid, m)
+        bounded = bounded_multisets_of_degree(Ttil, Wtil, grid, m)
+        a = len(bounded)
         b = count_standard_monomials(alpha, gamma, grid, m)
         per_degree.append((m, a, b))
         if a != b and witness is None:
             witness = m
         seen = set()
-        for U in bounded_multisets_of_degree(Ttil, Wtil, grid, m):
+        for U in bounded:
             B = brsk(U)
             if B in seen or not bitableau_bounded_by(B, Ttil, Wtil):
                 injective = False
@@ -249,8 +212,6 @@ def dimension_and_degree(alpha, beta, gamma, n: int, d: int, cap: int = 24):
     if not (0 < d < n) or {len(alpha), len(beta), len(gamma)} != {d}:
         raise ValueError("indices must be d-subsets with 0 < d < n")
     grid = beta_grid(beta, n)
-    Ttil, Wtil = _bound_data(alpha, gamma, grid)
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
     count, max_degree = maximal_bounded_subsets(Ttil, Wtil, grid, cap=cap)
-    assert max_degree == length(gamma) - length(alpha)
-    assert count == count_families(Ttil, Wtil, grid)
     return max_degree, count

@@ -111,13 +111,12 @@ def _anchor_paths(anchors, grid):
     return [(r, enumerate_paths(r, grid)) for r in sorted(anchors, key=_anchor_key)]
 
 
-def count_families(Ttil, Wtil, grid: BetaGrid, joint: bool = False) -> int:
+def count_families(Ttil, Wtil, grid: BetaGrid) -> int:
     """Number of families of pairwise disjoint paths, one per anchor.
 
     The negative and positive anchors live on opposite sides of the
     staircase, so the two counts are taken independently and
-    multiplied; joint=True backtracks over both regions at once as a
-    cross-check.
+    multiplied.
     """
     for r in Ttil:
         _require_region(r, grid)
@@ -127,8 +126,6 @@ def count_families(Ttil, Wtil, grid: BetaGrid, joint: bool = False) -> int:
         _require_region(r, grid)
         if sign(r) <= 0:
             raise ValueError("upper anchors must be positive")
-    if joint:
-        return _count_disjoint(_anchor_paths(tuple(Ttil) + tuple(Wtil), grid), set(), 0)
     neg = _count_disjoint(_anchor_paths(Ttil, grid), set(), 0)
     pos = _count_disjoint(_anchor_paths(Wtil, grid), set(), 0)
     return neg * pos

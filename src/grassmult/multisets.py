@@ -74,30 +74,11 @@ def count_leq(A, z: int) -> int:
     return sum(1 for a in A if a <= z)
 
 
-def _termwise_sorted(A, B) -> bool:
-    return all(a <= b for a, b in zip(sorted(A), sorted(B)))
-
-
-def _termwise_counting(A, B) -> bool:
-    # a_i <= b_i for all i  <=>  |A restricted to <=z| >= |B restricted to <=z| for all z
-    for z in set(A) | set(B):
-        if count_leq(A, z) < count_leq(B, z):
-            return False
-    return True
-
-
 def termwise_leq(A, B) -> bool:
-    """Termwise order on equal-degree multisets on N: a_i <= b_i after sorting.
-
-    Computed two independent ways (sorted comparison and counting
-    inequalities) which are asserted to agree.
-    """
+    """Termwise order on equal-degree multisets on N: a_i <= b_i after sorting."""
     if len(A) != len(B):
         raise ValueError("termwise comparison requires equal degrees")
-    by_sorting = _termwise_sorted(A, B)
-    by_counting = _termwise_counting(A, B)
-    assert by_sorting == by_counting
-    return by_sorting
+    return all(a <= b for a, b in zip(sorted(A), sorted(B)))
 
 
 def termwise_less(A, B) -> bool:

@@ -1,7 +1,9 @@
 import io
 import json
 
-from grassmult.cli import JobSpec, main, run
+import pytest
+
+from grassmult.cli import _build_parser, main, run
 
 NINE = ["--n", "9", "--d", "4", "--alpha", "1,2,3,5", "--beta", "1,5,6,8", "--gamma", "3,6,8,9"]
 
@@ -25,12 +27,20 @@ def test_brsk_json_roundtrips_through_rbrsk(tmp_path, capsys):
 
 def test_brsk_trace(tmp_path, capsys):
     trace = tmp_path / "steps.jsonl"
-    assert main(["brsk", "--pairs", "7,8 2,8 6,7", "--trace", str(trace)]) == 0
-    capsys.readouterr()
-    lines = [json.loads(line) for line in trace.read_text().splitlines()]
+
+    def steps(pairs_text):
+        assert main(["brsk", "--pairs", pairs_text, "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        return [json.loads(line) for line in trace.read_text().splitlines()]
+
+    lines = steps("7,8 2,8 6,7")
     assert [step["pair"] for step in lines] == [[7, 8], [2, 8], [6, 7]]
-    assert set(lines[0]) == {"pair", "route", "new_box", "P", "Q"}
+    assert set(lines[0]) == {"sign", "pair", "route", "new_box", "P", "Q"}
     assert lines[-1]["P"] == [[2, 6], [7]]
+    # the positive half is traced as brsk runs it: (2,1) is inserted swapped, as (1,2)
+    lines = steps("2,1 1,2")
+    assert [(step["sign"], step["pair"]) for step in lines] == [(-1, [1, 2]), (1, [1, 2])]
+    assert [step["sign"] for step in steps("2,1")] == [1]
 
 
 def test_mult(capsys):
@@ -89,6 +99,10 @@ def test_invalid_richardson_data_exits_two(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "alpha <= beta <= gamma" in err
+    # a malformed index is refused by argparse, also with status 2
+    with pytest.raises(SystemExit, match="^2$"):
+        main(["mult"] + NINE[:5] + ["1,x"] + NINE[6:])
+    assert "argument --alpha" in capsys.readouterr().err
 
 
 def test_rbrsk_requires_input(capsys):
@@ -101,16 +115,34 @@ def test_diagonal_pair_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("rbrsk", None),  # no such file
+        ("rbrsk", '{"Q": [[2]]}'),  # no P
+        ("rbrsk", "[[1, 2]]"),  # not an object
+        ("brsk", "5"),  # not a list of pairs
+    ],
+)
+def test_unreadable_input_exits_two(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_canonicalize(capsys):
     assert main(["canonicalize", "--pairs", "1,4 2,5 3,7 6,8"]) == 0
     assert capsys.readouterr().out == "1,8 2,5 3,4 6,7\n"
-    assert main(["canonicalize", "--pairs", "1,4 2,5 3,7 6,8", "--brute-force", "--json"]) == 0
+    assert main(["canonicalize", "--pairs", "1,4 2,5 3,7 6,8", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == [[1, 8], [2, 5], [3, 4], [6, 7]]
 
 
 def test_run_accepts_a_spec_and_stream():
     buf = io.StringIO()
-    spec = JobSpec(command="mult", n=9, d=4, alpha=(1, 2, 3, 5), beta=(1, 5, 6, 8),
-                   gamma=(3, 6, 8, 9))
+    spec = _build_parser().parse_args(["mult"] + NINE)
     assert run(spec, out=buf) == 0
     assert buf.getvalue() == "6\n"

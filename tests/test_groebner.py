@@ -7,6 +7,8 @@ from grassmult.grassmannian import (
     beta_grid,
     build_bound_multisets,
     index_leq,
+    negative_region,
+    positive_region,
     rs_to_theta,
     theta_to_rs,
 )
@@ -22,7 +24,7 @@ from grassmult.groebner import (
     signed_minor,
     variable_less,
 )
-from grassmult.multisets import pairs
+from grassmult.multisets import multiset_order_leq, negative_part, pairs, positive_part
 
 
 def test_variable_order():
@@ -93,14 +95,19 @@ def test_bounded_multisets_of_degree():
     assert len(ms1) == 4
 
 
+def index_triples(n, d):
+    indices = list(itertools.combinations(range(1, n + 1), d))
+    for alpha, beta, gamma in itertools.product(indices, repeat=3):
+        if index_leq(alpha, beta) and index_leq(beta, gamma):
+            yield alpha, beta, gamma
+
+
 def test_standard_monomial_count_degree_one():
     # degree-one standard monomials are the minors theta with
     # alpha <= theta <= gamma differing from beta in exactly one element
     for n, d in ((4, 2), (5, 2)):
         indices = list(itertools.combinations(range(1, n + 1), d))
-        for alpha, beta, gamma in itertools.product(indices, repeat=3):
-            if not (index_leq(alpha, beta) and index_leq(beta, gamma)):
-                continue
+        for alpha, beta, gamma in index_triples(n, d):
             grid = beta_grid(beta, n)
             direct = sum(
                 1
@@ -135,3 +142,36 @@ def test_counts_agree_on_the_six_grid():
 def test_dimension_and_degree():
     assert dimension_and_degree((1, 2, 3, 5), (1, 5, 6, 8), (3, 6, 8, 9), 9, 4) == (15, 6)
     assert dimension_and_degree((1, 2), (1, 4), (3, 4), 4, 2) == (4, 1)
+
+
+def count_by_sieve(alpha, gamma, grid, m):
+    """Degree-m monomials on the grid divisible by no forbidden chain
+    monomial, by sieving every monomial against every forbidden chain.
+    Nonempty chains (rows strictly increasing, columns strictly
+    decreasing) are grown point by point in sorted order."""
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+    points = sorted(negative_region(grid) | positive_region(grid))
+    chains = [()]
+    for p in points:
+        chains += [C + (p,) for C in chains if not C or (p[0] > C[-1][0] and p[1] < C[-1][1])]
+    forbidden = [
+        set(C)
+        for C in chains[1:]
+        if not multiset_order_leq(Ttil, negative_part(C))
+        or not multiset_order_leq(positive_part(C), Wtil)
+    ]
+    monomials = itertools.combinations_with_replacement(points, m)
+    return sum(not any(C <= set(mono) for C in forbidden) for mono in monomials)
+
+
+def test_sieve_matches_bounded_multisets():
+    checked = 0
+    for n in (3, 4, 5):
+        for alpha, beta, gamma in index_triples(n, 2):
+            grid = beta_grid(beta, n)
+            for m in range(5):
+                assert count_monomials_outside_initial(alpha, gamma, grid, m) == (
+                    count_by_sieve(alpha, gamma, grid, m)
+                ), (alpha, beta, gamma, m)
+            checked += 1
+    assert checked == 235
