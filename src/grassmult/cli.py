@@ -106,12 +106,26 @@ def _cmd_rbrsk(ns, out):
     return 0
 
 
+def _require_dimensions(ns):
+    """A d-plane in n-space needs 0 < d < n, the index sets given must
+    have d entries, and a degree bound is nonnegative."""
+    if not 0 < ns.d < ns.n:
+        raise ValueError("need 0 < d < n, got d=%d and n=%d" % (ns.d, ns.n))
+    for flag, index in (("alpha", ns.alpha), ("beta", ns.beta), ("gamma", ns.gamma)):
+        if index and len(index) != ns.d:
+            raise ValueError("--%s has %d entries, not d=%d" % (flag, len(index), ns.d))
+    if getattr(ns, "mmax", 0) < 0:
+        raise ValueError("--mmax must be nonnegative, got %d" % ns.mmax)
+
+
 def _cmd_mult(ns, out):
+    _require_dimensions(ns)
     print(multiplicity(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d), file=out)
     return 0
 
 
 def _cmd_paths(ns, out):
+    _require_dimensions(ns)
     grid = beta_grid(ns.beta, ns.n)
     Ttil, Wtil = build_bound_multisets(ns.alpha, ns.gamma, grid)
     families = enumerate_families(Ttil, Wtil, grid)
@@ -131,6 +145,7 @@ def _cmd_paths(ns, out):
 
 
 def _cmd_count(ns, out):
+    _require_dimensions(ns)
     grid = beta_grid(ns.beta, ns.n)
     print("m\tmonomials\tstandard\tequal", file=out)
     for m in range(ns.mmax + 1):
@@ -152,6 +167,7 @@ def _iter_triples(n, d):
 
 
 def _cmd_verify(ns, out):
+    _require_dimensions(ns)
     if ns.all_triples or ns.sample:
         triples = list(_iter_triples(ns.n, ns.d))
         if ns.sample:

@@ -86,6 +86,4 @@ def build_bound_multisets(alpha, gamma, grid: BetaGrid):
     Rg, Sg = theta_to_rs(gamma, beta)
     Ttil = canonicalize(pairs(zip(Ra, Sa)))
     Wtil = canonicalize(pairs(zip(Rg, Sg)))
-    assert all(e < f for e, f in Ttil) and all(e > f for e, f in Wtil)
-    assert all(in_grid(p, grid) for p in tuple(Ttil) + tuple(Wtil))
     return Ttil, Wtil

@@ -1,6 +1,14 @@
 """Lattice paths on the grid attached to beta, disjoint path families,
 and multiplicities of Richardson varieties at fixed points, together
 with the brute-force bounded-subset oracle.
+
+The multiplicity counts the families of pairwise disjoint paths, one
+per anchor.  count_families takes it as a Lindstrom-Gessel-Viennot
+determinant of single-path counts on each sign side, in exact integer
+arithmetic and in time polynomial in n.  enumerate_paths and
+enumerate_families list the paths and families themselves, for
+drawing; the backtracking count over them that the determinant
+replaced is the test oracle in tests/test_multiplicity.py.
 """
 
 from itertools import combinations
@@ -86,8 +94,6 @@ def enumerate_paths(r, grid: BetaGrid):
             walk(i + 1, j, acc + [(rows[i + 1], cols[j])])
 
     walk(0, 0, [(rows[0], cols[0])])
-    assert len({len(p) for p in out}) == 1
-    assert canonical_path(r, grid) in out
     return out
 
 
@@ -95,28 +101,91 @@ def _anchor_key(r):
     return (min(r), max(r))
 
 
-def _count_disjoint(anchor_paths, used, idx) -> int:
-    if idx == len(anchor_paths):
-        return 1
-    total = 0
-    for path in anchor_paths[idx][1]:
-        pts = set(path)
-        if pts & used:
-            continue
-        total += _count_disjoint(anchor_paths, used | pts, idx + 1)
-    return total
-
-
 def _anchor_paths(anchors, grid):
     return [(r, enumerate_paths(r, grid)) for r in sorted(anchors, key=_anchor_key)]
+
+
+def _path_count_matrix(anchors, grid: BetaGrid):
+    """Entry (i, j) counts the monotone staircases from floor(r_i) to
+    ceil(r_j) inside the sign region of the anchors, which are taken in
+    _anchor_key order for rows and columns alike.  One grid table per
+    source, walked in the order of _axes up to the farthest ceiling."""
+    anchors = sorted(anchors, key=_anchor_key)
+    negative = sign(anchors[0]) < 0
+    rows, cols = (grid.complement, grid.beta) if negative else (grid.complement[::-1], grid.beta[::-1])
+    row_at = {x: i for i, x in enumerate(rows)}
+    col_at = {y: j for j, y in enumerate(cols)}
+    sinks = [(row_at[x], col_at[y]) for x, y in (ceil_pt(r, grid) for r in anchors)]
+    last_row = max(i for i, _ in sinks)
+    span_end = max(j for _, j in sinks) + 1
+    matrix = []
+    for r in anchors:
+        e, f = floor_pt(r, grid)
+        i0, j0 = row_at[e], col_at[f]
+        span = cols[j0:span_end]
+        line = [1] + [0] * (len(span) - 1)  # a virtual row entering the floor
+        table = []
+        for x in rows[i0 : last_row + 1]:
+            left = 0
+            for k, y in enumerate(span):
+                left = left + line[k] if (x < y) == negative else 0
+                line[k] = left
+            table.append(line[:])
+        matrix.append([table[i - i0][j - j0] if i >= i0 and j >= j0 else 0 for i, j in sinks])
+    return matrix
+
+
+def _bareiss_det(m) -> int:
+    """Determinant of a nonempty square integer matrix by fraction-free
+    Gaussian elimination (Bareiss): every division is exact.  Works on
+    m in place."""
+    k = len(m)
+    det_sign, prev = 1, 1
+    for c in range(k - 1):
+        if m[c][c] == 0:
+            p = next((r for r in range(c + 1, k) if m[r][c]), None)
+            if p is None:
+                return 0
+            m[c], m[p] = m[p], m[c]
+            det_sign = -det_sign
+        for r in range(c + 1, k):
+            for j in range(c + 1, k):
+                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) // prev
+        prev = m[c][c]
+    return det_sign * m[-1][-1]
+
+
+def _crossing(anchors) -> bool:
+    """Whether two negative anchors (e, f) and (g, h) cross: e < g < f < h.
+    The floor of the second then lies on the staircase between the
+    floor and the ceiling of the first, and its ceiling beyond, so
+    every path of the second meets every path of the first."""
+    return any(e < g < f < h for (e, f), (g, h) in combinations(sorted(anchors), 2))
+
+
+def _side_count(anchors, grid: BetaGrid) -> int:
+    """Disjoint families for the anchors of one sign side.  Without a
+    crossing, the anchors form a twisted chain up to shared coordinates
+    (which give equal rows or columns, hence 0), so they sit on the
+    staircase in non-permuting order and the Lindstrom-Gessel-Viennot
+    determinant counts the families."""
+    if not anchors:
+        return 1
+    if _crossing(anchors if sign(anchors[0]) < 0 else iota(anchors)):
+        return 0
+    return _bareiss_det(_path_count_matrix(anchors, grid))
 
 
 def count_families(Ttil, Wtil, grid: BetaGrid) -> int:
     """Number of families of pairwise disjoint paths, one per anchor.
 
-    The negative and positive anchors live on opposite sides of the
-    staircase, so the two counts are taken independently and
-    multiplied.
+    Each sign side is counted by the determinant det[N(floor r_i ->
+    ceil r_j)] of single-path counts N, taken exactly by fraction-free
+    elimination; the negative and positive anchors live on opposite
+    sides of the staircase, so the two counts are multiplied.  With k
+    anchors on a side that costs O(k n^2) for the path counts and O(k^3)
+    for the determinant.  The backtracking count over enumerate_paths
+    that this replaced is the test oracle in tests/test_multiplicity.py.
     """
     for r in Ttil:
         _require_region(r, grid)
@@ -126,9 +195,7 @@ def count_families(Ttil, Wtil, grid: BetaGrid) -> int:
         _require_region(r, grid)
         if sign(r) <= 0:
             raise ValueError("upper anchors must be positive")
-    neg = _count_disjoint(_anchor_paths(Ttil, grid), set(), 0)
-    pos = _count_disjoint(_anchor_paths(Wtil, grid), set(), 0)
-    return neg * pos
+    return _side_count(tuple(Ttil), grid) * _side_count(tuple(Wtil), grid)
 
 
 def enumerate_families(Ttil, Wtil, grid: BetaGrid):
@@ -229,6 +296,4 @@ def decompose_bounded_subset(U, R):
         r: tuple(sorted(u for u in U if trianglelefteq_pt(u, r) and depth(U, u) == depth(R, r)))
         for r in sorted(R)
     }
-    scattered = [u for part in parts.values() for u in part]
-    assert sorted(scattered) == sorted(U) and len(scattered) == len(U)
     return parts

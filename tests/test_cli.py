@@ -105,6 +105,30 @@ def test_invalid_richardson_data_exits_two(capsys):
     assert "argument --alpha" in capsys.readouterr().err
 
 
+FIVE = ["--n", "5", "--d", "2", "--alpha", "1,3", "--beta", "2,4", "--gamma", "4,5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "3", "--d", "5", "--all-triples"],  # no 5-subsets of 1..3
+        ["verify", "--n", "3", "--d", "5", "--sample", "4"],
+        ["verify", "--n", "4", "--d", "0", "--all-triples"],
+        ["paths", "--n", "9", "--d", "9"] + NINE[4:],
+        ["count"] + FIVE + ["--mmax", "-2"],  # no degree to tabulate
+        ["verify"] + FIVE + ["--mmax", "-1"],
+        ["count", "--n", "5", "--d", "3"] + FIVE[4:],  # 2-subsets with d = 3
+        ["verify", "--n", "5", "--d", "4"] + FIVE[4:],
+        ["mult", "--n", "9", "--d", "4", "--alpha", "1,2,3"] + NINE[6:],
+    ],
+)
+def test_out_of_range_dimensions_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_rbrsk_requires_input(capsys):
     assert main(["rbrsk"]) == 2
     assert capsys.readouterr().err.startswith("error:")

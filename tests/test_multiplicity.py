@@ -1,10 +1,23 @@
 """Path families on the beta grid and the multiplicity count."""
 
+import random
+from itertools import combinations, combinations_with_replacement, permutations
+
 import pytest
 
 from grassmult.chains import chain_bounded
-from grassmult.grassmannian import beta_grid, build_bound_multisets, length
+from grassmult.grassmannian import (
+    beta_grid,
+    build_bound_multisets,
+    in_grid,
+    index_leq,
+    length,
+    negative_region,
+    positive_region,
+)
 from grassmult.multiplicity import (
+    _bareiss_det,
+    _path_count_matrix,
     canonical_path,
     ceil_pt,
     count_families,
@@ -20,6 +33,51 @@ from grassmult.multisets import pairs
 
 GRID9 = beta_grid((1, 5, 6, 8), 9)
 ALPHA9, GAMMA9 = (1, 2, 3, 5), (3, 6, 8, 9)
+
+
+def count_disjoint(anchor_paths, used=frozenset()) -> int:
+    """Backtracking oracle: the families of pairwise disjoint paths that
+    take one path from each list, found by trying every path of the
+    first list against every family of the rest."""
+    if not anchor_paths:
+        return 1
+    total = 0
+    for path in anchor_paths[0]:
+        pts = set(path)
+        if not pts & used:
+            total += count_disjoint(anchor_paths[1:], used | pts)
+    return total
+
+
+def backtrack_families(Ttil, Wtil, grid) -> int:
+    """The count that count_families computed before the determinant:
+    backtracking over enumerate_paths, one sign side at a time."""
+    return count_disjoint([enumerate_paths(r, grid) for r in Ttil]) * count_disjoint(
+        [enumerate_paths(r, grid) for r in Wtil]
+    )
+
+
+def index_triples(n, d):
+    indices = list(combinations(range(1, n + 1), d))
+    for beta in indices:
+        for alpha in indices:
+            if index_leq(alpha, beta):
+                for gamma in indices:
+                    if index_leq(beta, gamma):
+                        yield alpha, beta, gamma
+
+
+def check_anchor_postconditions(Ttil, Wtil, grid):
+    """What build_bound_multisets and enumerate_paths guarantee: lower
+    anchors negative, upper ones positive, all on the grid; the paths
+    of an anchor all as long as its canonical path, which is one of
+    them."""
+    assert all(e < f for e, f in Ttil) and all(e > f for e, f in Wtil)
+    assert all(in_grid(p, grid) for p in Ttil + Wtil)
+    for r in Ttil + Wtil:
+        paths = enumerate_paths(r, grid)
+        assert {len(p) for p in paths} == {len(canonical_path(r, grid))}
+        assert canonical_path(r, grid) in paths
 
 
 def test_floor_and_ceil():
@@ -102,6 +160,106 @@ def test_degenerate_anchor_has_one_path():
     assert Tid == ((2, 8), (3, 6), (4, 5))
     assert floor_pt((4, 5), GRID9) == ceil_pt((4, 5), GRID9) == (4, 5)
     assert enumerate_paths((4, 5), GRID9) == [((4, 5),)]
+
+
+def test_count_families_matches_backtracking_exhaustive():
+    checked = mismatches = 0
+    for d in (1, 2, 3):
+        for n in range(d + 1, 9):
+            for alpha, beta, gamma in index_triples(n, d):
+                grid = beta_grid(beta, n)
+                Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+                check_anchor_postconditions(Ttil, Wtil, grid)
+                mismatches += count_families(Ttil, Wtil, grid) != backtrack_families(Ttil, Wtil, grid)
+                checked += 1
+                # decompose_bounded_subset splits a family back into its paths
+                family = enumerate_families(Ttil, Wtil, grid)[0]
+                for R in (Ttil, Wtil):
+                    parts = decompose_bounded_subset(pairs(p for r in R for p in family[r]), R)
+                    assert {r: sorted(part) for r, part in parts.items()} == {
+                        r: sorted(family[r]) for r in R
+                    }
+    assert (checked, mismatches) == (24153, 0)
+
+
+def test_count_families_matches_backtracking_sampled():
+    rng = random.Random(20050511)
+    checked = 0
+    while checked < 500:
+        n = rng.randint(9, 14)
+        d = rng.randint(2, n - 2)
+        beta = sorted(rng.sample(range(1, n + 1), d))
+        alpha, gamma = [], [n + 1] * (d + 1)
+        for i in range(d):
+            alpha.append(rng.randint(alpha[-1] + 1 if alpha else 1, beta[i]))
+        for i in reversed(range(d)):
+            gamma[i] = rng.randint(beta[i], gamma[i + 1] - 1)
+        grid = beta_grid(beta, n)
+        Ttil, Wtil = build_bound_multisets(alpha, gamma[:d], grid)
+        if max(len(Ttil), len(Wtil)) > 4:
+            continue
+        check_anchor_postconditions(Ttil, Wtil, grid)
+        assert count_families(Ttil, Wtil, grid) == backtrack_families(Ttil, Wtil, grid)
+        checked += 1
+
+
+def test_count_families_on_any_anchors():
+    # every multiset of at most three anchors of one sign, twisted chain
+    # or not: crossing anchors and shared coordinates give no family
+    checked = 0
+    for region in (negative_region(GRID9), positive_region(GRID9)):
+        for k in (1, 2, 3):
+            for A in combinations_with_replacement(sorted(region), k):
+                Ttil, Wtil = (A, ()) if A[0][0] < A[0][1] else ((), A)
+                assert count_families(Ttil, Wtil, GRID9) == backtrack_families(Ttil, Wtil, GRID9)
+                checked += 1
+    assert checked == 2 * (10 + 55 + 220)
+
+
+def test_count_families_with_a_zero_pivot():
+    # (2,5) and (2,6) share their floor (2,5): the first two rows are
+    # equal, so after the first elimination step the second pivot is 0
+    # and the third row is swapped in; the determinant is 0
+    anchors = ((2, 5), (2, 6), (3, 5))
+    assert _path_count_matrix(anchors, GRID9) == [[1, 3, 1], [1, 3, 1], [1, 2, 1]]
+    assert count_families(anchors, (), GRID9) == 0 == backtrack_families(anchors, (), GRID9)
+    # a repeated anchor repeats a row and a column: after the first
+    # step the second column is 0 from the pivot down
+    anchors = ((2, 8), (2, 8), (3, 6))
+    assert _path_count_matrix(anchors, GRID9) == [[6, 6, 3], [6, 6, 3], [3, 3, 2]]
+    assert count_families(anchors, ((9, 5),), GRID9) == 0 == backtrack_families(anchors, (), GRID9)
+    # the positive side: (7,1) and (7,5) share their floor (7,6)
+    anchors = ((7, 1), (7, 5), (9, 8))
+    assert _path_count_matrix(anchors, GRID9) == [[1, 1, 0], [1, 1, 0], [3, 2, 1]]
+    assert count_families((), anchors, GRID9) == 0 == backtrack_families((), anchors, GRID9)
+
+
+def test_bareiss_matches_leibniz():
+    def leibniz(m):
+        k = len(m)
+        total = 0
+        for perm in permutations(range(k)):
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(k), 2))
+            term = (-1) ** inversions
+            for i, j in enumerate(perm):
+                term *= m[i][j]
+            total += term
+        return total
+
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    rng = random.Random(7)
+    for _ in range(500):
+        k = rng.randint(1, 5)
+        m = [[rng.choice((0, 0, 0, 1, 2, -3)) for _ in range(k)] for _ in range(k)]
+        assert _bareiss_det([row[:] for row in m]) == leibniz(m)
+
+
+def test_multiplicity_reaches_n_forty():
+    # the full Grassmannian is smooth: multiplicity 1 at every fixed point,
+    # here with ten anchors on each side
+    alpha, gamma = tuple(range(1, 21)), tuple(range(21, 41))
+    for beta in (tuple(range(11, 31)), tuple(range(1, 40, 2))):
+        assert multiplicity(alpha, beta, gamma, 40, 20) == 1
 
 
 def test_count_families_validates_anchor_signs():
