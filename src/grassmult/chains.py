@@ -98,9 +98,23 @@ def canonicalize(T):
         raise ValueError("no negative arrangement exists")
     if signs == {1}:
         arranged = iota(arranged)
-    result = pairs(arranged)
-    assert is_negative_twisted_chain(result) if signs == {-1} else is_positive_twisted_chain(result)
-    return result
+    return pairs(arranged)
+
+
+def chain_depth(R, x) -> int:
+    """The depth kernel: longest prec-chain within the part of R weakly
+    above x, on raw (e, f) tuples.  Checks no signs; callers validate
+    once at their boundary that R and x are negative."""
+    xe, xf = x
+    pts = sorted({u for u in R if u[0] <= xe and u[1] >= xf}, key=lambda p: p[1])
+    best = []
+    for e, f in pts:
+        longest = 0
+        for (g, h), b in zip(pts, best):
+            if h < f and g > e and b > longest:
+                longest = b
+        best.append(longest + 1)
+    return max(best, default=0)
 
 
 def depth(R, x) -> int:
@@ -111,19 +125,11 @@ def depth(R, x) -> int:
     """
     if sign(x) >= 0 or any(sign(u) >= 0 for u in R):
         raise ValueError("depth is defined for negative data")
-    pts = sorted({u for u in set(R) if trianglelefteq_pt(x, u)}, key=lambda p: p[1])
-    best = [0] * len(pts)
-    for i, v in enumerate(pts):
-        longest = 0
-        for j in range(i):
-            if prec(pts[j], v) and best[j] > longest:
-                longest = best[j]
-        best[i] = longest + 1
-    return max(best, default=0)
+    return chain_depth(R, x)
 
 
 def _depth_leq(R, S) -> bool:
-    return all(depth(R, x) >= depth(S, x) for x in set(S))
+    return all(chain_depth(R, x) >= chain_depth(S, x) for x in set(S))
 
 
 def _label(X):

@@ -31,15 +31,29 @@ def _parse_pairs(text):
     return pairs(out)
 
 
+def _integer_entries(data) -> bool:
+    """Whether every entry of a JSON document, through its lists and
+    objects, is an integer (true and false are not)."""
+    if isinstance(data, dict):
+        return all(_integer_entries(v) for v in data.values())
+    if isinstance(data, list):
+        return all(_integer_entries(v) for v in data)
+    return type(data) is int
+
+
 def _read_input(path, parse, expected):
-    """Parse the JSON file at path.  An unreadable file or a document
-    of the wrong shape is invalid input: a ValueError, hence exit 2."""
+    """Parse the JSON file at path.  An unreadable file, a document of
+    the wrong shape, or an entry that is not an integer is invalid
+    input: a ValueError, hence exit 2."""
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
+            data = json.load(fh)
+        if not _integer_entries(data):
+            raise ValueError("an entry is not an integer")
+        return parse(data)
     except OSError as err:
         raise ValueError("cannot read %s: %s" % (path, err.strerror)) from err
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, RecursionError) as err:
         raise ValueError("%s is not %s" % (path, expected)) from err
 
 
@@ -47,7 +61,7 @@ def _load_multiset(ns):
     if ns.pairs:
         return _parse_pairs(ns.pairs)
     if ns.input:
-        return _read_input(ns.input, pairs_from_json, "a JSON list of [e, f] pairs")
+        return _read_input(ns.input, pairs_from_json, "a JSON list of integer [e, f] pairs")
     raise ValueError("provide --pairs or --input")
 
 
@@ -62,8 +76,13 @@ def _pairs_text(U):
 def _write_trace(U, path):
     """One JSON line per insertion, tagged with the sign of its half.
     The positive half is inserted as brsk runs it, on the swapped
-    points, so its steps show swapped pairs and tableaux."""
-    with open(path, "w") as fh:
+    points, so its steps show swapped pairs and tableaux.  A path that
+    cannot be written is invalid input."""
+    try:
+        fh = open(path, "w")
+    except OSError as err:
+        raise ValueError("cannot write %s: %s" % (path, err.strerror)) from err
+    with fh:
         for sgn, half in ((-1, negative_part(U)), (1, iota(positive_part(U)))):
             _, trace = brsk_negative(half, keep_trace=True)
             for step in trace:
@@ -97,7 +116,7 @@ def _cmd_brsk(ns, out):
 def _cmd_rbrsk(ns, out):
     if not ns.input:
         raise ValueError("rbrsk reads a bitableau from --input (JSON with P and Q)")
-    B = _read_input(ns.input, _bitableau_from_json, "a JSON object with P and Q")
+    B = _read_input(ns.input, _bitableau_from_json, "a JSON object with integer tableaux P and Q")
     U = rbrsk(B)
     if ns.json:
         print(json.dumps([list(p) for p in U]), file=out)

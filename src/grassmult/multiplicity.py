@@ -1,6 +1,6 @@
 """Lattice paths on the grid attached to beta, disjoint path families,
 and multiplicities of Richardson varieties at fixed points, together
-with the brute-force bounded-subset oracle.
+with the bounded-subset oracle for the dimension and the degree.
 
 The multiplicity counts the families of pairwise disjoint paths, one
 per anchor.  count_families takes it as a Lindstrom-Gessel-Viennot
@@ -9,11 +9,16 @@ arithmetic and in time polynomial in n.  enumerate_paths and
 enumerate_families list the paths and families themselves, for
 drawing; the backtracking count over them that the determinant
 replaced is the test oracle in tests/test_multiplicity.py.
+
+maximal_bounded_subsets reaches the same count without the paths, by a
+depth-first search of the faces of the complex of chain-bounded subsets
+of the grid; the size-descending scan over every subset that it
+replaced is the test oracle in tests/test_multiplicity.py.
 """
 
 from itertools import combinations
 
-from .chains import chain_bounded, chain_order_leq, depth, trianglelefteq_pt
+from .chains import chain_depth, chain_order_leq, depth, trianglelefteq_pt
 from .grassmannian import (
     BetaGrid,
     beta_grid,
@@ -23,7 +28,7 @@ from .grassmannian import (
     positive_region,
     validate_index,
 )
-from .multisets import iota, negative_part, positive_part, sign
+from .multisets import iota, sign
 
 
 def _require_region(r, grid: BetaGrid):
@@ -83,17 +88,16 @@ def enumerate_paths(r, grid: BetaGrid):
     rows, cols = _axes(r, grid)
     s = sign(r)
     out = []
-
-    def walk(i, j, acc):
+    stack = [(0, 0, ((rows[0], cols[0]),))]
+    while stack:  # depth first, a step along the row before a step down the column
+        i, j, acc = stack.pop()
         if i == len(rows) - 1 and j == len(cols) - 1:
-            out.append(tuple(acc))
-            return
-        if j + 1 < len(cols) and sign((rows[i], cols[j + 1])) == s:
-            walk(i, j + 1, acc + [(rows[i], cols[j + 1])])
+            out.append(acc)
+            continue
         if i + 1 < len(rows) and sign((rows[i + 1], cols[j])) == s:
-            walk(i + 1, j, acc + [(rows[i + 1], cols[j])])
-
-    walk(0, 0, [(rows[0], cols[0])])
+            stack.append((i + 1, j, acc + ((rows[i + 1], cols[j]),)))
+        if j + 1 < len(cols) and sign((rows[i], cols[j + 1])) == s:
+            stack.append((i, j + 1, acc + ((rows[i], cols[j + 1]),)))
     return out
 
 
@@ -202,19 +206,16 @@ def enumerate_families(Ttil, Wtil, grid: BetaGrid):
     """All disjoint families, as maps anchor -> path."""
     anchor_paths = _anchor_paths(tuple(Ttil) + tuple(Wtil), grid)
     families = []
-
-    def walk(idx, used, acc):
+    stack = [(0, frozenset(), ())]
+    while stack:  # depth first, the paths of each anchor in their listed order
+        idx, used, acc = stack.pop()
         if idx == len(anchor_paths):
             families.append(dict(acc))
-            return
+            continue
         r, paths = anchor_paths[idx]
-        for path in paths:
-            pts = set(path)
-            if pts & used:
-                continue
-            walk(idx + 1, used | pts, acc + [(r, path)])
-
-    walk(0, set(), [])
+        for path in reversed(paths):
+            if used.isdisjoint(path):
+                stack.append((idx + 1, used.union(path), acc + ((r, path),)))
     return families
 
 
@@ -229,25 +230,62 @@ def multiplicity(alpha, beta, gamma, n: int, d: int) -> int:
     return count_families(Ttil, Wtil, grid)
 
 
+def _above_first(p):
+    """Sort key that puts each negative point after the points weakly
+    above it (row no larger, column no smaller)."""
+    return (-p[1], p[0])
+
+
 def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid, cap: int = 24):
-    """Brute-force oracle: over all subsets of the grid, find the ones
-    chain-bounded by (Ttil, Wtil) of maximal size.  Returns (number of
-    such subsets, that maximal size).  Exponential; refuses grids with
-    more than cap points."""
-    points = sorted(negative_region(grid) | positive_region(grid))
+    """The faces of maximal size of the complex of subsets of the grid
+    that are chain-bounded by (Ttil, Wtil).  Returns (number of such
+    subsets, that maximal size).  Refuses grids with more than cap
+    points, and anchors of the wrong sign.
+
+    A depth-first face search.  Chain-boundedness is closed under
+    taking subsets, so a face grows only by points after its last one,
+    in one fixed order, and a candidate that fails is never extended.
+    The signs and the cap are checked once, here; after that each side
+    of a face is a list of negative raw tuples (the positive side
+    swapped), and the bound's depth at every grid point is computed
+    once per call.  Within a side, every point comes after the points
+    weakly above it, so adding a point changes the face's depth only at
+    that point: testing a candidate is one chain_depth call.  The
+    search is still exponential in the grid size.  The size-descending
+    scan over chain_bounded that it replaced is the test oracle in
+    tests/test_multiplicity.py.
+    """
+    if any(sign(r) >= 0 for r in Ttil):
+        raise ValueError("lower anchors must be negative")
+    if any(sign(r) <= 0 for r in Wtil):
+        raise ValueError("upper anchors must be positive")
+    points = [(0, p) for p in sorted(negative_region(grid), key=_above_first)]
+    points += [(1, p) for p in sorted(iota(positive_region(grid)), key=_above_first)]
     if len(points) > cap:
         raise ValueError("grid has %d points, above the cap %d" % (len(points), cap))
-    best, count = 0, 0
-    for k in range(len(points), -1, -1):
-        for subset in combinations(points, k):
-            if chain_bounded(subset, Ttil, Wtil):
-                if k > best:
-                    best, count = k, 1
-                elif k == best:
-                    count += 1
-        if count:
-            break
-    return count, best
+    bounds = (tuple(Ttil), iota(Wtil))
+    limit = [chain_depth(bounds[s], p) for s, p in points]
+    faces = ([], [])  # the current face, one list of raw tuples per side
+    chosen = []  # indices of its points, ascending
+    best, count, i = 0, 1, 0
+    while True:
+        if i < len(points):
+            s, p = points[i]
+            faces[s].append(p)
+            if chain_depth(faces[s], p) <= limit[i]:
+                chosen.append(i)
+                if len(chosen) > best:
+                    best, count = len(chosen), 0
+                count += len(chosen) == best
+            else:
+                faces[s].pop()
+            i += 1
+        elif chosen:
+            i = chosen.pop()
+            faces[points[i][0]].pop()
+            i += 1
+        else:
+            return count, best
 
 
 def render_family(family, grid: BetaGrid) -> str:

@@ -18,6 +18,7 @@ from grassmult.chains import (
     prec,
     trianglelefteq_pt,
 )
+from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq
 from grassmult.multisets import iota, multiset_order_leq, pairs
 
 
@@ -100,6 +101,29 @@ def test_canonicalize_matches_brute_force():
         for _ in range(60):
             T = rand_negative_disjointed(rng, m)
             assert canonicalize(T) == canonicalize_by_search(T)
+            assert is_negative_twisted_chain(canonicalize(T))
+            assert is_positive_twisted_chain(canonicalize(iota(T)))
+
+
+def test_bound_multisets_are_twisted_chains():
+    # every lower chain (gamma = beta) and every upper chain
+    # (alpha = beta) of every fixed point with n <= 7
+    lower = upper = 0
+    for n in range(2, 8):
+        for d in range(1, n):
+            indices = list(itertools.combinations(range(1, n + 1), d))
+            for beta in indices:
+                grid = beta_grid(beta, n)
+                for theta in indices:
+                    if index_leq(theta, beta):
+                        Ttil, Wtil = build_bound_multisets(theta, beta, grid)
+                        assert is_negative_twisted_chain(Ttil) and Wtil == ()
+                        lower += 1
+                    if index_leq(beta, theta):
+                        Ttil, Wtil = build_bound_multisets(beta, theta, grid)
+                        assert Ttil == () and is_positive_twisted_chain(Wtil)
+                        upper += 1
+    assert lower == upper == 2040
 
 
 NESTED = pairs([(1, 17), (3, 13), (5, 9), (6, 7), (11, 12), (14, 16)])

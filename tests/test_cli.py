@@ -1,7 +1,10 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassmult.cli import _build_parser, main, run
 
@@ -146,6 +149,11 @@ def test_diagonal_pair_exits_two(capsys):
         ("rbrsk", '{"Q": [[2]]}'),  # no P
         ("rbrsk", "[[1, 2]]"),  # not an object
         ("brsk", "5"),  # not a list of pairs
+        ("rbrsk", '{"P": [[1]], "Q": [[null]]}'),  # entries must be integers
+        ("rbrsk", '{"P": [[1.5]], "Q": [[3]]}'),  # not truncated to 1
+        ("rbrsk", '{"P": [[true]], "Q": [[3]]}'),
+        ("brsk", "[[1.5, 2]]"),
+        ("brsk", '[["1", "2"]]'),
     ],
 )
 def test_unreadable_input_exits_two(tmp_path, capsys, command, content):
@@ -156,6 +164,107 @@ def test_unreadable_input_exits_two(tmp_path, capsys, command, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unwritable_trace_exits_two(tmp_path, capsys):
+    for trace in (tmp_path / "no" / "such" / "t.jsonl", tmp_path):
+        assert main(["brsk", "--pairs", "1,2", "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
+
+# Malformed command lines: each subcommand with its own flags and a
+# foreign one, each flag with values that mix valid, out-of-range and
+# unparsable ones, and JSON documents whose entries are mostly small
+# integers.  Dimensions stay small, so that a valid command line runs
+# quickly.  INPUT, TRACE, MISSING and DIR stand for paths in a temporary
+# directory.
+SIZES = ["-1", "0", "1", "2", "3", "4", "x"]
+INDICES = ["", "1", "2", "1,2", "1,3", "2,4", "3,4", "2,1", "1,1", "0,1", "1,x", "1,2,3"]
+PAIRS = ["1,2", "2,1", "1,2 2,1", "3,1 1,3", "4,5 2,3 3,1", "1,1", "1,x", "1,2,3", "1.5,2", ""]
+FLAG = ["", "", "x"]  # a value after a store_true flag is a stray argument
+VALUES = {
+    "--n": SIZES,
+    "--d": SIZES,
+    "--alpha": INDICES,
+    "--beta": INDICES,
+    "--gamma": INDICES,
+    "--mmax": ["-1", "0", "1", "2", "x"],
+    "--sample": ["-2", "0", "3", "x"],
+    "--seed": ["0", "7", "x"],
+    "--pairs": PAIRS,
+    "--input": ["INPUT", "INPUT", "MISSING", "DIR"],
+    "--trace": ["TRACE", "MISSING", "DIR"],
+    "--json": FLAG,
+    "--render": FLAG,
+    "--all-triples": FLAG,
+}
+TRIPLE = ["--n", "--d", "--alpha", "--beta", "--gamma"]
+FLAGS = {
+    "brsk": ["--pairs", "--input", "--trace", "--json"],
+    "rbrsk": ["--input", "--json"],
+    "mult": TRIPLE,
+    "paths": TRIPLE + ["--render", "--json"],
+    "count": TRIPLE + ["--mmax"],
+    "verify": TRIPLE + ["--mmax", "--all-triples", "--sample", "--seed"],
+    "canonicalize": ["--pairs", "--input", "--json"],
+}
+
+
+def options(flags):
+    return st.lists(
+        st.one_of([st.tuples(st.just(f), st.sampled_from(VALUES[f])) for f in flags]), max_size=6
+    )
+
+
+def command_line(command):
+    """The subcommand, its required --n and --d if it has them, and
+    up to six more options."""
+    required = [st.tuples(st.just(f), st.sampled_from(VALUES[f])) for f in ("--n", "--d")]
+    return st.tuples(
+        st.just(command),
+        st.tuples(*required) if "--n" in FLAGS[command] else st.just(()),
+        options(FLAGS[command] + ["--render"]),
+    )
+
+
+SMALL = st.integers(min_value=-3, max_value=12)
+ENTRY = st.one_of(SMALL, SMALL, SMALL, st.none(), st.booleans(), st.floats(-3, 12), st.text(max_size=2))
+ROWS = st.lists(st.lists(ENTRY, max_size=4), max_size=3)
+DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({"P": ROWS, "Q": ROWS}),
+    st.lists(st.lists(ENTRY, max_size=3), max_size=5),
+    st.recursive(
+        ENTRY,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from("PQx"), inner),
+        max_leaves=12,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FLAGS)).flatmap(command_line), DOCUMENTS)
+def test_exit_code_contract(tmp_path_factory, line, document):
+    """Every command line exits 0, 1 or 2 and never shows a traceback."""
+    command, required, optional = line
+    home = tmp_path_factory.getbasetemp()
+    stand_in = {
+        "INPUT": str(home / "input.json"),
+        "TRACE": str(home / "trace.jsonl"),
+        "MISSING": str(home / "missing" / "file"),
+        "DIR": str(home),
+    }
+    (home / "input.json").write_text(json.dumps(document))
+    argv = [command] + [stand_in.get(t, t) for pair in (*required, *optional) for t in pair if t]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse refuses the command line
+            code = stop.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 def test_canonicalize(capsys):

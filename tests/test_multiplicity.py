@@ -1,5 +1,6 @@
 """Path families on the beta grid and the multiplicity count."""
 
+import gc
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -55,6 +56,18 @@ def backtrack_families(Ttil, Wtil, grid) -> int:
     return count_disjoint([enumerate_paths(r, grid) for r in Ttil]) * count_disjoint(
         [enumerate_paths(r, grid) for r in Wtil]
     )
+
+
+def scan_maximal_bounded_subsets(Ttil, Wtil, grid):
+    """The scan that maximal_bounded_subsets made before the face
+    search: every subset of the grid, largest first, tested by
+    chain_bounded until some size has a bounded subset.  Returns
+    (number of bounded subsets of that size, the size)."""
+    points = sorted(negative_region(grid) | positive_region(grid))
+    for k in range(len(points), -1, -1):
+        count = sum(1 for subset in combinations(points, k) if chain_bounded(subset, Ttil, Wtil))
+        if count:
+            return count, k
 
 
 def index_triples(n, d):
@@ -282,6 +295,54 @@ def test_maximal_bounded_subsets_empty_bounds():
     assert maximal_bounded_subsets((), (), small) == (1, 0)
     with pytest.raises(ValueError):
         maximal_bounded_subsets((), (), beta_grid((2, 7, 8, 9, 12, 13, 16, 17), 17))
+
+
+def test_face_search_matches_the_scan_exhaustive():
+    checked = mismatches = 0
+    for n in range(2, 7):
+        for d in range(1, n):
+            for alpha, beta, gamma in index_triples(n, d):
+                grid = beta_grid(beta, n)
+                Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+                got = maximal_bounded_subsets(Ttil, Wtil, grid)
+                mismatches += got != scan_maximal_bounded_subsets(Ttil, Wtil, grid)
+                checked += 1
+    assert (checked, mismatches) == (2606, 0)
+
+
+def test_face_search_matches_the_scan_on_any_anchors():
+    # bounds that no Richardson variety gives: at most two anchors a
+    # side, twisted chain or not, on the grid of six points or off it
+    grid = beta_grid((2, 4), 5)
+    neg, pos = sorted(negative_region(grid)), sorted(positive_region(grid))
+    lowers = [A for k in (0, 1, 2) for A in combinations(neg + [(1, 5), (3, 5)], k)]
+    uppers = [A for k in (0, 1, 2) for A in combinations(pos + [(5, 1)], k)]
+    assert len(lowers) * len(uppers) == 176
+    for Ttil in lowers:
+        for Wtil in uppers:
+            got = maximal_bounded_subsets(Ttil, Wtil, grid)
+            assert got == scan_maximal_bounded_subsets(Ttil, Wtil, grid), (Ttil, Wtil)
+
+
+def test_maximal_bounded_subsets_validates_anchor_signs():
+    Ttil, Wtil = build_bound_multisets(ALPHA9, GAMMA9, GRID9)
+    for lower, upper in ((Wtil, Wtil), (Ttil, Ttil), (Ttil + ((4, 4),), Wtil), (Ttil, ((5, 5),))):
+        with pytest.raises(ValueError):
+            maximal_bounded_subsets(lower, upper, GRID9)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    grid = beta_grid(range(8, 15), 14)
+    Ttil, Wtil = build_bound_multisets(ALPHA9, GAMMA9, GRID9)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            enumerate_paths((1, 14), grid)
+        enumerate_families(Ttil, Wtil, GRID9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_render_family():
