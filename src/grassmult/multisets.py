@@ -112,4 +112,9 @@ def pairs_to_json(U) -> list:
 
 
 def pairs_from_json(data):
-    return pairs((int(e), int(f)) for e, f in data)
+    """A multiset on N^2 from a JSON list of [e, f] pairs; any entry that
+    is not an integer (a float, a string, true or false) is a ValueError."""
+    points = [(e, f) for e, f in data]
+    if any(type(c) is not int for u in points for c in u):
+        raise ValueError("pair entries must be integers")
+    return pairs(points)

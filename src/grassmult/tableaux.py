@@ -5,6 +5,13 @@ of positive integers; rows may be empty, and row lengths need not
 decrease.  Rows and columns are 1-indexed everywhere.  Column entries
 weakly increase downward in a semistandard Young tableau (the transpose
 of the more common convention, so insertion bumps along rows).
+
+Every forward insertion runs one kernel, insert_rows, which bumps in
+place through a list of mutable rows: schensted_insert and
+bounded_insert validate their input, copy it and run it once, and
+brsk.brsk_negative runs it on its own rows for a whole multiset after
+validating that multiset once.  The reverse direction,
+reverse_bounded_insert, validates and rebuilds the tableau on each call.
 """
 
 from bisect import bisect_left, bisect_right
@@ -71,6 +78,38 @@ def is_semistandard_on(P, b: int) -> bool:
     return is_young_semistandard(truncate_below(P, b))
 
 
+def insert_rows(rows, a: int, b: int | None = None) -> BumpingRecord:
+    """The insertion kernel: Schensted-insert a into the entries below b
+    of a list of mutable rows, in place, and return the BumpingRecord.
+
+    Each row is a strictly increasing list whose entries below b form a
+    prefix; a row either takes the inserted value at the end of that
+    prefix or bumps the smallest prefix entry >= it into the next row,
+    and a value bumped out of the last row starts a new row.  With b
+    None every entry takes part.  Checks nothing: callers validate once
+    that a < b and that the rows are semistandard on b.
+    """
+    route = []
+    cur = a
+    i = 0
+    while i < len(rows):
+        row = rows[i]
+        hi = len(row) if b is None else bisect_left(row, b)
+        j = bisect_left(row, cur, 0, hi)
+        if j == hi:
+            row.insert(j, cur)
+            new_box = (i + 1, j + 1)
+            break
+        route.append((i + 1, j + 1))
+        cur, row[j] = row[j], cur
+        i += 1
+    else:
+        rows.append([cur])
+        new_box = (i + 1, 1)
+    route.append(new_box)
+    return BumpingRecord(tuple(route), new_box)
+
+
 def schensted_insert(R, a: int):
     """Insert a into a semistandard Young tableau by row bumping.
 
@@ -81,44 +120,27 @@ def schensted_insert(R, a: int):
     if not is_young_semistandard(R):
         raise ValueError("insertion requires a semistandard Young tableau")
     rows = [list(row) for row in R]
-    route = []
-    cur = a
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([cur])
-            new_box = (i + 1, 1)
-            break
-        j = bisect_left(rows[i], cur)
-        if j == len(rows[i]):
-            rows[i].append(cur)
-            new_box = (i + 1, j + 1)
-            break
-        route.append((i + 1, j + 1))
-        cur, rows[i][j] = rows[i][j], cur
-        i += 1
-    route.append(new_box)
-    return tableau(rows), BumpingRecord(tuple(route), new_box)
+    record = insert_rows(rows, a)
+    return tableau(rows), record
 
 
 def bounded_insert(P, a: int, b: int):
     """Bounded insertion P <-_b a.
 
-    Entries >= b are set aside row by row, a is Schensted-inserted into
-    the remaining Young tableau, and the removed entries are placed back
-    into the rows they came from.  Requires a < b and P semistandard on b.
+    Entries >= b stay where they are, a is Schensted-inserted into the
+    Young tableau of the entries below b, and each row keeps its entries
+    >= b to the right (insert_rows on a copy of P).  Requires a < b and
+    P semistandard on b.  brsk_negative runs the kernel directly on its
+    own rows.  tests/test_brsk.py keeps the split-insert-reassemble form
+    of this function as the per-step oracle for both.
     """
     if a >= b:
         raise ValueError("inserted value must be below the bound")
     if not is_semistandard_on(P, b):
         raise ValueError("tableau must be semistandard on the bound")
-    lower = [[x for x in row if x < b] for row in P]
-    upper = [[x for x in row if x >= b] for row in P]
-    inserted, record = schensted_insert(tuple(map(tuple, lower)), a)
-    rows = [list(inserted[i]) + (upper[i] if i < len(upper) else []) for i in range(len(inserted))]
-    result = tableau(rows)
-    assert is_semistandard_on(result, b)
-    return result, record
+    rows = [list(row) for row in P]
+    record = insert_rows(rows, a, b)
+    return tableau(rows), record
 
 
 def reverse_bounded_insert(Pp, b: int, new_box):
@@ -164,15 +186,18 @@ def bidegree(B) -> int:
     return size(B[0])
 
 
-def is_semistandard_bitableau(B) -> bool:
-    """Row strict with weakly increasing row differences P_i - Q_i."""
-    P, Q = bitableau(*B)
+def _semistandard_pair(P, Q) -> bool:
     if not (row_strict(P) and row_strict(Q)):
         return False
     for i in range(len(P) - 1):
         if not formal_diff_leq(P[i], Q[i], P[i + 1], Q[i + 1]):
             return False
     return True
+
+
+def is_semistandard_bitableau(B) -> bool:
+    """Row strict with weakly increasing row differences P_i - Q_i."""
+    return _semistandard_pair(*bitableau(*B))
 
 
 def classify_row(p_row, q_row) -> int:
@@ -184,6 +209,10 @@ def classify_row(p_row, q_row) -> int:
     return 0
 
 
+def _row_labels(P, Q):
+    return [classify_row(p, q) for p, q in zip(P, Q)]
+
+
 def classify_bitableau(B) -> str:
     """'negative', 'positive', 'nonvanishing', or 'neither'.
 
@@ -191,8 +220,7 @@ def classify_bitableau(B) -> str:
     bitableau to be nonvanishing; uniform rows refine the class.  The
     empty bitableau counts as nonvanishing.
     """
-    P, Q = bitableau(*B)
-    labels = [classify_row(p, q) for p, q in zip(P, Q)]
+    labels = _row_labels(*bitableau(*B))
     if any(s == 0 for s in labels):
         return "neither"
     if labels and all(s == -1 for s in labels):
@@ -205,9 +233,9 @@ def classify_bitableau(B) -> str:
 def split_parts(B):
     """Split a nonvanishing semistandard bitableau into negative and positive parts."""
     P, Q = bitableau(*B)
-    if classify_bitableau(B) == "neither" or not is_semistandard_bitableau(B):
+    labels = _row_labels(P, Q)
+    if any(s == 0 for s in labels) or not _semistandard_pair(P, Q):
         raise ValueError("expected a nonvanishing semistandard bitableau")
-    labels = [classify_row(p, q) for p, q in zip(P, Q)]
     i = 0
     while i < len(labels) and labels[i] == -1:
         i += 1
@@ -236,7 +264,7 @@ def bitableau_bounded_by(B, T, W) -> bool:
         raise ValueError("lower bound must be a negative multiset")
     if any(sign(w) <= 0 for w in W):
         raise ValueError("upper bound must be a positive multiset")
-    if not is_semistandard_bitableau(B):
+    if not _semistandard_pair(P, Q):
         raise ValueError("expected a semistandard bitableau")
     if not P:
         return True
@@ -255,4 +283,8 @@ def tableau_to_json(P) -> list:
 
 
 def tableau_from_json(data):
+    """A tableau from a JSON list of integer rows; any entry that is not
+    an integer (a float, a string, true or false) is a ValueError."""
+    if any(type(x) is not int for row in data for x in row):
+        raise ValueError("tableau entries must be integers")
     return tableau(data)

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from bisect import bisect_left
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmult.brsk import (
@@ -16,10 +18,18 @@ from grassmult.brsk import (
     rbrsk,
     verify_boundedness_preservation,
 )
-from grassmult.grassmannian import beta_grid, build_bound_multisets
-from grassmult.multisets import iota, pairs
+from grassmult.grassmannian import (
+    beta_grid,
+    build_bound_multisets,
+    index_leq,
+    negative_region,
+    positive_region,
+)
+from grassmult.multisets import iota, multiset_order_leq, negative_part, pairs, positive_part
 from grassmult.tableaux import (
+    BumpingRecord,
     bitableau_bounded_by,
+    bounded_insert,
     classify_bitableau,
     iota_bitableau,
     split_parts,
@@ -173,3 +183,164 @@ def test_insertion_preserves_bounds_small_sweep():
         for U in rng.sample(multisets, 40):
             if multiset_bounded_by(U, T, ()):
                 assert verify_boundedness_preservation(U, T, ())
+
+
+# The per-step oracle for the insertion loop of brsk_negative: every step
+# splits P at the bound, Schensted-inserts into the part below it,
+# reassembles the rows, and places b at the left of the new box's row of
+# Q, rebuilding both tableaux as tuples.  It shares no code with the
+# library's insertion kernel.
+
+
+def bounded_insert_by_parts(P, a, b):
+    lower = [[x for x in row if x < b] for row in P]
+    upper = [[x for x in row if x >= b] for row in P]
+    route = []
+    cur, i = a, 0
+    while True:
+        if i == len(lower):
+            lower.append([cur])
+            upper.append([])
+            new_box = (i + 1, 1)
+            break
+        j = bisect_left(lower[i], cur)
+        if j == len(lower[i]):
+            lower[i].append(cur)
+            new_box = (i + 1, j + 1)
+            break
+        route.append((i + 1, j + 1))
+        cur, lower[i][j] = lower[i][j], cur
+        i += 1
+    route.append(new_box)
+    rows = tuple(tuple(lo + up) for lo, up in zip(lower, upper))
+    return rows, BumpingRecord(tuple(route), new_box)
+
+
+def place_left(Q, row, b):
+    rows = [list(r) for r in Q]
+    if row == len(rows) + 1:
+        rows.append([b])
+    else:
+        rows[row - 1].insert(0, b)
+    return tuple(map(tuple, rows))
+
+
+def brsk_negative_by_steps(U):
+    """((P, Q), [(pair, record, P, Q) after each step])."""
+    P, Q = (), ()
+    steps = []
+    for a, b in lex_sort(U):
+        P, record = bounded_insert_by_parts(P, a, b)
+        Q = place_left(Q, record.new_box[0], b)
+        steps.append(((a, b), record, P, Q))
+    return (P, Q), steps
+
+
+def brsk_by_steps(U):
+    (Pn, Qn), _ = brsk_negative_by_steps(negative_part(U))
+    Pp, Qp = iota_bitableau(brsk_negative_by_steps(iota(positive_part(U)))[0])
+    return (Pn + Pp, Qn + Qp)
+
+
+def check_against_steps(U):
+    assert brsk(U) == brsk_by_steps(U)
+    for half in (negative_part(U), iota(positive_part(U))):
+        B, trace = brsk_negative(half, keep_trace=True)
+        expected, steps = brsk_negative_by_steps(half)
+        assert B == expected
+        assert [tuple(step) for step in trace] == steps
+        before = [()] + [step[2] for step in steps[:-1]]
+        for P, (pair, record, after, _) in zip(before, steps):
+            assert bounded_insert(P, *pair) == (after, record)
+
+
+def test_kernel_matches_per_step_oracle_exhaustive():
+    """Every nonvanishing multiset of degree <= 4 on the 5 x 5 grid."""
+    grid = [(e, f) for e in range(1, 6) for f in range(1, 6) if e != f]
+    count = 0
+    for m in range(5):
+        for U in itertools.combinations_with_replacement(grid, m):
+            check_against_steps(pairs(U))
+            count += 1
+    assert count == 10626
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12)),
+        min_size=5,
+        max_size=24,
+    )
+)
+def test_kernel_matches_per_step_oracle_random(raw):
+    check_against_steps(pairs((e, f) for e, f in raw if e != f))
+
+
+def chains_of(points):
+    """All nonempty chains in a set of points: first components strictly
+    increasing while second components strictly decrease."""
+    pts = sorted(set(points))
+    out = []
+
+    def extend(chain, start):
+        for k in range(start, len(pts)):
+            e, f = pts[k]
+            if not chain or (e > chain[-1][0] and f < chain[-1][1]):
+                nxt = chain + [(e, f)]
+                out.append(tuple(nxt))
+                extend(nxt, k + 1)
+
+    extend([], 0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def lower_side_by_chains(T, points):
+    return all(multiset_order_leq(T, D) for D in chains_of(points))
+
+
+@lru_cache(maxsize=None)
+def upper_side_by_chains(W, points):
+    return all(multiset_order_leq(E, W) for E in chains_of(points))
+
+
+def bounded_by_chains(U, T, W):
+    """The definition: T <= D for every chain D of the negative points of
+    U and E <= W for every chain E of its positive points."""
+    return lower_side_by_chains(T, negative_part(U)) and upper_side_by_chains(
+        W, positive_part(U)
+    )
+
+
+def index_triples(n, d):
+    indices = list(itertools.combinations(range(1, n + 1), d))
+    for beta in indices:
+        for alpha in indices:
+            if index_leq(alpha, beta):
+                for gamma in indices:
+                    if index_leq(beta, gamma):
+                        yield alpha, beta, gamma
+
+
+def test_multiset_bounded_by_matches_chain_enumeration():
+    """Every multiset of degree <= 3 on the grid of every Richardson
+    triple with n <= 6.  Boundedness reads only the underlying set, so
+    each (bounds, support) case is checked once."""
+    cases = set()
+    for n in range(2, 7):
+        for d in range(1, n):
+            for alpha, beta, gamma in index_triples(n, d):
+                grid = beta_grid(beta, n)
+                Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+                points = sorted(negative_region(grid) | positive_region(grid))
+                for m in range(4):
+                    for U in itertools.combinations(points, m):
+                        cases.add((U, Ttil, Wtil))
+    assert len(cases) == 141521
+    hits = 0
+    for U, Ttil, Wtil in cases:
+        got = multiset_bounded_by(U, Ttil, Wtil)
+        assert got == bounded_by_chains(U, Ttil, Wtil), (U, Ttil, Wtil)
+        hits += got
+    assert 0 < hits < len(cases)

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grassmult
 from grassmult.cli import _build_parser, main, run
 
 NINE = ["--n", "9", "--d", "4", "--alpha", "1,2,3,5", "--beta", "1,5,6,8", "--gamma", "3,6,8,9"]
@@ -135,6 +140,57 @@ def test_out_of_range_dimensions_exit_two(capsys, argv):
 def test_rbrsk_requires_input(capsys):
     assert main(["rbrsk"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def run_interpreter(flags, args, cwd):
+    """Run a fresh interpreter with the grassmult package under test."""
+    src = str(Path(grassmult.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *flags, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_cli_under_python_O_matches_a_normal_run(tmp_path):
+    """No check the CLI relies on lives in an assert: with asserts
+    stripped, output, traces and exit codes stay the same."""
+    (tmp_path / "bitab.json").write_text(
+        json.dumps({"P": [[1, 2], [2, 3, 4, 7], [6]], "Q": [[7, 8], [4, 6, 7, 8], [7]]})
+    )
+    (tmp_path / "vanishing.json").write_text(json.dumps({"P": [[1, 9]], "Q": [[2, 5]]}))
+    commands = [
+        ["brsk", "--pairs", "7,8 2,8 6,7 4,7 1,7 3,6 2,4 3,1 5,2 5,2", "--trace", "steps.jsonl"],
+        ["rbrsk", "--input", "bitab.json"],
+        ["rbrsk", "--input", "vanishing.json"],
+        ["brsk", "--pairs", "1,1"],
+        ["verify", "--n", "4", "--d", "2", "--all-triples", "--mmax", "3"],
+    ]
+    trace = tmp_path / "steps.jsonl"
+    codes = []
+    for args in commands:
+        runs = []
+        for flags in ([], ["-O"]):
+            proc = run_interpreter(flags, ["-m", "grassmult.cli", *args], tmp_path)
+            runs.append((proc.returncode, proc.stdout, proc.stderr, trace.exists() and trace.read_text()))
+            trace.unlink(missing_ok=True)
+        assert runs[0] == runs[1], args
+        codes.append(runs[0][0])
+    assert codes == [0, 0, 2, 2, 0]
+
+
+def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
+    code = (
+        "from grassmult.tableaux import bounded_insert\n"
+        "assert False, 'asserts are on'\n"
+        "for P, a, b in [((), 7, 6), (((1, 2, 4, 6), (2, 3, 6), (2, 4, 5, 7, 8)), 1, 6)]:\n"
+        "    try:\n"
+        "        bounded_insert(P, a, b)\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    proc = run_interpreter(["-O"], ["-c", code], tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "refused\nrefused\n"), proc.stderr
 
 
 def test_diagonal_pair_exits_two(capsys):

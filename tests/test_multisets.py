@@ -160,3 +160,9 @@ def test_iota_is_an_involution(U):
 def test_json_roundtrip():
     U = pairs([(1, 5), (3, 2), (1, 5)])
     assert pairs_from_json(pairs_to_json(U)) == U
+
+
+@pytest.mark.parametrize("data", [[[1.5, 2]], [["1", "2"]], [[True, 2]]])
+def test_json_refuses_entries_that_are_not_integers(data):
+    with pytest.raises(ValueError):
+        pairs_from_json(data)

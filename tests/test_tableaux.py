@@ -12,6 +12,7 @@ from grassmult.tableaux import (
     classify_bitableau,
     classify_row,
     content,
+    insert_rows,
     iota_bitableau,
     is_semistandard_bitableau,
     is_semistandard_on,
@@ -84,6 +85,20 @@ def test_bounded_insert_golden():
     assert record == BumpingRecord(route=((1, 3), (2, 2), (3, 2)), new_box=(3, 2))
     back, a = reverse_bounded_insert(out, 6, record.new_box)
     assert (back, a) == (P, 3)
+
+
+def test_insert_rows_bumps_in_place_below_the_bound():
+    rows = [[1, 2, 4, 7], [1, 5, 8], [3, 6, 7, 8, 9], [4, 6]]
+    first = rows[0]
+    record = insert_rows(rows, 3, 6)
+    assert rows == [[1, 2, 3, 7], [1, 4, 8], [3, 5, 6, 7, 8, 9], [4, 6]]
+    assert rows[0] is first
+    assert record == BumpingRecord(route=((1, 3), (2, 2), (3, 2)), new_box=(3, 2))
+    # with no bound every entry takes part, and a value bumped out of the
+    # last row starts a new one
+    rows = [[2, 9], [3]]
+    assert insert_rows(rows, 1) == BumpingRecord(route=((1, 1), (2, 1), (3, 1)), new_box=(3, 1))
+    assert rows == [[1, 9], [2], [3]]
 
 
 def test_bounded_insert_preconditions():
@@ -194,3 +209,9 @@ def test_render_and_json():
     P = tableau([[1, 2], [3]])
     assert render(P) == "1 2\n3"
     assert tableau_from_json(tableau_to_json(NOTCHED)) == NOTCHED
+
+
+@pytest.mark.parametrize("data", [[[1.5, 2]], [["1", "2"]], [[True, 2]]])
+def test_tableau_json_refuses_entries_that_are_not_integers(data):
+    with pytest.raises(ValueError):
+        tableau_from_json(data)
