@@ -22,7 +22,6 @@ from .tableaux import (
     is_semistandard_bitableau,
     iota_bitableau,
     reverse_bounded_insert,
-    row_strict,
     tableau,
 )
 
@@ -60,9 +59,11 @@ def brsk_negative(U, keep_trace: bool = False):
     tableaux.insert_rows on mutable rows of P and Q and freezes them
     once at the end (and after every step when a trace is kept).  The
     lex order keeps P semistandard on each next bound, so no step
-    re-validates.  tests/test_brsk.py checks this loop against the
-    per-step oracle: bounded insertion by splitting P at the bound, then
-    a left placement in Q, rebuilding both tableaux at every step.
+    re-validates.  That Q is row-strict and (P, Q) negative or empty are
+    proved, so the result is not re-checked either.  tests/test_brsk.py
+    asserts both, and checks this loop against the per-step oracle:
+    bounded insertion by splitting P at the bound, then a left placement
+    in Q, rebuilding both tableaux at every step.
     """
     P, Q = [], []
     trace = [] if keep_trace else None
@@ -75,10 +76,7 @@ def brsk_negative(U, keep_trace: bool = False):
             Q[row - 1].insert(0, b)
         if keep_trace:
             trace.append(BrskStep((a, b), record, _frozen(P), _frozen(Q)))
-    P, Q = _frozen(P), _frozen(Q)
-    assert row_strict(Q)
-    assert classify_bitableau((P, Q)) in ("negative", "nonvanishing")
-    return (P, Q), trace
+    return (_frozen(P), _frozen(Q)), trace
 
 
 def rbrsk(B):
@@ -86,8 +84,9 @@ def rbrsk(B):
 
     Each step removes the minimum entry b of Q from the left end of the
     lowest row of Q containing it, and reverse-inserts starting at the
-    greatest entry of that row of P below b.  Pairs come out in
-    insertion order; the returned multiset is canonical.
+    greatest entry of that row of P below b.  Pairs come out in the
+    reverse of lex_sort's insertion order, a proved property that
+    tests/test_brsk.py asserts; the returned multiset is canonical.
     """
     P, Q = B
     if not is_semistandard_bitableau((P, Q)):
@@ -107,7 +106,6 @@ def rbrsk(B):
             rows.pop()
         Q = tableau(rows)
         emitted.append((a, b))
-    assert list(emitted) == sorted(emitted, key=lambda p: (p[1], p[0]))
     return pairs(emitted)
 
 
@@ -117,6 +115,8 @@ def brsk(U):
     The negative part is inserted directly; the positive part goes
     through the component swap (insert the swapped multiset, swap the
     bitableau back); the results are stacked, negative rows on top.
+    The result is a nonvanishing semistandard bitableau, a proved
+    property that tests/test_brsk.py asserts instead of every call.
     """
     if not is_nonvanishing(U):
         raise ValueError("multiset has vanishing points")
@@ -127,10 +127,7 @@ def brsk(U):
         Pp, Qp = iota_bitableau(neg_image)
     else:
         Pp, Qp = (), ()
-    B = (Pn + Pp, Qn + Qp)
-    assert is_semistandard_bitableau(B)
-    assert classify_bitableau(B) != "neither"
-    return B
+    return (Pn + Pp, Qn + Qp)
 
 
 def multiset_bounded_by(U, T, W) -> bool:

@@ -13,7 +13,7 @@ from itertools import combinations
 from .brsk import brsk, brsk_negative, rbrsk
 from .chains import canonicalize
 from .grassmannian import beta_grid, build_bound_multisets, index_leq
-from .groebner import count_monomials_outside_initial, count_standard_monomials, verify_groebner
+from .groebner import bounded_multisets_by_degree, standard_monomial_counts, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
 from .multisets import iota, negative_part, pairs, pairs_from_json, positive_part
 from .tableaux import render
@@ -166,10 +166,12 @@ def _cmd_paths(ns, out):
 def _cmd_count(ns, out):
     _require_dimensions(ns)
     grid = beta_grid(ns.beta, ns.n)
+    Ttil, Wtil = build_bound_multisets(ns.alpha, ns.gamma, grid)
     print("m\tmonomials\tstandard\tequal", file=out)
-    for m in range(ns.mmax + 1):
-        a = count_monomials_outside_initial(ns.alpha, ns.gamma, grid, m)
-        b = count_standard_monomials(ns.alpha, ns.gamma, grid, m)
+    bounded = bounded_multisets_by_degree(Ttil, Wtil, grid, ns.mmax)
+    standard = standard_monomial_counts(Ttil, Wtil, grid, ns.mmax)
+    for m, (multisets, b) in enumerate(zip(bounded, standard)):
+        a = len(multisets)
         print("%d\t%d\t%d\t%s" % (m, a, b, "yes" if a == b else "NO"), file=out)
     return 0
 

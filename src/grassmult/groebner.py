@@ -1,12 +1,12 @@
 """Monomial order on the grid variables, symbolic minors and their
 initial terms, and the two counting sides of the Groebner-basis
 verification: monomials avoiding the forbidden chain initial terms
-versus standard monomials (bounded semistandard bitableaux).
+versus standard monomials (bounded semistandard bitableaux).  Each side
+is one pass over every degree up to a bound.
 """
 
 from collections import Counter, namedtuple
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 
 from .brsk import brsk, multiset_bounded_by
 from .grassmannian import (
@@ -117,14 +117,52 @@ def initial_term(f: SignedMinor):
     return best
 
 
-def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
-    """All degree-m multisets on the grid bounded by the pair."""
-    out = []
+def bounded_multisets_by_degree(Ttil, Wtil, grid: BetaGrid, m_max: int):
+    """The multisets on the grid bounded by the pair, as one list per
+    degree 0..m_max, each in combinations_with_replacement order over
+    the sorted grid points.
+
+    One depth-first walk on an explicit stack grows multisets point by
+    point, in that order, so every degree comes out of it.  Boundedness
+    reads only the support, and a subset of a bounded support is
+    bounded.  So each multiset carries the points from its last one on
+    that it stays bounded with: repeating its last point keeps that list,
+    a new point filters it with one multiset_bounded_by test per entry,
+    and a point that fails is never tried below it.  tests/test_groebner.py
+    keeps the filter of every multiset as its oracle.
+    """
+    if m_max < 0:
+        raise ValueError("degree bound must be nonnegative")
     points = sorted(negative_region(grid) | positive_region(grid))
-    for combo in combinations_with_replacement(points, m):
-        if multiset_bounded_by(combo, Ttil, Wtil):
-            out.append(pairs(combo))
-    return out
+    by_degree = [[] for _ in range(m_max + 1)]
+    if not multiset_bounded_by((), Ttil, Wtil):
+        return by_degree
+    # (multiset, indices of the points it stays bounded with, from its last point on)
+    roots = range(len(points)) if m_max else ()
+    stack = [((), [j for j in roots if multiset_bounded_by((points[j],), Ttil, Wtil)])]
+    while stack:
+        U, follow = stack.pop()
+        by_degree[len(U)].append(U)
+        children = []
+        for i, k in enumerate(follow):
+            V = U + (points[k],)
+            if len(V) == m_max:
+                children.append((V, ()))
+            elif U and i == 0:  # the last point again: the support is unchanged
+                children.append((V, follow))
+            else:
+                later = [
+                    j for j in follow[i + 1 :] if multiset_bounded_by(V + (points[j],), Ttil, Wtil)
+                ]
+                children.append((V, [k] + later))
+        stack.extend(reversed(children))
+    return by_degree
+
+
+def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
+    """All degree-m multisets on the grid bounded by the pair, in
+    combinations_with_replacement order over the sorted grid points."""
+    return bounded_multisets_by_degree(Ttil, Wtil, grid, m)[m]
 
 
 def count_monomials_outside_initial(alpha, gamma, grid: BetaGrid, m: int) -> int:
@@ -149,55 +187,72 @@ def _signed_rows(grid: BetaGrid):
     return rows
 
 
-def count_standard_monomials(alpha, gamma, grid: BetaGrid, m: int) -> int:
-    """Number of degree-m nonvanishing semistandard bitableaux on the
-    grid bounded by the pair, generated by extending row by row."""
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+def standard_monomial_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
+    """Numbers of nonvanishing semistandard bitableaux on the grid
+    bounded by the pair, for every degree 0..m_max.
+
+    A bitableau is a column of rows (p, q, sign).  Its first row lies
+    above the lower bound, each row lies below the next with signs
+    weakly increasing, and its last row lies below the upper bound.  One
+    table, shared by every degree, counts the ways to finish below each
+    row with r boxes left, for r = 0..m_max-1; it reads only the rows a
+    first row leads to, with their successors found once.
+    """
+    if m_max < 0:
+        raise ValueError("degree bound must be nonnegative")
     T1, T2 = proj(Ttil, 1), proj(Ttil, 2)
     W1, W2 = proj(Wtil, 1), proj(Wtil, 2)
-    rows = _signed_rows(grid)
+    rows = [row for row in _signed_rows(grid) if len(row[0]) <= m_max]
+    first = [row for row in rows if formal_diff_leq(T1, T2, row[0], row[1])]
+    below = {}
+    todo = list(first)
+    while todo:
+        row = todo.pop()
+        if row in below:
+            continue
+        p0, q0, s0 = row
+        below[row] = [r for r in rows if r[2] >= s0 and formal_diff_leq(p0, q0, r[0], r[1])]
+        todo.extend(below[row])
+    ways = []  # ways[r][row]: completions below row with r boxes left
+    for r in range(m_max):
+        ways.append(
+            {
+                row: int(r == 0 and formal_diff_leq(row[0], row[1], W1, W2))
+                + sum(ways[r - len(nxt[0])][nxt] for nxt in nexts if len(nxt[0]) <= r)
+                for row, nexts in below.items()
+            }
+        )
+    return [1] + [
+        sum(ways[m - len(row[0])][row] for row in first if len(row[0]) <= m)
+        for m in range(1, m_max + 1)
+    ]
 
-    @lru_cache(maxsize=None)
-    def closes(p, q):
-        return formal_diff_leq(p, q, W1, W2)
 
-    @lru_cache(maxsize=None)
-    def extend(prev, remaining):
-        p0, q0, s0 = prev
-        total = 1 if remaining == 0 and closes(p0, q0) else 0
-        for p, q, s in rows:
-            if len(p) > remaining or s < s0:
-                continue
-            if formal_diff_leq(p0, q0, p, q):
-                total += extend((p, q, s), remaining - len(p))
-        return total
-
-    if m == 0:
-        return 1
-    total = 0
-    for p, q, s in rows:
-        if len(p) <= m and formal_diff_leq(T1, T2, p, q):
-            total += extend((p, q, s), m - len(p))
-    return total
+def count_standard_monomials(alpha, gamma, grid: BetaGrid, m: int) -> int:
+    """Number of degree-m nonvanishing semistandard bitableaux on the
+    grid bounded by the pair."""
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+    return standard_monomial_counts(Ttil, Wtil, grid, m)[m]
 
 
 def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
     """Compare the two counts for every degree up to m_max and check
     that bounded RSK is injective from bounded multisets into bounded
-    bitableaux at each degree."""
+    bitableaux at each degree.  The bounds are built once, and each
+    count is one pass over all the degrees."""
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+    bounded = bounded_multisets_by_degree(Ttil, Wtil, grid, m_max)
+    standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
     per_degree = []
     witness = None
     injective = True
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    for m in range(m_max + 1):
-        bounded = bounded_multisets_of_degree(Ttil, Wtil, grid, m)
-        a = len(bounded)
-        b = count_standard_monomials(alpha, gamma, grid, m)
+    for m, (multisets, b) in enumerate(zip(bounded, standard)):
+        a = len(multisets)
         per_degree.append((m, a, b))
         if a != b and witness is None:
             witness = m
         seen = set()
-        for U in bounded:
+        for U in multisets:
             B = brsk(U)
             if B in seen or not bitableau_bounded_by(B, Ttil, Wtil):
                 injective = False

@@ -1,8 +1,10 @@
 """The bounded insertion correspondence and its inverse."""
 
+import importlib
 import itertools
 import random
 from bisect import bisect_left
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -32,8 +34,13 @@ from grassmult.tableaux import (
     bounded_insert,
     classify_bitableau,
     iota_bitableau,
+    is_semistandard_bitableau,
+    row_strict,
     split_parts,
 )
+
+# the package binds the function brsk over the submodule's name
+BRSK_MODULE = importlib.import_module("grassmult.brsk")
 
 SEVEN = pairs([(7, 8), (2, 8), (6, 7), (4, 7), (1, 7), (3, 6), (2, 4)])
 
@@ -242,16 +249,45 @@ def brsk_by_steps(U):
     return (Pn + Pp, Qn + Qp)
 
 
+@contextmanager
+def recorded_emissions():
+    """The pairs rbrsk emits, in order: each reverse insertion it calls
+    takes b and gives back a."""
+    emitted = []
+    original = BRSK_MODULE.reverse_bounded_insert
+
+    def recording(P, b, box):
+        P, a = original(P, b, box)
+        emitted.append((a, b))
+        return P, a
+
+    BRSK_MODULE.reverse_bounded_insert = recording
+    try:
+        yield emitted
+    finally:
+        BRSK_MODULE.reverse_bounded_insert = original
+
+
 def check_against_steps(U):
-    assert brsk(U) == brsk_by_steps(U)
+    """The kernel against the per-step oracle, and the postconditions
+    that brsk, brsk_negative and rbrsk do not re-check."""
+    B = brsk(U)
+    assert B == brsk_by_steps(U)
+    assert is_semistandard_bitableau(B)
+    assert classify_bitableau(B) != "neither"
     for half in (negative_part(U), iota(positive_part(U))):
-        B, trace = brsk_negative(half, keep_trace=True)
+        (P, Q), trace = brsk_negative(half, keep_trace=True)
         expected, steps = brsk_negative_by_steps(half)
-        assert B == expected
+        assert (P, Q) == expected
         assert [tuple(step) for step in trace] == steps
         before = [()] + [step[2] for step in steps[:-1]]
-        for P, (pair, record, after, _) in zip(before, steps):
-            assert bounded_insert(P, *pair) == (after, record)
+        for prev, (pair, record, after, _) in zip(before, steps):
+            assert bounded_insert(prev, *pair) == (after, record)
+        assert row_strict(Q)
+        assert classify_bitableau((P, Q)) == ("negative" if half else "nonvanishing")
+        with recorded_emissions() as emitted:
+            assert rbrsk((P, Q)) == half
+        assert emitted == list(reversed(lex_sort(half)))
 
 
 def test_kernel_matches_per_step_oracle_exhaustive():

@@ -84,6 +84,30 @@ def test_count_table(capsys):
     ]
 
 
+GOLDEN_TRIPLES = [
+    (["--n", "6", "--d", "3", "--alpha", "1,2,4", "--beta", "3,5,6", "--gamma", "4,5,6"],
+     [1, 9, 44, 156, 450]),
+    (["--n", "7", "--d", "3", "--alpha", "1,2,4", "--beta", "2,5,6", "--gamma", "4,6,7"],
+     [1, 11, 65, 275, 935]),
+    (NINE, [1, 17, 152, 951, 4675]),
+]
+
+
+@pytest.mark.parametrize("triple, counts", GOLDEN_TRIPLES)
+def test_count_and_verify_golden(capsys, triple, counts):
+    """Exact stdout and exit code of count and verify --mmax 4 on three
+    triples whose bounds leave some multisets unbounded."""
+    assert main(["count"] + triple) == 0
+    assert capsys.readouterr().out == "m\tmonomials\tstandard\tequal\n" + "".join(
+        "%d\t%d\t%d\tyes\n" % (m, c, c) for m, c in enumerate(counts)
+    )
+    assert main(["verify"] + triple + ["--mmax", "4"]) == 0
+    alpha, beta, gamma = triple[5::2]
+    assert capsys.readouterr().out == (
+        "alpha=%s beta=%s gamma=%s ok\n1 triples checked, 0 mismatches\n" % (alpha, beta, gamma)
+    )
+
+
 def test_verify_all_triples(capsys):
     argv = ["verify", "--n", "4", "--d", "2", "--all-triples", "--mmax", "2"]
     assert main(argv) == 0
@@ -124,6 +148,8 @@ FIVE = ["--n", "5", "--d", "2", "--alpha", "1,3", "--beta", "2,4", "--gamma", "4
         ["verify", "--n", "4", "--d", "0", "--all-triples"],
         ["paths", "--n", "9", "--d", "9"] + NINE[4:],
         ["count"] + FIVE + ["--mmax", "-2"],  # no degree to tabulate
+        # alpha > beta: refused before the table's header
+        ["count", "--n", "5", "--d", "2", "--alpha", "2,4", "--beta", "1,3", "--gamma", "4,5"],
         ["verify"] + FIVE + ["--mmax", "-1"],
         ["count", "--n", "5", "--d", "3"] + FIVE[4:],  # 2-subsets with d = 3
         ["verify", "--n", "5", "--d", "4"] + FIVE[4:],

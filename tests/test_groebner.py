@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -13,6 +14,7 @@ from grassmult.grassmannian import (
     theta_to_rs,
 )
 from grassmult.groebner import (
+    bounded_multisets_by_degree,
     bounded_multisets_of_degree,
     chain_monomial,
     count_monomials_outside_initial,
@@ -22,9 +24,18 @@ from grassmult.groebner import (
     initial_term,
     monomial_less,
     signed_minor,
+    standard_monomial_counts,
     variable_less,
+    verify_groebner,
 )
-from grassmult.multisets import multiset_order_leq, negative_part, pairs, positive_part
+from grassmult.multisets import (
+    formal_diff_leq,
+    multiset_order_leq,
+    negative_part,
+    pairs,
+    positive_part,
+    proj,
+)
 
 
 def test_variable_order():
@@ -121,8 +132,6 @@ def test_standard_monomial_count_degree_one():
 
 
 def test_counts_agree_on_a_full_richardson():
-    from grassmult.groebner import verify_groebner
-
     grid = beta_grid((1, 4), 4)
     report = verify_groebner((1, 2), (3, 4), grid, 3)
     assert report.per_degree == ((0, 1, 1), (1, 4, 4), (2, 10, 10), (3, 20, 20))
@@ -175,3 +184,113 @@ def test_sieve_matches_bounded_multisets():
                 ), (alpha, beta, gamma, m)
             checked += 1
     assert checked == 235
+
+
+# The filter and the per-degree count that the one-pass walk and the
+# shared table replaced.  They share no code with either.
+
+
+def bounded_multisets_by_filter(Ttil, Wtil, grid, m):
+    """Every degree-m multiset on the grid, in combinations_with_replacement
+    order over the sorted points, kept when it is bounded by the pair."""
+    points = sorted(negative_region(grid) | positive_region(grid))
+    return [
+        U
+        for U in itertools.combinations_with_replacement(points, m)
+        if multiset_bounded_by(U, Ttil, Wtil)
+    ]
+
+
+def signed_rows(grid):
+    """Rows (p, q, sign): equal-size subsets of the rows and the columns
+    of the grid, p strictly below q termwise (sign -1) or above (+1)."""
+    rows = []
+    for k in range(1, min(len(grid.beta), len(grid.complement)) + 1):
+        for p in itertools.combinations(grid.complement, k):
+            for q in itertools.combinations(grid.beta, k):
+                if all(a < b for a, b in zip(p, q)):
+                    rows.append((p, q, -1))
+                elif all(a > b for a, b in zip(p, q)):
+                    rows.append((p, q, 1))
+    return rows
+
+
+def standard_monomials_of_degree(Ttil, Wtil, grid, m):
+    """Degree-m bounded semistandard bitableaux, extended row by row
+    from the top with a memo of its own for this degree alone."""
+    T1, T2 = proj(Ttil, 1), proj(Ttil, 2)
+    W1, W2 = proj(Wtil, 1), proj(Wtil, 2)
+    rows = signed_rows(grid)
+    memo = {}
+
+    def extend(prev, remaining):
+        if (prev, remaining) not in memo:
+            p0, q0, s0 = prev
+            total = int(remaining == 0 and formal_diff_leq(p0, q0, W1, W2))
+            for p, q, s in rows:
+                if len(p) <= remaining and s >= s0 and formal_diff_leq(p0, q0, p, q):
+                    total += extend((p, q, s), remaining - len(p))
+            memo[prev, remaining] = total
+        return memo[prev, remaining]
+
+    if m == 0:
+        return 1
+    return sum(
+        extend((p, q, s), m - len(p))
+        for p, q, s in rows
+        if len(p) <= m and formal_diff_leq(T1, T2, p, q)
+    )
+
+
+def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
+    """Every triple with n <= 6 and every d, degrees m <= 4 (m <= 3 at
+    n = 6): the walk lists exactly the filter's multisets in the same
+    order, and the shared table gives the per-degree counts."""
+    cases = 0
+    for n in range(2, 7):
+        m_max = 3 if n == 6 else 4
+        for d in range(1, n):
+            for alpha, beta, gamma in index_triples(n, d):
+                grid = beta_grid(beta, n)
+                Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+                walk = bounded_multisets_by_degree(Ttil, Wtil, grid, m_max)
+                counts = standard_monomial_counts(Ttil, Wtil, grid, m_max)
+                assert len(walk) == len(counts) == m_max + 1
+                for m in range(m_max + 1):
+                    case = (alpha, beta, gamma, m)
+                    assert walk[m] == bounded_multisets_by_filter(Ttil, Wtil, grid, m), case
+                    assert counts[m] == standard_monomials_of_degree(Ttil, Wtil, grid, m), case
+                    cases += 1
+    assert cases == 10958
+
+
+def test_one_pass_on_the_nine_grid():
+    grid = beta_grid((1, 5, 6, 8), 9)
+    Ttil, Wtil = build_bound_multisets((1, 2, 3, 5), (3, 6, 8, 9), grid)
+    walk = bounded_multisets_by_degree(Ttil, Wtil, grid, 3)
+    assert [len(ms) for ms in walk] == [1, 17, 152, 951]
+    assert walk[3] == bounded_multisets_by_filter(Ttil, Wtil, grid, 3)
+    assert walk[2] == bounded_multisets_of_degree(Ttil, Wtil, grid, 2)
+    assert standard_monomial_counts(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
+
+
+def test_one_pass_rejects_a_negative_degree():
+    grid = beta_grid((1, 4), 4)
+    Ttil, Wtil = build_bound_multisets((1, 2), (3, 4), grid)
+    with pytest.raises(ValueError):
+        bounded_multisets_by_degree(Ttil, Wtil, grid, -1)
+    with pytest.raises(ValueError):
+        standard_monomial_counts(Ttil, Wtil, grid, -1)
+
+
+def test_counting_leaves_no_reference_cycles():
+    grid = beta_grid((2, 5), 6)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            verify_groebner((1, 2), (5, 6), grid, 4)
+            count_standard_monomials((1, 2), (5, 6), grid, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
