@@ -1,8 +1,8 @@
 """Bounded RSK, twisted chains, and multiplicities of Richardson
 varieties at torus-fixed points of the Grassmannian."""
 
-from .brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk, verify_boundedness_preservation
-from .chains import canonicalize, chain_bounded, chain_order_leq, depth
+from .brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk
+from .chains import canonicalize, chain_bounded, chain_order_leq
 from .grassmannian import beta_grid, build_bound_multisets, index_leq, length
 from .groebner import (
     count_monomials_outside_initial,
@@ -12,14 +12,7 @@ from .groebner import (
     signed_minor,
     verify_groebner,
 )
-from .multiplicity import (
-    canonical_path,
-    count_families,
-    decompose_bounded_subset,
-    enumerate_paths,
-    maximal_bounded_subsets,
-    multiplicity,
-)
+from .multiplicity import count_families, enumerate_paths, maximal_bounded_subsets, multiplicity
 from .multisets import iota, multiset_order_leq, pairs
 from .tableaux import bounded_insert, reverse_bounded_insert
 
@@ -28,11 +21,9 @@ __all__ = [
     "brsk_negative",
     "rbrsk",
     "multiset_bounded_by",
-    "verify_boundedness_preservation",
     "canonicalize",
     "chain_bounded",
     "chain_order_leq",
-    "depth",
     "beta_grid",
     "build_bound_multisets",
     "index_leq",
@@ -43,9 +34,7 @@ __all__ = [
     "initial_term",
     "signed_minor",
     "verify_groebner",
-    "canonical_path",
     "count_families",
-    "decompose_bounded_subset",
     "enumerate_paths",
     "maximal_bounded_subsets",
     "multiplicity",

@@ -1,22 +1,15 @@
 """The bounded RSK correspondence between nonvanishing multisets on N^2
 and nonvanishing semistandard notched bitableaux, with its reverse and
-the boundedness-preservation verifier.
+the boundedness test for multisets.  The checker of the boundedness
+lemma along an insertion is a test oracle in tests/oracles.py.
 """
 
 from collections import namedtuple
 
 from .chains import chain_bounded
-from .multisets import (
-    iota,
-    is_nonvanishing,
-    negative_part,
-    pairs,
-    positive_part,
-    sign,
-)
+from .multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign
 from .tableaux import (
     bidegree,
-    bitableau_bounded_by,
     classify_bitableau,
     insert_rows,
     is_semistandard_bitableau,
@@ -27,10 +20,6 @@ from .tableaux import (
 
 BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
 BrskStep.__doc__ = "One insertion: the pair fed in, its BumpingRecord, and the snapshot after."
-
-
-class PreconditionError(ValueError):
-    """The input multiset was not bounded to begin with."""
 
 
 def lex_sort(U):
@@ -149,57 +138,3 @@ def multiset_bounded_by(U, T, W) -> bool:
     if any(sign(w) <= 0 for w in W):
         raise ValueError("upper bound must be a positive multiset")
     return chain_bounded(U, T, W)
-
-
-def _verify_negative_side(V, T) -> bool:
-    """Check boundedness is preserved along the insertion of a negative
-    multiset V bounded below by T, rebuilding a witness chain for every
-    first-row entry below min(Q_1) at every prefix."""
-    (P, Q), trace = brsk_negative(V, keep_trace=True)
-    chains = []
-    prefix = set()
-    for step in trace:
-        a, b = step.pair
-        prefix.add((a, b))
-        new_row, new_col = step.record.new_box
-        if new_row == 1:
-            low = new_col
-            keep_rest = []
-        else:
-            low = step.record.route[0][1]
-            keep_rest = chains[low:]
-        if low - 1 > len(chains):
-            return False
-        grown = (chains[low - 2] if low >= 2 else []) + [(a, b)]
-        chains = chains[: low - 1] + [grown] + keep_rest
-        P1, Q1 = step.P[0], step.Q[0]
-        if len(chains) != sum(1 for x in P1 if x < Q1[0]):
-            return False
-        for j, C in enumerate(chains, 1):
-            if len(C) != j or C[-1][0] != P1[j - 1]:
-                return False
-            if any(u not in prefix for u in C):
-                return False
-            if any(not (C[k][0] < C[k + 1][0] and C[k][1] > C[k + 1][1]) for k in range(len(C) - 1)):
-                return False
-        if not bitableau_bounded_by((step.P, step.Q), T, ()):
-            return False
-    return bitableau_bounded_by((P, Q), T, ())
-
-
-def verify_boundedness_preservation(U, T, W) -> bool:
-    """Check that bounded RSK carries a multiset bounded by T, W to a
-    bitableau bounded by T, W, validating the prefix witness chains on
-    both signed parts.  Raises PreconditionError if U is not bounded by
-    T, W in the first place; returns False only if the preserved
-    boundedness itself fails.
-    """
-    if not is_nonvanishing(U):
-        raise ValueError("multiset has vanishing points")
-    if not multiset_bounded_by(U, T, W):
-        raise PreconditionError("input multiset is not bounded by the given pair")
-    if not _verify_negative_side(negative_part(U), pairs(T)):
-        return False
-    if not _verify_negative_side(iota(positive_part(U)), iota(W)):
-        return False
-    return bitableau_bounded_by(brsk(U), T, W)

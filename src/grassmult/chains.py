@@ -1,55 +1,17 @@
 """Twisted chains, the canonical arrangement, and the depth order on
 negative (and, via the component swap, positive) subsets of N^2.
+
+The point relations, the twisted-chain predicates and the diagonal
+criterion for the depth order are test oracles in tests/oracles.py.
 """
 
 from .multisets import iota, negative_part, pairs, positive_part, sign
-
-
-def _same_negative(u, v):
-    if sign(u) >= 0 or sign(v) >= 0:
-        raise ValueError("expected negative points")
-
-
-def prec(u, v) -> bool:
-    """(e,f) strictly precedes (g,h) when f < h and e > g."""
-    _same_negative(u, v)
-    return u[1] < v[1] and u[0] > v[0]
-
-
-def trianglelefteq_pt(u, v) -> bool:
-    """Weak version of prec: f <= h and e >= g."""
-    _same_negative(u, v)
-    return u[1] <= v[1] and u[0] >= v[0]
-
-
-def meet(u, v):
-    """Componentwise (max of firsts, min of seconds)."""
-    _same_negative(u, v)
-    return (max(u[0], v[0]), min(u[1], v[1]))
 
 
 def completely_disjointed(T) -> bool:
     """All 2m coordinates across both components are distinct."""
     coords = [c for p in T for c in p]
     return len(coords) == len(set(coords))
-
-
-def is_negative_twisted_chain(T) -> bool:
-    pts = list(set(T))
-    if any(sign(p) >= 0 for p in pts):
-        return False
-    if not completely_disjointed(pts):
-        return False
-    for i, u in enumerate(pts):
-        for v in pts[i + 1 :]:
-            if not (prec(u, v) or prec(v, u) or sign(meet(u, v)) >= 0):
-                return False
-    return True
-
-
-def is_positive_twisted_chain(T) -> bool:
-    pts = set(T)
-    return all(sign(p) > 0 for p in pts) and is_negative_twisted_chain(iota(pts))
 
 
 def _greedy_arrange(firsts, seconds):
@@ -117,17 +79,6 @@ def chain_depth(R, x) -> int:
     return max(best, default=0)
 
 
-def depth(R, x) -> int:
-    """Longest prec-chain within the part of R weakly above x.
-
-    Both R and x must be negative; positive data goes through the
-    component swap first.
-    """
-    if sign(x) >= 0 or any(sign(u) >= 0 for u in R):
-        raise ValueError("depth is defined for negative data")
-    return chain_depth(R, x)
-
-
 def _depth_leq(R, S) -> bool:
     return all(chain_depth(R, x) >= chain_depth(S, x) for x in set(S))
 
@@ -157,22 +108,6 @@ def chain_order_leq(R, S) -> bool:
     if "positive" in (r, s):
         return _depth_leq(iota(S), iota(R))
     return _depth_leq(R, S)
-
-
-def chain_order_leq_diagonal(R, S) -> bool:
-    """Same order, decided only at the points (z, z+1): compare the
-    counts of elements straddling each z.  Valid for negative twisted
-    chains.
-    """
-    if not (is_negative_twisted_chain(R) and is_negative_twisted_chain(S)):
-        raise ValueError("diagonal criterion applies to negative twisted chains")
-    zs = {c for p in list(R) + list(S) for c in p}
-    for z in range(1, max(zs, default=1) + 1):
-        r = sum(1 for e, f in set(R) if e <= z < f)
-        s = sum(1 for e, f in set(S) if e <= z < f)
-        if r < s:
-            return False
-    return True
 
 
 def chain_bounded(U, R, S) -> bool:

@@ -15,8 +15,8 @@ from .chains import canonicalize
 from .grassmannian import beta_grid, build_bound_multisets, index_leq
 from .groebner import bounded_multisets_by_degree, standard_monomial_counts, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
-from .multisets import iota, negative_part, pairs, pairs_from_json, positive_part
-from .tableaux import render
+from .multisets import iota, negative_part, pairs, pairs_from_json, pairs_to_json, positive_part
+from .tableaux import render, tableau_from_json, tableau_to_json
 
 
 def _parse_index(text):
@@ -66,7 +66,7 @@ def _load_multiset(ns):
 
 
 def _bitableau_from_json(data):
-    return tuple(tuple(r) for r in data["P"]), tuple(tuple(r) for r in data["Q"])
+    return tableau_from_json(data["P"]), tableau_from_json(data["Q"])
 
 
 def _pairs_text(U):
@@ -91,10 +91,10 @@ def _write_trace(U, path):
                         {
                             "sign": sgn,
                             "pair": list(step.pair),
-                            "route": [list(b) for b in step.record.route],
+                            "route": pairs_to_json(step.record.route),
                             "new_box": list(step.record.new_box),
-                            "P": [list(r) for r in step.P],
-                            "Q": [list(r) for r in step.Q],
+                            "P": tableau_to_json(step.P),
+                            "Q": tableau_to_json(step.Q),
                         }
                     )
                     + "\n"
@@ -107,7 +107,7 @@ def _cmd_brsk(ns, out):
     if ns.trace:
         _write_trace(U, ns.trace)
     if ns.json:
-        print(json.dumps({"P": [list(r) for r in P], "Q": [list(r) for r in Q]}), file=out)
+        print(json.dumps({"P": tableau_to_json(P), "Q": tableau_to_json(Q)}), file=out)
     else:
         print("P:\n%s\nQ:\n%s" % (render(P), render(Q)), file=out)
     return 0
@@ -119,7 +119,7 @@ def _cmd_rbrsk(ns, out):
     B = _read_input(ns.input, _bitableau_from_json, "a JSON object with integer tableaux P and Q")
     U = rbrsk(B)
     if ns.json:
-        print(json.dumps([list(p) for p in U]), file=out)
+        print(json.dumps(pairs_to_json(U)), file=out)
     else:
         print(_pairs_text(U), file=out)
     return 0
@@ -150,7 +150,7 @@ def _cmd_paths(ns, out):
     families = enumerate_families(Ttil, Wtil, grid)
     if ns.json:
         blob = [
-            {"%d,%d" % r: [list(p) for p in path] for r, path in fam.items()}
+            {"%d,%d" % r: pairs_to_json(path) for r, path in fam.items()}
             for fam in families
         ]
         print(json.dumps({"count": len(families), "families": blob}), file=out)
@@ -220,7 +220,7 @@ def _cmd_verify(ns, out):
 def _cmd_canonicalize(ns, out):
     T = canonicalize(_load_multiset(ns))
     if ns.json:
-        print(json.dumps([list(p) for p in T]), file=out)
+        print(json.dumps(pairs_to_json(T)), file=out)
     else:
         print(_pairs_text(T), file=out)
     return 0

@@ -6,7 +6,7 @@ bound multisets of a Richardson variety at the fixed point of beta.
 from collections import namedtuple
 
 from .chains import canonicalize
-from .multisets import pairs
+from .multisets import difference, pairs
 
 BetaGrid = namedtuple("BetaGrid", ["beta", "complement", "n"])
 BetaGrid.__doc__ = "A fixed column set beta, its complement (the rows), and the ambient n."
@@ -56,16 +56,9 @@ def positive_region(grid: BetaGrid):
 
 
 def theta_to_rs(theta, beta):
-    """The bijection theta -> (theta minus beta, beta minus theta)."""
-    theta, beta = set(theta), set(beta)
-    return tuple(sorted(theta - beta)), tuple(sorted(beta - theta))
-
-
-def rs_to_theta(R, S, beta):
-    R, S, beta = set(R), set(S), set(beta)
-    if not S <= beta or R & beta or len(R) != len(S):
-        raise ValueError("expected R disjoint from beta and S inside beta, equal sizes")
-    return tuple(sorted((beta - S) | R))
+    """The bijection theta -> (theta minus beta, beta minus theta); its
+    inverse is a test oracle in tests/oracles.py."""
+    return difference(theta, beta), difference(beta, theta)
 
 
 def build_bound_multisets(alpha, gamma, grid: BetaGrid):

@@ -33,14 +33,9 @@ GroebnerReport = namedtuple(
 )
 
 
-def variable_less(p, q) -> bool:
-    """x_{ij} < x_{i'j'} when i < i', or i = i' and j > j'."""
-    return p[0] < q[0] or (p[0] == q[0] and p[1] > q[1])
-
-
 def monomial_less(m1, m2) -> bool:
     """Lexicographic comparison, reading exponents from the largest
-    variable down."""
+    variable down.  x_{ij} < x_{i'j'} when i < i', or i = i' and j > j'."""
     c1, c2 = Counter(pairs(m1)), Counter(pairs(m2))
     for v in sorted(set(c1) | set(c2), key=lambda p: (-p[0], p[1])):
         if c1[v] != c2[v]:
@@ -59,7 +54,9 @@ def chain_monomial(R, S):
 def expand_theta_minor(theta, grid: BetaGrid):
     """Permutation expansion of the minor on rows theta of the matrix
     whose beta rows are unit rows and whose remaining entries are the
-    grid variables.  Returns a map monomial -> coefficient."""
+    grid variables.  Returns a map monomial -> coefficient; distinct
+    permutations give distinct monomials, and every coefficient is
+    +1 or -1."""
     theta = validate_index(theta, grid.n)
     beta = grid.beta
     if len(theta) != len(beta):
@@ -77,10 +74,7 @@ def expand_theta_minor(theta, grid: BetaGrid):
             else:
                 term.append((i, beta[k]))
         else:
-            mono = pairs(term)
-            sgn = _perm_sign(sigma)
-            assert mono not in expansion
-            expansion[mono] = sgn
+            expansion[pairs(term)] = _perm_sign(sigma)
     return expansion
 
 
@@ -99,21 +93,19 @@ def signed_minor(theta, grid: BetaGrid) -> SignedMinor:
     expansion = expand_theta_minor(theta, grid)
     R, S = theta_to_rs(theta, grid.beta)
     sgn = expansion[chain_monomial(R, S)]
-    assert sgn in (1, -1)
     return SignedMinor(R, S, sgn, {m: c * sgn for m, c in expansion.items()})
 
 
 def initial_term(f: SignedMinor):
     """Largest monomial of the expansion; it is always the chain
-    monomial of (R, S)."""
+    monomial of (R, S), with coefficient +1.  tests/test_groebner.py
+    checks both over every theta of every small grid."""
     if not f.expansion:
         raise ValueError("zero minor has no initial term")
     best = None
     for mono in f.expansion:
         if best is None or monomial_less(best, mono):
             best = mono
-    assert best == chain_monomial(f.R, f.S)
-    assert f.expansion[best] == 1
     return best
 
 
@@ -260,13 +252,14 @@ def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
     return GroebnerReport(tuple(per_degree), witness is None, witness, injective)
 
 
-def dimension_and_degree(alpha, beta, gamma, n: int, d: int, cap: int = 24):
+def dimension_and_degree(alpha, beta, gamma, n: int, d: int):
     """Dimension and degree of the Richardson variety: the maximal size
-    of a square-free bounded monomial and the number attaining it."""
+    of a square-free bounded monomial and the number attaining it.
+    Refuses grids above multiplicity.GRID_CAP points."""
     alpha, beta, gamma = (validate_index(x, n) for x in (alpha, beta, gamma))
     if not (0 < d < n) or {len(alpha), len(beta), len(gamma)} != {d}:
         raise ValueError("indices must be d-subsets with 0 < d < n")
     grid = beta_grid(beta, n)
     Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    count, max_degree = maximal_bounded_subsets(Ttil, Wtil, grid, cap=cap)
+    count, max_degree = maximal_bounded_subsets(Ttil, Wtil, grid)
     return max_degree, count

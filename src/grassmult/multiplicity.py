@@ -18,7 +18,7 @@ replaced is the test oracle in tests/test_multiplicity.py.
 
 from itertools import combinations
 
-from .chains import chain_depth, chain_order_leq, depth, trianglelefteq_pt
+from .chains import chain_depth
 from .grassmannian import (
     BetaGrid,
     beta_grid,
@@ -29,6 +29,9 @@ from .grassmannian import (
     validate_index,
 )
 from .multisets import iota, sign
+
+# The face search is exponential in the grid size; larger grids are refused.
+GRID_CAP = 24
 
 
 def _require_region(r, grid: BetaGrid):
@@ -72,18 +75,12 @@ def _axes(r, grid: BetaGrid):
     return rows, cols
 
 
-def canonical_path(r, grid: BetaGrid):
-    """The path that starts at floor(r), walks along the row of r, and
-    then along the column of r to ceil(r)."""
-    rows, cols = _axes(r, grid)
-    return tuple((rows[0], y) for y in cols) + tuple((x, cols[-1]) for x in rows[1:])
-
-
 def enumerate_paths(r, grid: BetaGrid):
     """Every monotone staircase from floor(r) to ceil(r).
 
-    All of them have the same number of points as the canonical path,
-    and none contains a two-element chain.
+    All of them have the same number of points as the canonical path
+    (along the row of r, then its column), and none contains a
+    two-element chain.
     """
     rows, cols = _axes(r, grid)
     s = sign(r)
@@ -236,10 +233,10 @@ def _above_first(p):
     return (-p[1], p[0])
 
 
-def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid, cap: int = 24):
+def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid):
     """The faces of maximal size of the complex of subsets of the grid
     that are chain-bounded by (Ttil, Wtil).  Returns (number of such
-    subsets, that maximal size).  Refuses grids with more than cap
+    subsets, that maximal size).  Refuses grids with more than GRID_CAP
     points, and anchors of the wrong sign.
 
     A depth-first face search.  Chain-boundedness is closed under
@@ -261,8 +258,8 @@ def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid, cap: int = 24):
         raise ValueError("upper anchors must be positive")
     points = [(0, p) for p in sorted(negative_region(grid), key=_above_first)]
     points += [(1, p) for p in sorted(iota(positive_region(grid)), key=_above_first)]
-    if len(points) > cap:
-        raise ValueError("grid has %d points, above the cap %d" % (len(points), cap))
+    if len(points) > GRID_CAP:
+        raise ValueError("grid has %d points, above the cap %d" % (len(points), GRID_CAP))
     bounds = (tuple(Ttil), iota(Wtil))
     limit = [chain_depth(bounds[s], p) for s, p in points]
     faces = ([], [])  # the current face, one list of raw tuples per side
@@ -314,24 +311,3 @@ def render_family(family, grid: BetaGrid) -> str:
         boundary = ":" if e > max(grid.beta) else " "
         lines.append(str(e).rjust(w) + " " + row + boundary)
     return "\n".join(lines)
-
-
-def decompose_bounded_subset(U, R):
-    """Partition a subset U lying above the twisted chain R: the part
-    of an anchor r collects the points of U weakly below r whose depth
-    in U equals the depth of r in R.  Positive data is decomposed
-    through the component swap."""
-    U, R = set(U), set(R)
-    signs = {sign(p) for p in U | R}
-    if signs == {1}:
-        swapped = decompose_bounded_subset(iota(U), iota(R))
-        return {tuple(reversed(r)): iota(part) for r, part in swapped.items()}
-    if signs - {-1}:
-        raise ValueError("expected uniform-sign nonvanishing data")
-    if not chain_order_leq(R, U):
-        raise ValueError("the twisted chain is not below the subset")
-    parts = {
-        r: tuple(sorted(u for u in U if trianglelefteq_pt(u, r) and depth(U, u) == depth(R, r)))
-        for r in sorted(R)
-    }
-    return parts

@@ -6,8 +6,6 @@ repetitions.  Infinite multisets (formal differences A - B) are never
 materialized: comparisons against them reduce to counting inequalities.
 """
 
-from collections import Counter
-
 
 def nmul(values) -> tuple[int, ...]:
     """Canonical multiset on N: a sorted tuple."""
@@ -57,21 +55,11 @@ def union(A, B):
 
 def difference(A, B):
     """Multiset difference A \\ B, truncated at zero multiplicity."""
-    counts = Counter(A)
-    counts.subtract(Counter(B))
-    out = []
-    for value, c in counts.items():
-        out.extend([value] * max(c, 0))
-    return tuple(sorted(out))
-
-
-def restrict_leq(A, z: int):
-    """The sub-multiset of entries <= z."""
-    return tuple(a for a in A if a <= z)
-
-
-def count_leq(A, z: int) -> int:
-    return sum(1 for a in A if a <= z)
+    out = sorted(A)
+    for b in B:
+        if b in out:
+            out.remove(b)
+    return tuple(out)
 
 
 def termwise_leq(A, B) -> bool:

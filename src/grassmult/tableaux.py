@@ -7,17 +7,18 @@ weakly increase downward in a semistandard Young tableau (the transpose
 of the more common convention, so insertion bumps along rows).
 
 Every forward insertion runs one kernel, insert_rows, which bumps in
-place through a list of mutable rows: schensted_insert and
-bounded_insert validate their input, copy it and run it once, and
-brsk.brsk_negative runs it on its own rows for a whole multiset after
-validating that multiset once.  The reverse direction,
-reverse_bounded_insert, validates and rebuilds the tableau on each call.
+place through a list of mutable rows: bounded_insert validates its
+input, copies it and runs it once, and brsk.brsk_negative runs it on
+its own rows for a whole multiset after validating that multiset once.
+Schensted insertion is bounded insertion with a bound above every
+entry.  The reverse direction, reverse_bounded_insert, validates and
+rebuilds the tableau on each call.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
-from .multisets import formal_diff_leq, nmul, proj, sign, termwise_less
+from .multisets import formal_diff_leq, proj, sign, termwise_less
 
 BumpingRecord = namedtuple("BumpingRecord", ["route", "new_box"])
 BumpingRecord.__doc__ = """Boxes bumped by an insertion, ending with the new box.
@@ -35,11 +36,6 @@ def tableau(rows) -> tuple[tuple[int, ...], ...]:
 
 def size(P) -> int:
     return sum(len(row) for row in P)
-
-
-def content(P):
-    """The multiset of all entries of P."""
-    return nmul(x for row in P for x in row)
 
 
 def row_strict(P) -> bool:
@@ -78,7 +74,7 @@ def is_semistandard_on(P, b: int) -> bool:
     return is_young_semistandard(truncate_below(P, b))
 
 
-def insert_rows(rows, a: int, b: int | None = None) -> BumpingRecord:
+def insert_rows(rows, a: int, b: int) -> BumpingRecord:
     """The insertion kernel: Schensted-insert a into the entries below b
     of a list of mutable rows, in place, and return the BumpingRecord.
 
@@ -86,15 +82,16 @@ def insert_rows(rows, a: int, b: int | None = None) -> BumpingRecord:
     prefix; a row either takes the inserted value at the end of that
     prefix or bumps the smallest prefix entry >= it into the next row,
     and a value bumped out of the last row starts a new row.  With b
-    None every entry takes part.  Checks nothing: callers validate once
-    that a < b and that the rows are semistandard on b.
+    above every entry this is Schensted row insertion.  Checks nothing:
+    callers validate once that a < b and that the rows are semistandard
+    on b.
     """
     route = []
     cur = a
     i = 0
     while i < len(rows):
         row = rows[i]
-        hi = len(row) if b is None else bisect_left(row, b)
+        hi = bisect_left(row, b)
         j = bisect_left(row, cur, 0, hi)
         if j == hi:
             row.insert(j, cur)
@@ -108,20 +105,6 @@ def insert_rows(rows, a: int, b: int | None = None) -> BumpingRecord:
         new_box = (i + 1, 1)
     route.append(new_box)
     return BumpingRecord(tuple(route), new_box)
-
-
-def schensted_insert(R, a: int):
-    """Insert a into a semistandard Young tableau by row bumping.
-
-    In each row the inserted value either exceeds every entry and is
-    placed at the right end, or it bumps the smallest entry >= it into
-    the next row.  Returns the new tableau and the BumpingRecord.
-    """
-    if not is_young_semistandard(R):
-        raise ValueError("insertion requires a semistandard Young tableau")
-    rows = [list(row) for row in R]
-    record = insert_rows(rows, a)
-    return tableau(rows), record
 
 
 def bounded_insert(P, a: int, b: int):
@@ -283,8 +266,11 @@ def tableau_to_json(P) -> list:
 
 
 def tableau_from_json(data):
-    """A tableau from a JSON list of integer rows; any entry that is not
-    an integer (a float, a string, true or false) is a ValueError."""
+    """A tableau from a JSON list of integer rows; anything else (an
+    object in place of a list, or an entry that is a float, a string,
+    true or false) is a ValueError."""
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("a tableau is a list of rows")
     if any(type(x) is not int for row in data for x in row):
         raise ValueError("tableau entries must be integers")
     return tableau(data)

@@ -1,0 +1,219 @@
+"""Reference code the tests check grassmult against.
+
+Second algorithms for what the library computes once, the point
+relations behind twisted chains, a checker for the boundedness lemma of
+bounded RSK, and the sweep domains the test files share.  No CLI
+subcommand, demo or benchmark workload reaches any of it, so it lives
+with the tests and not in src/grassmult.
+"""
+
+from itertools import combinations
+
+from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk
+from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
+from grassmult.grassmannian import index_leq
+from grassmult.multiplicity import ceil_pt, floor_pt
+from grassmult.multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign
+from grassmult.tableaux import bitableau_bounded_by, iota_bitableau, split_parts
+
+# Twisted chains: the point relations and the chain predicates.
+
+
+def _same_negative(u, v):
+    if sign(u) >= 0 or sign(v) >= 0:
+        raise ValueError("expected negative points")
+
+
+def prec(u, v) -> bool:
+    """(e,f) strictly precedes (g,h) when f < h and e > g."""
+    _same_negative(u, v)
+    return u[1] < v[1] and u[0] > v[0]
+
+
+def trianglelefteq_pt(u, v) -> bool:
+    """Weak version of prec: f <= h and e >= g."""
+    _same_negative(u, v)
+    return u[1] <= v[1] and u[0] >= v[0]
+
+
+def meet(u, v):
+    """Componentwise (max of firsts, min of seconds)."""
+    _same_negative(u, v)
+    return (max(u[0], v[0]), min(u[1], v[1]))
+
+
+def is_negative_twisted_chain(T) -> bool:
+    pts = list(set(T))
+    if any(sign(p) >= 0 for p in pts):
+        return False
+    if not completely_disjointed(pts):
+        return False
+    for i, u in enumerate(pts):
+        for v in pts[i + 1 :]:
+            if not (prec(u, v) or prec(v, u) or sign(meet(u, v)) >= 0):
+                return False
+    return True
+
+
+def is_positive_twisted_chain(T) -> bool:
+    pts = set(T)
+    return all(sign(p) > 0 for p in pts) and is_negative_twisted_chain(iota(pts))
+
+
+def depth(R, x) -> int:
+    """Longest prec-chain within the part of R weakly above x.
+
+    Both R and x must be negative; positive data goes through the
+    component swap first.
+    """
+    if sign(x) >= 0 or any(sign(u) >= 0 for u in R):
+        raise ValueError("depth is defined for negative data")
+    return chain_depth(R, x)
+
+
+def chain_order_leq_diagonal(R, S) -> bool:
+    """The depth order, decided only at the points (z, z+1): compare the
+    counts of elements straddling each z.  Valid for negative twisted
+    chains; the oracle for chains.chain_order_leq.
+    """
+    if not (is_negative_twisted_chain(R) and is_negative_twisted_chain(S)):
+        raise ValueError("diagonal criterion applies to negative twisted chains")
+    zs = {c for p in list(R) + list(S) for c in p}
+    for z in range(1, max(zs, default=1) + 1):
+        r = sum(1 for e, f in set(R) if e <= z < f)
+        s = sum(1 for e, f in set(S) if e <= z < f)
+        if r < s:
+            return False
+    return True
+
+
+# Index sets and path families.
+
+
+def rs_to_theta(R, S, beta):
+    """The inverse of grassmannian.theta_to_rs."""
+    R, S, beta = set(R), set(S), set(beta)
+    if not S <= beta or R & beta or len(R) != len(S):
+        raise ValueError("expected R disjoint from beta and S inside beta, equal sizes")
+    return tuple(sorted((beta - S) | R))
+
+
+def canonical_path(r, grid):
+    """The path that starts at floor(r), walks along the row of r to r,
+    and then along the column of r to ceil(r)."""
+    e, f = r
+    f0, e1 = floor_pt(r, grid)[1], ceil_pt(r, grid)[0]
+    cols = sorted((y for y in grid.beta if min(f0, f) <= y <= max(f0, f)), reverse=f0 > f)
+    rows = sorted((x for x in grid.complement if min(e, e1) <= x <= max(e, e1)), reverse=e > e1)
+    return tuple((e, y) for y in cols) + tuple((x, f) for x in rows[1:])
+
+
+def decompose_bounded_subset(U, R):
+    """Partition a subset U lying above the twisted chain R: the part
+    of an anchor r collects the points of U weakly below r whose depth
+    in U equals the depth of r in R.  Positive data is decomposed
+    through the component swap."""
+    U, R = set(U), set(R)
+    signs = {sign(p) for p in U | R}
+    if signs == {1}:
+        swapped = decompose_bounded_subset(iota(U), iota(R))
+        return {tuple(reversed(r)): iota(part) for r, part in swapped.items()}
+    if signs - {-1}:
+        raise ValueError("expected uniform-sign nonvanishing data")
+    if not chain_order_leq(R, U):
+        raise ValueError("the twisted chain is not below the subset")
+    level = {r: chain_depth(R, r) for r in R}
+    return {
+        r: tuple(sorted(u for u in U if trianglelefteq_pt(u, r) and chain_depth(U, u) == level[r]))
+        for r in sorted(R)
+    }
+
+
+# The boundedness lemma of bounded RSK.
+
+
+class PreconditionError(ValueError):
+    """The input multiset was not bounded to begin with."""
+
+
+def _verify_negative_side(V, T) -> bool:
+    """Check boundedness is preserved along the insertion of a negative
+    multiset V bounded below by T, rebuilding a witness chain for every
+    first-row entry below min(Q_1) at every prefix."""
+    (P, Q), trace = brsk_negative(V, keep_trace=True)
+    chains = []
+    prefix = set()
+    for step in trace:
+        a, b = step.pair
+        prefix.add((a, b))
+        new_row, new_col = step.record.new_box
+        if new_row == 1:
+            low = new_col
+            keep_rest = []
+        else:
+            low = step.record.route[0][1]
+            keep_rest = chains[low:]
+        if low - 1 > len(chains):
+            return False
+        grown = (chains[low - 2] if low >= 2 else []) + [(a, b)]
+        chains = chains[: low - 1] + [grown] + keep_rest
+        P1, Q1 = step.P[0], step.Q[0]
+        if len(chains) != sum(1 for x in P1 if x < Q1[0]):
+            return False
+        for j, C in enumerate(chains, 1):
+            if len(C) != j or C[-1][0] != P1[j - 1]:
+                return False
+            if any(u not in prefix for u in C):
+                return False
+            if any(not (C[k][0] < C[k + 1][0] and C[k][1] > C[k + 1][1]) for k in range(len(C) - 1)):
+                return False
+        if not bitableau_bounded_by((step.P, step.Q), T, ()):
+            return False
+    return bitableau_bounded_by((P, Q), T, ())
+
+
+def verify_boundedness_preservation(U, T, W) -> bool:
+    """Check that bounded RSK carries a multiset bounded by T, W to a
+    bitableau bounded by T, W, validating the prefix witness chains on
+    both signed parts.  Raises PreconditionError if U is not bounded by
+    T, W in the first place; returns False only if the preserved
+    boundedness itself fails.
+    """
+    if not is_nonvanishing(U):
+        raise ValueError("multiset has vanishing points")
+    if not multiset_bounded_by(U, T, W):
+        raise PreconditionError("input multiset is not bounded by the given pair")
+    if not _verify_negative_side(negative_part(U), pairs(T)):
+        return False
+    if not _verify_negative_side(iota(positive_part(U)), iota(W)):
+        return False
+    return bitableau_bounded_by(brsk(U), T, W)
+
+
+# Sweep domains.
+
+
+def index_triples(n, d):
+    """Every (alpha, beta, gamma) with alpha <= beta <= gamma in I(d, n)."""
+    indices = list(combinations(range(1, n + 1), d))
+    for beta in indices:
+        for alpha in indices:
+            if index_leq(alpha, beta):
+                for gamma in indices:
+                    if index_leq(beta, gamma):
+                        yield alpha, beta, gamma
+
+
+def negative_twisted_chains(bound):
+    """All negative twisted chains with coordinates <= bound, plus the
+    empty chain.  A chain of m points uses 2m distinct coordinates, so
+    sizes beyond bound // 2 cannot occur."""
+    pts = [(e, f) for e in range(1, bound) for f in range(e + 1, bound + 1)]
+    chains = (c for m in range(1, bound // 2 + 1) for c in combinations(pts, m))
+    return [()] + [pairs(c) for c in chains if is_negative_twisted_chain(c)]
+
+
+def brsk_inverse(B):
+    """Undo brsk on a nonvanishing bitableau by splitting it into its signed parts."""
+    neg, pos = split_parts(B)
+    return pairs(rbrsk(neg) + iota(rbrsk(iota_bitableau(pos))))

@@ -10,19 +10,9 @@ import time
 from bisect import bisect_left, bisect_right
 from itertools import combinations, combinations_with_replacement
 
-from grassmult.brsk import (
-    brsk,
-    brsk_negative,
-    multiset_bounded_by,
-    rbrsk,
-    verify_boundedness_preservation,
-)
-from grassmult.chains import (
-    chain_order_leq,
-    chain_order_leq_diagonal,
-    is_negative_twisted_chain,
-)
-from grassmult.grassmannian import beta_grid, index_leq, length, rs_to_theta
+from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk
+from grassmult.chains import chain_order_leq
+from grassmult.grassmannian import beta_grid, length
 from grassmult.groebner import (
     chain_monomial,
     dimension_and_degree,
@@ -35,44 +25,17 @@ from grassmult.multisets import iota, multiset_order_leq, pairs
 from grassmult.tableaux import (
     BumpingRecord,
     bounded_insert,
-    iota_bitableau,
     reverse_bounded_insert,
-    split_parts,
     tableau,
 )
-
-
-def index_triples(n, d):
-    """All (alpha, beta, gamma) with alpha <= beta <= gamma in I(d, n)."""
-    idx = [tuple(c) for c in combinations(range(1, n + 1), d)]
-    return [
-        (a, b, g)
-        for a in idx
-        for b in idx
-        if index_leq(a, b)
-        for g in idx
-        if index_leq(b, g)
-    ]
-
-
-def negative_twisted_chains(bound):
-    """All negative twisted chains with coordinates <= bound, plus the
-    empty chain.  A chain of m points uses 2m distinct coordinates, so
-    sizes beyond bound // 2 cannot occur."""
-    pts = [(e, f) for e in range(1, bound) for f in range(e + 1, bound + 1)]
-    out = [()]
-    for k in range(1, bound // 2 + 1):
-        for s in combinations(pts, k):
-            if is_negative_twisted_chain(set(s)):
-                out.append(pairs(s))
-    return out
-
-
-def brsk_inverse(B):
-    """Undo brsk on a mixed bitableau by splitting into signed parts."""
-    neg, pos = split_parts(B)
-    U = rbrsk(neg)
-    return pairs(U + iota(rbrsk(iota_bitableau(pos))))
+from oracles import (
+    brsk_inverse,
+    chain_order_leq_diagonal,
+    index_triples,
+    negative_twisted_chains,
+    rs_to_theta,
+    verify_boundedness_preservation,
+)
 
 
 SEVEN = pairs([(7, 8), (2, 8), (6, 7), (4, 7), (1, 7), (3, 6), (2, 4)])

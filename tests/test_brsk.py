@@ -11,22 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassmult.brsk import (
-    PreconditionError,
-    brsk,
-    brsk_negative,
-    lex_sort,
-    multiset_bounded_by,
-    rbrsk,
-    verify_boundedness_preservation,
-)
-from grassmult.grassmannian import (
-    beta_grid,
-    build_bound_multisets,
-    index_leq,
-    negative_region,
-    positive_region,
-)
+from grassmult.brsk import brsk, brsk_negative, lex_sort, multiset_bounded_by, rbrsk
+from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region, positive_region
 from grassmult.multisets import iota, multiset_order_leq, negative_part, pairs, positive_part
 from grassmult.tableaux import (
     BumpingRecord,
@@ -36,7 +22,13 @@ from grassmult.tableaux import (
     iota_bitableau,
     is_semistandard_bitableau,
     row_strict,
-    split_parts,
+)
+from oracles import (
+    PreconditionError,
+    brsk_inverse,
+    index_triples,
+    negative_twisted_chains,
+    verify_boundedness_preservation,
 )
 
 # the package binds the function brsk over the submodule's name
@@ -96,13 +88,6 @@ def test_brsk_mixed_golden():
 def test_brsk_rejects_diagonal_points():
     with pytest.raises(ValueError):
         brsk(((2, 2),))
-
-
-def brsk_inverse(B):
-    """Undo brsk on a mixed bitableau by splitting into signed parts."""
-    neg, pos = split_parts(B)
-    U = rbrsk(neg)
-    return pairs(U + iota(rbrsk(iota_bitableau(pos))))
 
 
 def negative_multisets(bound, degree):
@@ -169,22 +154,9 @@ def test_verify_requires_bounded_input():
         verify_boundedness_preservation(((1, 2),), (), ())
 
 
-def all_twisted_bounds(bound):
-    """All negative twisted chains with coordinates <= bound, as multisets."""
-    from grassmult.chains import is_negative_twisted_chain
-
-    pts = [(e, f) for e in range(1, bound) for f in range(e + 1, bound + 1)]
-    out = [()]
-    for m in range(1, bound // 2 + 1):
-        for combo in itertools.combinations(pts, m):
-            if is_negative_twisted_chain(combo):
-                out.append(pairs(combo))
-    return out
-
-
 def test_insertion_preserves_bounds_small_sweep():
     rng = random.Random(7)
-    bounds = all_twisted_bounds(4)
+    bounds = negative_twisted_chains(4)
     multisets = list(negative_multisets(4, 3))
     for T in bounds:
         for U in rng.sample(multisets, 40):
@@ -347,16 +319,6 @@ def bounded_by_chains(U, T, W):
     return lower_side_by_chains(T, negative_part(U)) and upper_side_by_chains(
         W, positive_part(U)
     )
-
-
-def index_triples(n, d):
-    indices = list(itertools.combinations(range(1, n + 1), d))
-    for beta in indices:
-        for alpha in indices:
-            if index_leq(alpha, beta):
-                for gamma in indices:
-                    if index_leq(beta, gamma):
-                        yield alpha, beta, gamma
 
 
 def test_multiset_bounded_by_matches_chain_enumeration():

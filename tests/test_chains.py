@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grassmult.chains import (
-    canonicalize,
-    chain_bounded,
-    chain_order_leq,
+from grassmult.chains import canonicalize, chain_bounded, chain_order_leq, completely_disjointed
+from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq
+from grassmult.multisets import iota, multiset_order_leq, pairs
+from oracles import (
     chain_order_leq_diagonal,
-    completely_disjointed,
     depth,
     is_negative_twisted_chain,
     is_positive_twisted_chain,
     meet,
+    negative_twisted_chains,
     prec,
     trianglelefteq_pt,
 )
-from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq
-from grassmult.multisets import iota, multiset_order_leq, pairs
 
 
 def test_point_relations():
@@ -162,16 +160,6 @@ def test_order_golden():
     W = pairs([(3, 1), (9, 5)])
     assert chain_order_leq({(2, 1), (3, 1), (7, 5), (9, 5)}, W)
     assert not chain_order_leq({(4, 1)}, W)  # outside both anchors' reach
-
-
-def negative_twisted_chains(bound):
-    pts = [(e, f) for e in range(1, bound) for f in range(e + 1, bound + 1)]
-    out = [()]
-    for m in range(1, bound // 2 + 1):
-        out.extend(
-            pairs(c) for c in itertools.combinations(pts, m) if is_negative_twisted_chain(c)
-        )
-    return out
 
 
 def test_three_orders_agree_on_twisted_chains():

@@ -234,6 +234,7 @@ def test_diagonal_pair_exits_two(capsys):
         ("rbrsk", '{"P": [[1]], "Q": [[null]]}'),  # entries must be integers
         ("rbrsk", '{"P": [[1.5]], "Q": [[3]]}'),  # not truncated to 1
         ("rbrsk", '{"P": [[true]], "Q": [[3]]}'),
+        ("rbrsk", '{"P": {"12": 0}, "Q": {"34": 0}}'),  # objects are not tableaux
         ("brsk", "[[1.5, 2]]"),
         ("brsk", '[["1", "2"]]'),
     ],

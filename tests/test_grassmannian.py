@@ -11,10 +11,10 @@ from grassmult.grassmannian import (
     length,
     negative_region,
     positive_region,
-    rs_to_theta,
     theta_to_rs,
     validate_index,
 )
+from oracles import rs_to_theta
 
 
 def test_validate_index():

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 
 import pytest
 
@@ -10,7 +11,6 @@ from grassmult.grassmannian import (
     index_leq,
     negative_region,
     positive_region,
-    rs_to_theta,
     theta_to_rs,
 )
 from grassmult.groebner import (
@@ -25,7 +25,6 @@ from grassmult.groebner import (
     monomial_less,
     signed_minor,
     standard_monomial_counts,
-    variable_less,
     verify_groebner,
 )
 from grassmult.multisets import (
@@ -36,12 +35,14 @@ from grassmult.multisets import (
     positive_part,
     proj,
 )
+from oracles import index_triples, rs_to_theta
 
 
 def test_variable_order():
-    assert variable_less((1, 2), (4, 7))  # row dominates
-    assert variable_less((1, 7), (1, 2))  # same row: larger column is smaller
-    assert not variable_less((1, 2), (1, 2))
+    # one-variable monomials compare as their variables
+    assert monomial_less(((1, 2),), ((4, 7),))  # row dominates
+    assert monomial_less(((1, 7),), ((1, 2),))  # same row: larger column is smaller
+    assert not monomial_less(((1, 2),), ((1, 2),))
 
 
 def test_monomial_order_prefers_chain_pairings():
@@ -80,11 +81,26 @@ def test_minor_shape_validation():
 
 
 def test_initial_terms_whole_grid():
-    grid = beta_grid((2, 4, 6), 6)
-    for theta in itertools.combinations(range(1, 7), 3):
-        f = signed_minor(theta, grid)
-        # initial_term cross-checks the maximum against the chain monomial
-        assert initial_term(f) == chain_monomial(*theta_to_rs(theta, grid.beta))
+    # every minor of every fixed point with n <= 6
+    checked = 0
+    for n in range(2, 7):
+        for d in range(1, n):
+            indices = list(itertools.combinations(range(1, n + 1), d))
+            for beta in indices:
+                grid = beta_grid(beta, n)
+                for theta in indices:
+                    R, S = theta_to_rs(theta, beta)
+                    expansion = expand_theta_minor(theta, grid)
+                    # one monomial per matching of R with S: no two collide
+                    assert len(expansion) == math.factorial(len(R))
+                    assert set(expansion.values()) <= {1, -1}
+                    f = signed_minor(theta, grid)
+                    assert f.sign in (1, -1)
+                    lead = initial_term(f)
+                    assert lead == chain_monomial(R, S)
+                    assert f.expansion[lead] == 1
+                    checked += 1
+    assert checked == 1262
 
 
 def test_bitableau_rows_name_minors():
@@ -104,13 +120,6 @@ def test_bounded_multisets_of_degree():
     ms1 = bounded_multisets_of_degree(Ttil, Wtil, grid, 1)
     assert all(len(U) == 1 for U in ms1)
     assert len(ms1) == 4
-
-
-def index_triples(n, d):
-    indices = list(itertools.combinations(range(1, n + 1), d))
-    for alpha, beta, gamma in itertools.product(indices, repeat=3):
-        if index_leq(alpha, beta) and index_leq(beta, gamma):
-            yield alpha, beta, gamma
 
 
 def test_standard_monomial_count_degree_one():
@@ -151,6 +160,11 @@ def test_counts_agree_on_the_six_grid():
 def test_dimension_and_degree():
     assert dimension_and_degree((1, 2, 3, 5), (1, 5, 6, 8), (3, 6, 8, 9), 9, 4) == (15, 6)
     assert dimension_and_degree((1, 2), (1, 4), (3, 4), 4, 2) == (4, 1)
+    # 4 x 6 = 24 grid points are searched, 5 x 5 = 25 are refused
+    low4, low5 = (1, 2, 3, 4), (1, 2, 3, 4, 5)
+    assert dimension_and_degree(low4, low4, low4, 10, 4) == (0, 1)
+    with pytest.raises(ValueError, match="grid has 25 points, above the cap 24"):
+        dimension_and_degree(low5, low5, (6, 7, 8, 9, 10), 10, 5)
 
 
 def count_by_sieve(alpha, gamma, grid, m):

@@ -1,13 +1,17 @@
-"""Package layout: no module imports a sibling module's private names."""
+"""Package layout: no module imports a sibling module's private names,
+and every public definition has a caller outside the tests."""
 
 import ast
 from pathlib import Path
 
 import grassmult
 
+PACKAGE = Path(grassmult.__file__).parent
+REPO = PACKAGE.parents[1]
+
 
 def test_no_private_names_imported_across_modules():
-    modules = sorted(Path(grassmult.__file__).parent.glob("*.py"))
+    modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 8
     offenders = [
         (path.name, node.module, alias.name)
@@ -19,3 +23,50 @@ def test_no_private_names_imported_across_modules():
         if alias.name.startswith("_")
     ]
     assert offenders == []
+
+
+def names_used(tree, modules):
+    """Every name a syntax tree loads, imports or reads as an attribute,
+    and every name that a "module.name" string gives for a package
+    module (the benchmark's tracer names its targets that way)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            module, _, name = node.value.partition(".")
+            if module in modules:
+                used.add(name)
+    return used
+
+
+def test_every_public_definition_has_a_caller():
+    # Callers are the other top-level statements of the package (not the
+    # re-exports of __init__.py), the demos, and the benchmark harness,
+    # whose frozen copy of the library in bench/seedlib does not count.
+    # What only the tests call belongs in tests/, as tests/oracles.py.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    outside = set()
+    for path in sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("bench/*.py")):
+        outside |= names_used(ast.parse(path.read_text()), trees)
+    assert outside, "no demos or benchmark found next to the package"
+    tops = [
+        (top, names_used(top, trees))
+        for module, tree in trees.items()
+        if module != "__init__"
+        for top in tree.body
+    ]
+    uncalled = [
+        "%s.%s" % (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in used for top, used in tops if top is not node)
+    ]
+    assert not uncalled, "only the tests call " + ", ".join(uncalled)

@@ -11,7 +11,6 @@ from grassmult.grassmannian import (
     beta_grid,
     build_bound_multisets,
     in_grid,
-    index_leq,
     length,
     negative_region,
     positive_region,
@@ -19,10 +18,8 @@ from grassmult.grassmannian import (
 from grassmult.multiplicity import (
     _bareiss_det,
     _path_count_matrix,
-    canonical_path,
     ceil_pt,
     count_families,
-    decompose_bounded_subset,
     enumerate_families,
     enumerate_paths,
     floor_pt,
@@ -31,6 +28,7 @@ from grassmult.multiplicity import (
     render_family,
 )
 from grassmult.multisets import pairs
+from oracles import canonical_path, decompose_bounded_subset, index_triples
 
 GRID9 = beta_grid((1, 5, 6, 8), 9)
 ALPHA9, GAMMA9 = (1, 2, 3, 5), (3, 6, 8, 9)
@@ -68,16 +66,6 @@ def scan_maximal_bounded_subsets(Ttil, Wtil, grid):
         count = sum(1 for subset in combinations(points, k) if chain_bounded(subset, Ttil, Wtil))
         if count:
             return count, k
-
-
-def index_triples(n, d):
-    indices = list(combinations(range(1, n + 1), d))
-    for beta in indices:
-        for alpha in indices:
-            if index_leq(alpha, beta):
-                for gamma in indices:
-                    if index_leq(beta, gamma):
-                        yield alpha, beta, gamma
 
 
 def check_anchor_postconditions(Ttil, Wtil, grid):

@@ -11,7 +11,6 @@ from grassmult.tableaux import (
     bounded_insert,
     classify_bitableau,
     classify_row,
-    content,
     insert_rows,
     iota_bitableau,
     is_semistandard_bitableau,
@@ -20,7 +19,6 @@ from grassmult.tableaux import (
     render,
     reverse_bounded_insert,
     row_strict,
-    schensted_insert,
     size,
     split_parts,
     tableau,
@@ -64,9 +62,12 @@ def test_truncation():
         truncate_below([[1, 1]], 5)
 
 
+# Schensted row insertion is bounded insertion with a bound above every entry.
+
+
 def test_schensted_insert_bumps_along_rows():
     R = tableau([[1, 2, 4], [1, 5], [3], [4]])
-    out, record = schensted_insert(R, 3)
+    out, record = bounded_insert(R, 3, 6)
     assert out == tableau([[1, 2, 3], [1, 4], [3, 5], [4]])
     assert record.route == ((1, 3), (2, 2), (3, 2))
     assert record.new_box == (3, 2)
@@ -74,7 +75,7 @@ def test_schensted_insert_bumps_along_rows():
 
 def test_schensted_insert_requires_young():
     with pytest.raises(ValueError):
-        schensted_insert(NOTCHED, 1)
+        bounded_insert(NOTCHED, 1, 10)
 
 
 def test_bounded_insert_golden():
@@ -94,10 +95,10 @@ def test_insert_rows_bumps_in_place_below_the_bound():
     assert rows == [[1, 2, 3, 7], [1, 4, 8], [3, 5, 6, 7, 8, 9], [4, 6]]
     assert rows[0] is first
     assert record == BumpingRecord(route=((1, 3), (2, 2), (3, 2)), new_box=(3, 2))
-    # with no bound every entry takes part, and a value bumped out of the
-    # last row starts a new one
+    # with a bound above every entry all of them take part, and a value
+    # bumped out of the last row starts a new one
     rows = [[2, 9], [3]]
-    assert insert_rows(rows, 1) == BumpingRecord(route=((1, 1), (2, 1), (3, 1)), new_box=(3, 1))
+    assert insert_rows(rows, 1, 10) == BumpingRecord(route=((1, 1), (2, 1), (3, 1)), new_box=(3, 1))
     assert rows == [[1, 9], [2], [3]]
 
 
@@ -125,6 +126,10 @@ def test_reverse_drops_row_created_by_insert():
     assert reverse_bounded_insert(out, 9, (3, 1)) == (P, 1)
 
 
+def entries(P):
+    return nmul(x for row in P for x in row)
+
+
 @st.composite
 def insertion_runs(draw):
     b = draw(st.integers(min_value=3, max_value=9))
@@ -139,7 +144,7 @@ def test_bounded_insert_reverse_roundtrip(run):
     for a in values:
         nxt, record = bounded_insert(P, a, b)
         assert is_semistandard_on(nxt, b)
-        assert content(nxt) == union(content(P), (a,))
+        assert entries(nxt) == union(entries(P), (a,))
         assert reverse_bounded_insert(nxt, b, record.new_box) == (P, a)
         P = nxt
 
@@ -211,7 +216,9 @@ def test_render_and_json():
     assert tableau_from_json(tableau_to_json(NOTCHED)) == NOTCHED
 
 
-@pytest.mark.parametrize("data", [[[1.5, 2]], [["1", "2"]], [[True, 2]]])
+@pytest.mark.parametrize(
+    "data", [[[1.5, 2]], [["1", "2"]], [[True, 2]], {"12": 0}, {"": 0}, [3]]
+)
 def test_tableau_json_refuses_entries_that_are_not_integers(data):
     with pytest.raises(ValueError):
         tableau_from_json(data)
