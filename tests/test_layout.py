@@ -25,23 +25,26 @@ def test_no_private_names_imported_across_modules():
     assert offenders == []
 
 
-def names_used(tree, modules):
-    """Every name a syntax tree loads, imports or reads as an attribute,
-    and every name that a "module.name" string gives for a package
-    module (the benchmark's tracer names its targets that way)."""
-    used = set()
+def references(tree, modules, home=None):
+    """The (module, name) pairs a syntax tree refers to: an import of the
+    name from its module, an attribute ``module.name``, a "module.name"
+    string (the benchmark's tracer names its targets that way) and,
+    inside module ``home``, a bare name.  A local variable or attribute
+    elsewhere that is spelled like a public name is not a reference, and
+    neither is ``grassmult.name`` through a re-export of __init__.py."""
+    found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.startswith("grassmult."):
+                found |= {(module.rpartition(".")[2], alias.name) for alias in node.names}
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.alias):
-            used.add(node.name)
+            found.add((getattr(node.value, "id", getattr(node.value, "attr", None)), node.attr))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            module, _, name = node.value.partition(".")
-            if module in modules:
-                used.add(name)
-    return used
+            found.add(tuple(node.value.partition(".")[::2]))
+        elif home and isinstance(node, ast.Name):
+            found.add((home, node.id))
+    return {(module, name) for module, name in found if module in modules}
 
 
 def test_every_public_definition_has_a_caller():
@@ -50,23 +53,19 @@ def test_every_public_definition_has_a_caller():
     # whose frozen copy of the library in bench/seedlib does not count.
     # What only the tests call belongs in tests/, as tests/oracles.py.
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    del trees["__init__"]
     outside = set()
     for path in sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("bench/*.py")):
-        outside |= names_used(ast.parse(path.read_text()), trees)
+        outside |= references(ast.parse(path.read_text()), trees)
     assert outside, "no demos or benchmark found next to the package"
-    tops = [
-        (top, names_used(top, trees))
-        for module, tree in trees.items()
-        if module != "__init__"
-        for top in tree.body
-    ]
+    tops = [(top, references(top, trees, home=module)) for module, tree in trees.items() for top in tree.body]
     uncalled = [
         "%s.%s" % (module, node.name)
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in outside
-        and not any(node.name in used for top, used in tops if top is not node)
+        and (module, node.name) not in outside
+        and not any((module, node.name) in found for top, found in tops if top is not node)
     ]
     assert not uncalled, "only the tests call " + ", ".join(uncalled)
