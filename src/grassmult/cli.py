@@ -13,7 +13,7 @@ from itertools import combinations
 from .brsk import brsk, brsk_negative, rbrsk
 from .chains import canonicalize
 from .grassmannian import beta_grid, build_bound_multisets, index_leq
-from .groebner import bounded_multisets_by_degree, standard_monomial_counts, verify_groebner
+from .groebner import bounded_multiset_counts, standard_monomial_counts, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
 from .multisets import iota, negative_part, pairs, pairs_from_json, pairs_to_json, positive_part
 from .tableaux import render, tableau_from_json, tableau_to_json
@@ -168,10 +168,9 @@ def _cmd_count(ns, out):
     grid = beta_grid(ns.beta, ns.n)
     Ttil, Wtil = build_bound_multisets(ns.alpha, ns.gamma, grid)
     print("m\tmonomials\tstandard\tequal", file=out)
-    bounded = bounded_multisets_by_degree(Ttil, Wtil, grid, ns.mmax)
+    bounded = bounded_multiset_counts(Ttil, Wtil, grid, ns.mmax)
     standard = standard_monomial_counts(Ttil, Wtil, grid, ns.mmax)
-    for m, (multisets, b) in enumerate(zip(bounded, standard)):
-        a = len(multisets)
+    for m, (a, b) in enumerate(zip(bounded, standard)):
         print("%d\t%d\t%d\t%s" % (m, a, b, "yes" if a == b else "NO"), file=out)
     return 0
 
@@ -292,8 +291,16 @@ def _build_parser():
     return parser
 
 
+# The parser, built on the first call to main and reused by every later
+# one in the same process; it holds no state between parses.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    return run(_build_parser().parse_args(argv))
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return run(_PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,14 @@
 """Monomial order on the grid variables, symbolic minors and their
 initial terms, and the two counting sides of the Groebner-basis
 verification: monomials avoiding the forbidden chain initial terms
-versus standard monomials (bounded semistandard bitableaux).  Each side
-is one pass over every degree up to a bound.
+versus standard monomials (bounded semistandard bitableaux).
+
+Boundedness puts one condition on the negative points of a multiset
+and a separate one on its positive points, so the bounded multisets of
+degree m are the pairs (negative side, positive side) of total degree
+m, and their count is the convolution of the two sides' counts.  Each
+side is walked alone, once for every degree up to a bound; the
+standard monomials are one table shared by every degree.
 """
 
 from collections import Counter, namedtuple
@@ -20,7 +26,7 @@ from .grassmannian import (
 )
 from .multisets import formal_diff_leq, pairs, proj, termwise_less
 from .multiplicity import maximal_bounded_subsets
-from .tableaux import bitableau_bounded_by
+from .tableaux import rows_bounded_by
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
 SignedMinor.__doc__ = (
@@ -54,27 +60,28 @@ def chain_monomial(R, S):
 def expand_theta_minor(theta, grid: BetaGrid):
     """Permutation expansion of the minor on rows theta of the matrix
     whose beta rows are unit rows and whose remaining entries are the
-    grid variables.  Returns a map monomial -> coefficient; distinct
-    permutations give distinct monomials, and every coefficient is
-    +1 or -1."""
+    grid variables.  Returns a map monomial -> coefficient.
+
+    A beta row of theta has its 1 in its own unit column, so the only
+    permutations with a nonzero term match the rows theta minus beta
+    with the columns beta minus theta: r! terms for r rows, not d!.
+    Distinct matchings give distinct monomials, and every coefficient
+    is +1 or -1.  tests/oracles.py keeps the expansion over all d!
+    permutations as the oracle.
+    """
     theta = validate_index(theta, grid.n)
     beta = grid.beta
     if len(theta) != len(beta):
         raise ValueError("theta must have the same size as beta")
-    d = len(beta)
     unit_col = {b: k for k, b in enumerate(beta)}
+    sigma = [unit_col.get(i) for i in theta]
+    slots = [pos for pos, k in enumerate(sigma) if k is None]
+    free = [k for k, b in enumerate(beta) if b not in theta]
     expansion = {}
-    for sigma in permutations(range(d)):
-        term = []
-        for row_pos, i in enumerate(theta):
-            k = sigma[row_pos]
-            if i in unit_col:
-                if unit_col[i] != k:
-                    break
-            else:
-                term.append((i, beta[k]))
-        else:
-            expansion[pairs(term)] = _perm_sign(sigma)
+    for cols in permutations(free):
+        for pos, k in zip(slots, cols):
+            sigma[pos] = k
+        expansion[pairs((theta[pos], beta[k]) for pos, k in zip(slots, cols))] = _perm_sign(sigma)
     return expansion
 
 
@@ -109,10 +116,10 @@ def initial_term(f: SignedMinor):
     return best
 
 
-def bounded_multisets_by_degree(Ttil, Wtil, grid: BetaGrid, m_max: int):
-    """The multisets on the grid bounded by the pair, as one list per
+def _walk(points, Ttil, Wtil, m_max: int):
+    """The multisets on the points bounded by the pair, as one list per
     degree 0..m_max, each in combinations_with_replacement order over
-    the sorted grid points.
+    the points.
 
     One depth-first walk on an explicit stack grows multisets point by
     point, in that order, so every degree comes out of it.  Boundedness
@@ -120,12 +127,10 @@ def bounded_multisets_by_degree(Ttil, Wtil, grid: BetaGrid, m_max: int):
     bounded.  So each multiset carries the points from its last one on
     that it stays bounded with: repeating its last point keeps that list,
     a new point filters it with one multiset_bounded_by test per entry,
-    and a point that fails is never tried below it.  tests/test_groebner.py
-    keeps the filter of every multiset as its oracle.
+    and a point that fails is never tried below it.
     """
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
-    points = sorted(negative_region(grid) | positive_region(grid))
     by_degree = [[] for _ in range(m_max + 1)]
     if not multiset_bounded_by((), Ttil, Wtil):
         return by_degree
@@ -151,10 +156,44 @@ def bounded_multisets_by_degree(Ttil, Wtil, grid: BetaGrid, m_max: int):
     return by_degree
 
 
+def bounded_multisets_by_degree(Ttil, Wtil, grid: BetaGrid, m_max: int):
+    """The multisets on the grid bounded by the pair, as one list per
+    degree 0..m_max, each in combinations_with_replacement order over
+    the sorted grid points: one pruned walk over every grid point.
+    tests/test_groebner.py keeps the filter of every multiset as its
+    oracle."""
+    return _walk(sorted(negative_region(grid) | positive_region(grid)), Ttil, Wtil, m_max)
+
+
 def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
     """All degree-m multisets on the grid bounded by the pair, in
     combinations_with_replacement order over the sorted grid points."""
     return bounded_multisets_by_degree(Ttil, Wtil, grid, m)[m]
+
+
+def _sides(Ttil, Wtil, grid: BetaGrid, m_max: int):
+    """The bounded multisets of each sign side alone, negative first,
+    one list per degree 0..m_max: one pruned walk per side."""
+    return [
+        _walk(sorted(region(grid)), Ttil, Wtil, m_max)
+        for region in (negative_region, positive_region)
+    ]
+
+
+def _join_counts(negative, positive):
+    """Counts per degree of the pairs (negative side, positive side):
+    a(m) = sum over i + j = m of N-(i) * N+(j)."""
+    return [
+        sum(len(negative[i]) * len(positive[m - i]) for i in range(m + 1))
+        for m in range(len(negative))
+    ]
+
+
+def bounded_multiset_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
+    """Numbers of multisets on the grid bounded by the pair, for every
+    degree 0..m_max, by convolving the two sides' counts; no mixed
+    multiset is built."""
+    return _join_counts(*_sides(Ttil, Wtil, grid, m_max))
 
 
 def count_monomials_outside_initial(alpha, gamma, grid: BetaGrid, m: int) -> int:
@@ -163,7 +202,7 @@ def count_monomials_outside_initial(alpha, gamma, grid: BetaGrid, m: int) -> int
     pair, since a monomial avoids every forbidden chain exactly when
     all the chains in its support are bounded."""
     Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    return len(bounded_multisets_of_degree(Ttil, Wtil, grid, m))
+    return bounded_multiset_counts(Ttil, Wtil, grid, m)[m]
 
 
 def _signed_rows(grid: BetaGrid):
@@ -230,26 +269,38 @@ def count_standard_monomials(alpha, gamma, grid: BetaGrid, m: int) -> int:
 def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
     """Compare the two counts for every degree up to m_max and check
     that bounded RSK is injective from bounded multisets into bounded
-    bitableaux at each degree.  The bounds are built once, and each
-    count is one pass over all the degrees."""
+    bitableaux at each degree.
+
+    Both checks run on the join of the two sign sides.  The bounded
+    multisets of degree m are the pairs of a bounded negative side and
+    a bounded positive side, so their count is the convolution of the
+    sides' counts.  brsk stacks the bitableau of the negative side on
+    that of the positive side, and every row says which side it came
+    from, so brsk is injective on the pairs exactly when it is on each
+    side.  A stacked bitableau's first row is its negative half's and
+    its last row its positive half's, and each half is itself the image
+    of a bounded multiset, so checking every one-sided bitableau against
+    the bounds checks every mixed one.  The bounds are built and
+    projected once; each bitableau still has its semistandard check.
+    tests/oracles.py keeps the check of every mixed multiset as the
+    oracle.
+    """
     Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    bounded = bounded_multisets_by_degree(Ttil, Wtil, grid, m_max)
+    sides = _sides(Ttil, Wtil, grid, m_max)
     standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
-    per_degree = []
-    witness = None
+    per_degree = tuple(zip(range(m_max + 1), _join_counts(*sides), standard))
+    witness = next((m for m, a, b in per_degree if a != b), None)
+    lower, upper = (proj(Ttil, 1), proj(Ttil, 2)), (proj(Wtil, 1), proj(Wtil, 2))
     injective = True
-    for m, (multisets, b) in enumerate(zip(bounded, standard)):
-        a = len(multisets)
-        per_degree.append((m, a, b))
-        if a != b and witness is None:
-            witness = m
-        seen = set()
-        for U in multisets:
-            B = brsk(U)
-            if B in seen or not bitableau_bounded_by(B, Ttil, Wtil):
-                injective = False
-            seen.add(B)
-    return GroebnerReport(tuple(per_degree), witness is None, witness, injective)
+    for side in sides:
+        images = set()
+        for multisets in side:
+            for U in multisets:
+                P, Q = brsk(U)
+                if (P, Q) in images or not rows_bounded_by(P, Q, lower, upper):
+                    injective = False
+                images.add((P, Q))
+    return GroebnerReport(per_degree, witness is None, witness, injective)
 
 
 def dimension_and_degree(alpha, beta, gamma, n: int, d: int):

@@ -30,8 +30,13 @@ truncated tableau where the insertion ran and in the full tableau
 
 
 def tableau(rows) -> tuple[tuple[int, ...], ...]:
-    """Normalize rows to a tuple of integer tuples."""
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Normalize rows to a tuple of integer tuples.  Entries are not
+    coerced: one whose type is not int (a float, a string, True or
+    False) is a ValueError."""
+    P = tuple(tuple(row) for row in rows)
+    if any(type(x) is not int for row in P for x in row):
+        raise ValueError("tableau entries must be integers")
+    return P
 
 
 def size(P) -> int:
@@ -240,20 +245,28 @@ def bitableau_bounded_by(B, T, W) -> bool:
         T(1) - T(2) <= P_1 - Q_1   and   P_r - Q_r <= W(1) - W(2).
 
     An empty bitableau is bounded by anything; an empty T rules out a
-    negative first row, an empty W a positive last row.
+    negative first row, an empty W a positive last row.  Validates the
+    bounds' signs, then runs rows_bounded_by.
     """
     P, Q = bitableau(*B)
     if any(sign(t) >= 0 for t in T):
         raise ValueError("lower bound must be a negative multiset")
     if any(sign(w) <= 0 for w in W):
         raise ValueError("upper bound must be a positive multiset")
+    return rows_bounded_by(P, Q, (proj(T, 1), proj(T, 2)), (proj(W, 1), proj(W, 2)))
+
+
+def rows_bounded_by(P, Q, lower, upper) -> bool:
+    """The kernel of bitableau_bounded_by, for a caller that checks one
+    pair of bounds against many bitableaux: (P, Q) are normalized
+    tableaux of equal shape, and lower and upper are the projections
+    (T(1), T(2)) and (W(1), W(2)) of bounds already validated.  Still
+    refuses a bitableau that is not semistandard."""
     if not _semistandard_pair(P, Q):
         raise ValueError("expected a semistandard bitableau")
     if not P:
         return True
-    if not formal_diff_leq(proj(T, 1), proj(T, 2), P[0], Q[0]):
-        return False
-    return formal_diff_leq(P[-1], Q[-1], proj(W, 1), proj(W, 2))
+    return formal_diff_leq(*lower, P[0], Q[0]) and formal_diff_leq(P[-1], Q[-1], *upper)
 
 
 def render(P) -> str:
@@ -271,6 +284,4 @@ def tableau_from_json(data):
     true or false) is a ValueError."""
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("a tableau is a list of rows")
-    if any(type(x) is not int for row in data for x in row):
-        raise ValueError("tableau entries must be integers")
     return tableau(data)

@@ -2,16 +2,18 @@
 
 Second algorithms for what the library computes once, the point
 relations behind twisted chains, a checker for the boundedness lemma of
-bounded RSK, and the sweep domains the test files share.  No CLI
-subcommand, demo or benchmark workload reaches any of it, so it lives
-with the tests and not in src/grassmult.
+bounded RSK, the Groebner verification of every mixed multiset, and the
+sweep domains the test files share.  No CLI subcommand, demo or
+benchmark workload reaches any of it, so it lives with the tests and
+not in src/grassmult.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
-from grassmult.grassmannian import index_leq
+from grassmult.grassmannian import build_bound_multisets, index_leq, validate_index
+from grassmult.groebner import GroebnerReport, bounded_multisets_by_degree, standard_monomial_counts
 from grassmult.multiplicity import ceil_pt, floor_pt
 from grassmult.multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign
 from grassmult.tableaux import bitableau_bounded_by, iota_bitableau, split_parts
@@ -188,6 +190,59 @@ def verify_boundedness_preservation(U, T, W) -> bool:
     if not _verify_negative_side(iota(positive_part(U)), iota(W)):
         return False
     return bitableau_bounded_by(brsk(U), T, W)
+
+
+# The Groebner side: minors and the counting verification.
+
+
+def expand_theta_minor_all_permutations(theta, grid):
+    """The permutation expansion of the minor on rows theta, trying all
+    d! permutations and keeping those whose term does not vanish.  The
+    oracle for groebner.expand_theta_minor."""
+    theta = validate_index(theta, grid.n)
+    beta = grid.beta
+    if len(theta) != len(beta):
+        raise ValueError("theta must have the same size as beta")
+    unit_col = {b: k for k, b in enumerate(beta)}
+    expansion = {}
+    for sigma in permutations(range(len(beta))):
+        term = []
+        for row_pos, i in enumerate(theta):
+            k = sigma[row_pos]
+            if i in unit_col:
+                if unit_col[i] != k:
+                    break
+            else:
+                term.append((i, beta[k]))
+        else:
+            inversions = sum(a > b for a, b in combinations(sigma, 2))
+            expansion[pairs(term)] = (-1) ** inversions
+    return expansion
+
+
+def verify_groebner_per_multiset(alpha, gamma, grid, m_max):
+    """The counting verification run on every bounded multiset, mixed
+    ones included: count each degree's list, and put each multiset
+    through brsk and the full bound check.  The oracle for
+    groebner.verify_groebner, which works one sign side at a time."""
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+    bounded = bounded_multisets_by_degree(Ttil, Wtil, grid, m_max)
+    standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
+    per_degree = []
+    witness = None
+    injective = True
+    for m, (multisets, b) in enumerate(zip(bounded, standard)):
+        a = len(multisets)
+        per_degree.append((m, a, b))
+        if a != b and witness is None:
+            witness = m
+        seen = set()
+        for U in multisets:
+            B = brsk(U)
+            if B in seen or not bitableau_bounded_by(B, Ttil, Wtil):
+                injective = False
+            seen.add(B)
+    return GroebnerReport(tuple(per_degree), witness is None, witness, injective)
 
 
 # Sweep domains.

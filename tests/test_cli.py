@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grassmult
+from grassmult import cli
 from grassmult.cli import _build_parser, main, run
 
 NINE = ["--n", "9", "--d", "4", "--alpha", "1,2,3,5", "--beta", "1,5,6,8", "--gamma", "3,6,8,9"]
@@ -355,6 +356,22 @@ def test_canonicalize(capsys):
     assert capsys.readouterr().out == "1,8 2,5 3,4 6,7\n"
     assert main(["canonicalize", "--pairs", "1,4 2,5 3,7 6,8", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == [[1, 8], [2, 5], [3, 4], [6, 7]]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    """Later calls reuse the first call's parser, and a flag given to one
+    call does not carry over to the next."""
+    built = []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or _build_parser())
+    argv = ["count"] + FIVE
+    assert main(argv + ["--mmax", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(argv) == 0  # the default --mmax 4 again
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert main(["mult"] + NINE) == 0
+    assert capsys.readouterr().out == "6\n"
+    assert built == [1]
 
 
 def test_run_accepts_a_spec_and_stream():

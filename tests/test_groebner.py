@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from grassmult import groebner
 from grassmult.brsk import brsk, multiset_bounded_by
 from grassmult.grassmannian import (
     beta_grid,
@@ -14,6 +15,7 @@ from grassmult.grassmannian import (
     theta_to_rs,
 )
 from grassmult.groebner import (
+    bounded_multiset_counts,
     bounded_multisets_by_degree,
     bounded_multisets_of_degree,
     chain_monomial,
@@ -34,8 +36,14 @@ from grassmult.multisets import (
     pairs,
     positive_part,
     proj,
+    sign,
 )
-from oracles import index_triples, rs_to_theta
+from oracles import (
+    expand_theta_minor_all_permutations,
+    index_triples,
+    rs_to_theta,
+    verify_groebner_per_multiset,
+)
 
 
 def test_variable_order():
@@ -81,7 +89,8 @@ def test_minor_shape_validation():
 
 
 def test_initial_terms_whole_grid():
-    # every minor of every fixed point with n <= 6
+    # every minor of every fixed point with n <= 6, expanded over the
+    # matchings of R with S and, in the oracle, over all permutations
     checked = 0
     for n in range(2, 7):
         for d in range(1, n):
@@ -91,6 +100,7 @@ def test_initial_terms_whole_grid():
                 for theta in indices:
                     R, S = theta_to_rs(theta, beta)
                     expansion = expand_theta_minor(theta, grid)
+                    assert expansion == expand_theta_minor_all_permutations(theta, grid)
                     # one monomial per matching of R with S: no two collide
                     assert len(expansion) == math.factorial(len(R))
                     assert set(expansion.values()) <= {1, -1}
@@ -101,6 +111,15 @@ def test_initial_terms_whole_grid():
                     assert f.expansion[lead] == 1
                     checked += 1
     assert checked == 1262
+
+
+def test_expansion_of_a_nine_by_nine_minor_with_one_row_outside_beta():
+    # one matching, so one term, where the oracle tries 9! permutations
+    grid = beta_grid(range(1, 10), 18)
+    theta = (1, 2, 3, 4, 5, 6, 7, 8, 10)
+    expansion = expand_theta_minor(theta, grid)
+    assert expansion == expand_theta_minor_all_permutations(theta, grid) == {((10, 9),): 1}
+    assert signed_minor(theta, grid).expansion == {((10, 9),): 1}
 
 
 def test_bitableau_rows_name_minors():
@@ -259,7 +278,8 @@ def standard_monomials_of_degree(Ttil, Wtil, grid, m):
 def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
     """Every triple with n <= 6 and every d, degrees m <= 4 (m <= 3 at
     n = 6): the walk lists exactly the filter's multisets in the same
-    order, and the shared table gives the per-degree counts."""
+    order, the convolution of the two sides' walks counts them, and the
+    shared table gives the per-degree counts."""
     cases = 0
     for n in range(2, 7):
         m_max = 3 if n == 6 else 4
@@ -268,14 +288,73 @@ def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 walk = bounded_multisets_by_degree(Ttil, Wtil, grid, m_max)
+                joined = bounded_multiset_counts(Ttil, Wtil, grid, m_max)
                 counts = standard_monomial_counts(Ttil, Wtil, grid, m_max)
-                assert len(walk) == len(counts) == m_max + 1
+                assert len(walk) == len(joined) == len(counts) == m_max + 1
                 for m in range(m_max + 1):
                     case = (alpha, beta, gamma, m)
-                    assert walk[m] == bounded_multisets_by_filter(Ttil, Wtil, grid, m), case
+                    filtered = bounded_multisets_by_filter(Ttil, Wtil, grid, m)
+                    assert walk[m] == filtered, case
+                    assert joined[m] == len(filtered), case
                     assert counts[m] == standard_monomials_of_degree(Ttil, Wtil, grid, m), case
                     cases += 1
     assert cases == 10958
+
+
+def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
+    """Every triple with n <= 6 and every d, m_max = 4 (3 at n = 6): the
+    join of the two sides gives the report of putting every mixed
+    multiset through brsk and the full bound check."""
+    checked = 0
+    for n in range(2, 7):
+        m_max = 3 if n == 6 else 4
+        for d in range(1, n):
+            for alpha, beta, gamma in index_triples(n, d):
+                grid = beta_grid(beta, n)
+                report = verify_groebner(alpha, gamma, grid, m_max)
+                oracle = verify_groebner_per_multiset(alpha, gamma, grid, m_max)
+                assert report == oracle, (alpha, beta, gamma)
+                assert report.counts_equal and report.brsk_injective
+                checked += 1
+    assert checked == 2606
+
+
+# A triple bounded on both sides: (1, 3) <= (2, 4) <= (3, 5), n = 5.
+SIDED = ((1, 3), (3, 5), beta_grid((2, 4), 5))
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_verify_reports_an_unbounded_side(monkeypatch, side):
+    """Let the walk accept every multiset of one sign side: the
+    bitableaux of the unbounded ones break the bound of that side."""
+    alpha, gamma, grid = SIDED
+    assert verify_groebner(alpha, gamma, grid, 3).brsk_injective
+    real = groebner.multiset_bounded_by
+    monkeypatch.setattr(
+        groebner,
+        "multiset_bounded_by",
+        lambda U, T, W: all(sign(u) == side for u in U) or real(U, T, W),
+    )
+    report = verify_groebner(alpha, gamma, grid, 3)
+    assert not report.brsk_injective
+    assert not report.counts_equal and report.witness_degree == 1
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
+    """Make brsk send every multiset of one sign side to the image of
+    its first point repeated: every image is still bounded, but two
+    multisets of degree 2 share one."""
+    alpha, gamma, grid = SIDED
+    real = groebner.brsk
+    monkeypatch.setattr(
+        groebner,
+        "brsk",
+        lambda U: real(U[:1] * len(U)) if U and sign(U[0]) == side else real(U),
+    )
+    report = verify_groebner(alpha, gamma, grid, 3)
+    assert not report.brsk_injective
+    assert report.counts_equal
 
 
 def test_one_pass_on_the_nine_grid():

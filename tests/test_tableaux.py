@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grassmult.brsk import rbrsk
 from grassmult.multisets import nmul, union
 from grassmult.tableaux import (
     BumpingRecord,
@@ -19,6 +20,7 @@ from grassmult.tableaux import (
     render,
     reverse_bounded_insert,
     row_strict,
+    rows_bounded_by,
     size,
     split_parts,
     tableau,
@@ -210,6 +212,16 @@ def test_bitableau_bounded_by():
         bitableau_bounded_by(B, (), ((1, 2),))  # upper bound must be positive
 
 
+def test_rows_bounded_by_is_the_kernel_on_projections():
+    B = (((1,),), ((2,),))
+    lower, upper = ((1,), (2,)), ((), ())
+    assert rows_bounded_by(*B, lower, upper) == bitableau_bounded_by(B, ((1, 2),), ()) is True
+    assert not rows_bounded_by(*B, ((2,), (3,)), upper)
+    assert rows_bounded_by((), (), ((), ()), ((), ()))
+    with pytest.raises(ValueError):
+        rows_bounded_by(((1,), (1,)), ((2,), (3,)), lower, upper)  # not semistandard
+
+
 def test_render_and_json():
     P = tableau([[1, 2], [3]])
     assert render(P) == "1 2\n3"
@@ -222,3 +234,15 @@ def test_render_and_json():
 def test_tableau_json_refuses_entries_that_are_not_integers(data):
     with pytest.raises(ValueError):
         tableau_from_json(data)
+
+
+@pytest.mark.parametrize("entry", [1.5, 3.0, "1", True, False, None])
+def test_tableau_refuses_entries_that_are_not_integers(entry):
+    # no coercion: 1.5 is not truncated, "1" not parsed, True not 1
+    with pytest.raises(ValueError, match="tableau entries must be integers"):
+        tableau([[entry, 5]])
+    with pytest.raises(ValueError, match="tableau entries must be integers"):
+        is_semistandard_bitableau((((entry,),), ((3,),)))
+    with pytest.raises(ValueError, match="tableau entries must be integers"):
+        rbrsk((((entry,),), ((3,),)))
+    assert rbrsk((((1,),), ((3,),))) == ((1, 3),)
