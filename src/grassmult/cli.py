@@ -16,7 +16,7 @@ from .grassmannian import beta_grid, build_bound_multisets, index_leq
 from .groebner import bounded_multiset_counts, standard_monomial_counts, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
 from .multisets import iota, negative_part, pairs, pairs_from_json, pairs_to_json, positive_part
-from .tableaux import render, tableau_from_json, tableau_to_json
+from .tableaux import iota_bitableau, render, split_parts, tableau_from_json, tableau_to_json
 
 
 def _parse_index(text):
@@ -117,7 +117,8 @@ def _cmd_rbrsk(ns, out):
     if not ns.input:
         raise ValueError("rbrsk reads a bitableau from --input (JSON with P and Q)")
     B = _read_input(ns.input, _bitableau_from_json, "a JSON object with integer tableaux P and Q")
-    U = rbrsk(B)
+    negative, positive = split_parts(B)
+    U = pairs(rbrsk(negative) + iota(rbrsk(iota_bitableau(positive))))
     if ns.json:
         print(json.dumps(pairs_to_json(U)), file=out)
     else:

@@ -3,12 +3,17 @@ initial terms, and the two counting sides of the Groebner-basis
 verification: monomials avoiding the forbidden chain initial terms
 versus standard monomials (bounded semistandard bitableaux).
 
-Boundedness puts one condition on the negative points of a multiset
-and a separate one on its positive points, so the bounded multisets of
-degree m are the pairs (negative side, positive side) of total degree
-m, and their count is the convolution of the two sides' counts.  Each
-side is walked alone, once for every degree up to a bound; the
-standard monomials are one table shared by every degree.
+Both counting sides split by sign.  A bounded multiset is a negative
+part bounded below by Ttil joined to a positive part bounded above by
+Wtil, and a bounded bitableau is a negative half bounded below by Ttil
+stacked on a positive half bounded above by Wtil.  iota turns the
+positive problem into a negative one on the dual grid, where beta and
+its complement trade places, bounded below by iota(Wtil).  So every
+count is one negative-side computation with one lower bound, run on
+each side, and the degree-m count of the pair is the convolution
+a(m) = sum over i + j = m of N-(i) * N+(j).  Each side is walked
+once for every degree up to a bound, and its standard monomials are
+one table shared by every degree.
 """
 
 from collections import Counter, namedtuple
@@ -20,11 +25,10 @@ from .grassmannian import (
     beta_grid,
     build_bound_multisets,
     negative_region,
-    positive_region,
     theta_to_rs,
     validate_index,
 )
-from .multisets import formal_diff_leq, pairs, proj, termwise_less
+from .multisets import formal_diff_leq, iota, pairs, proj, termwise_less, union
 from .multiplicity import maximal_bounded_subsets
 from .tableaux import rows_bounded_by
 
@@ -116,27 +120,35 @@ def initial_term(f: SignedMinor):
     return best
 
 
-def _walk(points, Ttil, Wtil, m_max: int):
-    """The multisets on the points bounded by the pair, as one list per
-    degree 0..m_max, each in combinations_with_replacement order over
-    the points.
+def _sides(Ttil, Wtil, grid: BetaGrid):
+    """The two one-sided problems of the pair, each a lower bound on the
+    negative points of a grid: the negative side, then the positive side
+    swapped by iota onto the dual grid, where beta and its complement
+    trade places."""
+    return ((Ttil, grid), (iota(Wtil), BetaGrid(grid.complement, grid.beta, grid.n)))
+
+
+def _walk(T, grid: BetaGrid, m_max: int):
+    """The multisets on the negative points of the grid bounded below
+    by T, as one list per degree 0..m_max, each in
+    combinations_with_replacement order over the sorted points.
 
     One depth-first walk on an explicit stack grows multisets point by
     point, in that order, so every degree comes out of it.  Boundedness
-    reads only the support, and a subset of a bounded support is
-    bounded.  So each multiset carries the points from its last one on
-    that it stays bounded with: repeating its last point keeps that list,
-    a new point filters it with one multiset_bounded_by test per entry,
-    and a point that fails is never tried below it.
+    reads only the support, a subset of a bounded support is bounded,
+    and the empty multiset, with no chain, is bounded by any T.  So each
+    multiset carries the points from its last one on that it stays
+    bounded with: repeating its last point keeps that list, a new point
+    filters it with one multiset_bounded_by test per entry, and a point
+    that fails is never tried below it.
     """
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
+    points = sorted(negative_region(grid))
     by_degree = [[] for _ in range(m_max + 1)]
-    if not multiset_bounded_by((), Ttil, Wtil):
-        return by_degree
     # (multiset, indices of the points it stays bounded with, from its last point on)
     roots = range(len(points)) if m_max else ()
-    stack = [((), [j for j in roots if multiset_bounded_by((points[j],), Ttil, Wtil)])]
+    stack = [((), [j for j in roots if multiset_bounded_by((points[j],), T, ())])]
     while stack:
         U, follow = stack.pop()
         by_degree[len(U)].append(U)
@@ -149,51 +161,38 @@ def _walk(points, Ttil, Wtil, m_max: int):
                 children.append((V, follow))
             else:
                 later = [
-                    j for j in follow[i + 1 :] if multiset_bounded_by(V + (points[j],), Ttil, Wtil)
+                    j for j in follow[i + 1 :] if multiset_bounded_by(V + (points[j],), T, ())
                 ]
                 children.append((V, [k] + later))
         stack.extend(reversed(children))
     return by_degree
 
 
-def bounded_multisets_by_degree(Ttil, Wtil, grid: BetaGrid, m_max: int):
-    """The multisets on the grid bounded by the pair, as one list per
-    degree 0..m_max, each in combinations_with_replacement order over
-    the sorted grid points: one pruned walk over every grid point.
-    tests/test_groebner.py keeps the filter of every multiset as its
-    oracle."""
-    return _walk(sorted(negative_region(grid) | positive_region(grid)), Ttil, Wtil, m_max)
+def _convolve(negative, positive):
+    """a(m) = sum over i + j = m of N-(i) * N+(j), for every degree m."""
+    return [sum(negative[i] * positive[m - i] for i in range(m + 1)) for m in range(len(negative))]
 
 
 def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
     """All degree-m multisets on the grid bounded by the pair, in
-    combinations_with_replacement order over the sorted grid points."""
-    return bounded_multisets_by_degree(Ttil, Wtil, grid, m)[m]
-
-
-def _sides(Ttil, Wtil, grid: BetaGrid, m_max: int):
-    """The bounded multisets of each sign side alone, negative first,
-    one list per degree 0..m_max: one pruned walk per side."""
-    return [
-        _walk(sorted(region(grid)), Ttil, Wtil, m_max)
-        for region in (negative_region, positive_region)
-    ]
-
-
-def _join_counts(negative, positive):
-    """Counts per degree of the pairs (negative side, positive side):
-    a(m) = sum over i + j = m of N-(i) * N+(j)."""
-    return [
-        sum(len(negative[i]) * len(positive[m - i]) for i in range(m + 1))
-        for m in range(len(negative))
-    ]
+    combinations_with_replacement order over the sorted grid points:
+    each bounded negative side joined to each bounded positive side."""
+    negative, positive = (_walk(T, side, m) for T, side in _sides(Ttil, Wtil, grid))
+    return sorted(
+        union(neg, iota(pos))
+        for i in range(m + 1)
+        for neg in negative[i]
+        for pos in positive[m - i]
+    )
 
 
 def bounded_multiset_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
     """Numbers of multisets on the grid bounded by the pair, for every
     degree 0..m_max, by convolving the two sides' counts; no mixed
     multiset is built."""
-    return _join_counts(*_sides(Ttil, Wtil, grid, m_max))
+    return _convolve(
+        *([len(ms) for ms in _walk(T, side, m_max)] for T, side in _sides(Ttil, Wtil, grid))
+    )
 
 
 def count_monomials_outside_initial(alpha, gamma, grid: BetaGrid, m: int) -> int:
@@ -205,58 +204,50 @@ def count_monomials_outside_initial(alpha, gamma, grid: BetaGrid, m: int) -> int
     return bounded_multiset_counts(Ttil, Wtil, grid, m)[m]
 
 
-def _signed_rows(grid: BetaGrid):
-    """Every possible bitableau row on the grid, tagged by its sign."""
-    rows = []
-    for k in range(1, min(len(grid.beta), len(grid.complement)) + 1):
-        for p in combinations(grid.complement, k):
-            for q in combinations(grid.beta, k):
-                if termwise_less(p, q):
-                    rows.append((p, q, -1))
-                elif termwise_less(q, p):
-                    rows.append((p, q, 1))
-    return rows
-
-
 def standard_monomial_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
     """Numbers of nonvanishing semistandard bitableaux on the grid
     bounded by the pair, for every degree 0..m_max.
 
-    A bitableau is a column of rows (p, q, sign).  Its first row lies
-    above the lower bound, each row lies below the next with signs
-    weakly increasing, and its last row lies below the upper bound.  One
-    table, shared by every degree, counts the ways to finish below each
-    row with r boxes left, for r = 0..m_max-1; it reads only the rows a
-    first row leads to, with their successors found once.
+    Termwise dominance adds over unions, so a negative row lies below
+    any positive row and below Wtil, and Ttil below any positive row.
+    A bounded bitableau is then a negative half whose first row lies
+    above Ttil stacked on a positive half whose last row lies below
+    Wtil, and the counts are the convolution of the two sides' counts.
+    Each side counts negative rows (p, q), p strictly below q termwise,
+    each below the next, in one table shared by every degree: the ways
+    to finish below each row with r boxes left, for r = 0..m_max, over
+    the rows that T leads to, with their successors found once.
     """
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
-    T1, T2 = proj(Ttil, 1), proj(Ttil, 2)
-    W1, W2 = proj(Wtil, 1), proj(Wtil, 2)
-    rows = [row for row in _signed_rows(grid) if len(row[0]) <= m_max]
-    first = [row for row in rows if formal_diff_leq(T1, T2, row[0], row[1])]
-    below = {}
-    todo = list(first)
-    while todo:
-        row = todo.pop()
-        if row in below:
-            continue
-        p0, q0, s0 = row
-        below[row] = [r for r in rows if r[2] >= s0 and formal_diff_leq(p0, q0, r[0], r[1])]
-        todo.extend(below[row])
-    ways = []  # ways[r][row]: completions below row with r boxes left
-    for r in range(m_max):
-        ways.append(
-            {
-                row: int(r == 0 and formal_diff_leq(row[0], row[1], W1, W2))
-                + sum(ways[r - len(nxt[0])][nxt] for nxt in nexts if len(nxt[0]) <= r)
-                for row, nexts in below.items()
-            }
-        )
-    return [1] + [
-        sum(ways[m - len(row[0])][row] for row in first if len(row[0]) <= m)
-        for m in range(1, m_max + 1)
-    ]
+    counts = []
+    for T, side in _sides(Ttil, Wtil, grid):
+        rows = [
+            (p, q)
+            for k in range(1, min(len(side.complement), len(side.beta), m_max) + 1)
+            for p in combinations(side.complement, k)
+            for q in combinations(side.beta, k)
+            if termwise_less(p, q)
+        ]
+        root = (proj(T, 1), proj(T, 2))  # T lies above a first row as a row above the next
+        below = {}
+        todo = [root]
+        while todo:
+            row = todo.pop()
+            if row not in below:
+                below[row] = [r for r in rows if formal_diff_leq(*row, *r)]
+                todo.extend(below[row])
+        ways = []  # ways[r][row]: completions below row with r boxes left
+        for r in range(m_max + 1):
+            ways.append(
+                {
+                    row: int(r == 0)
+                    + sum(ways[r - len(nxt[0])][nxt] for nxt in nexts if len(nxt[0]) <= r)
+                    for row, nexts in below.items()
+                }
+            )
+        counts.append([layer[root] for layer in ways])
+    return _convolve(*counts)
 
 
 def count_standard_monomials(alpha, gamma, grid: BetaGrid, m: int) -> int:
@@ -271,35 +262,31 @@ def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
     that bounded RSK is injective from bounded multisets into bounded
     bitableaux at each degree.
 
-    Both checks run on the join of the two sign sides.  The bounded
-    multisets of degree m are the pairs of a bounded negative side and
-    a bounded positive side, so their count is the convolution of the
-    sides' counts.  brsk stacks the bitableau of the negative side on
-    that of the positive side, and every row says which side it came
-    from, so brsk is injective on the pairs exactly when it is on each
-    side.  A stacked bitableau's first row is its negative half's and
-    its last row its positive half's, and each half is itself the image
-    of a bounded multiset, so checking every one-sided bitableau against
-    the bounds checks every mixed one.  The bounds are built and
-    projected once; each bitableau still has its semistandard check.
-    tests/oracles.py keeps the check of every mixed multiset as the
-    oracle.
+    brsk stacks the bitableau of a multiset's negative side on that of
+    its positive side, and every row says which side it came from, so
+    brsk is injective and bounded on the pairs exactly when it is on
+    each side.  Each side is walked once; its multisets go through brsk
+    and the check against the side's lower bound alone, and its counts
+    are convolved with the other side's.  Each bitableau still has its
+    semistandard check.  tests/oracles.py keeps the check of every mixed
+    multiset as the oracle.
     """
     Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    sides = _sides(Ttil, Wtil, grid, m_max)
-    standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
-    per_degree = tuple(zip(range(m_max + 1), _join_counts(*sides), standard))
-    witness = next((m for m, a, b in per_degree if a != b), None)
-    lower, upper = (proj(Ttil, 1), proj(Ttil, 2)), (proj(Wtil, 1), proj(Wtil, 2))
+    bounded = []
     injective = True
-    for side in sides:
-        images = set()
-        for multisets in side:
+    for T, side in _sides(Ttil, Wtil, grid):
+        walk = _walk(T, side, m_max)
+        bounded.append([len(ms) for ms in walk])
+        lower, images = (proj(T, 1), proj(T, 2)), set()
+        for multisets in walk:
             for U in multisets:
                 P, Q = brsk(U)
-                if (P, Q) in images or not rows_bounded_by(P, Q, lower, upper):
+                if (P, Q) in images or not rows_bounded_by(P, Q, lower, ((), ())):
                     injective = False
                 images.add((P, Q))
+    standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
+    per_degree = tuple(zip(range(m_max + 1), _convolve(*bounded), standard))
+    witness = next((m for m, a, b in per_degree if a != b), None)
     return GroebnerReport(per_degree, witness is None, witness, injective)
 
 

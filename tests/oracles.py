@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
 from grassmult.grassmannian import build_bound_multisets, index_leq, validate_index
-from grassmult.groebner import GroebnerReport, bounded_multisets_by_degree, standard_monomial_counts
+from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, standard_monomial_counts
 from grassmult.multiplicity import ceil_pt, floor_pt
 from grassmult.multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign
 from grassmult.tableaux import bitableau_bounded_by, iota_bitableau, split_parts
@@ -224,9 +224,10 @@ def verify_groebner_per_multiset(alpha, gamma, grid, m_max):
     """The counting verification run on every bounded multiset, mixed
     ones included: count each degree's list, and put each multiset
     through brsk and the full bound check.  The oracle for
-    groebner.verify_groebner, which works one sign side at a time."""
+    groebner.verify_groebner, which solves the two one-sided problems
+    and convolves their counts."""
     Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    bounded = bounded_multisets_by_degree(Ttil, Wtil, grid, m_max)
+    bounded = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
     standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
     per_degree = []
     witness = None

@@ -34,6 +34,29 @@ def test_brsk_json_roundtrips_through_rbrsk(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1,7 2,4 2,8 3,6 4,7 6,7 7,8"
 
 
+@pytest.mark.parametrize(
+    "points",
+    ["7,8 3,1 2,4 5,2", "3,1 5,2 5,2 4,1"],
+    ids=["mixed", "positive"],
+)
+def test_brsk_json_with_positive_points_roundtrips_through_rbrsk(tmp_path, capsys, points):
+    """rbrsk inverts the negative rows and, through iota, the positive
+    rows of what brsk prints."""
+    assert main(["brsk", "--pairs", points, "--json"]) == 0
+    path = tmp_path / "bitab.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["rbrsk", "--input", str(path), "--json"]) == 0
+    back = json.loads(capsys.readouterr().out)
+    assert back == sorted([int(x) for x in p.split(",")] for p in points.split())
+
+
+def test_rbrsk_refuses_a_positive_row_above_a_negative_row(tmp_path, capsys):
+    path = tmp_path / "bitab.json"
+    path.write_text(json.dumps({"P": [[3], [1]], "Q": [[1], [2]]}))
+    assert main(["rbrsk", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: expected a nonvanishing semistandard bitableau\n"
+
+
 def test_brsk_trace(tmp_path, capsys):
     trace = tmp_path / "steps.jsonl"
 

@@ -16,7 +16,6 @@ from grassmult.grassmannian import (
 )
 from grassmult.groebner import (
     bounded_multiset_counts,
-    bounded_multisets_by_degree,
     bounded_multisets_of_degree,
     chain_monomial,
     count_monomials_outside_initial,
@@ -36,7 +35,6 @@ from grassmult.multisets import (
     pairs,
     positive_part,
     proj,
-    sign,
 )
 from oracles import (
     expand_theta_minor_all_permutations,
@@ -219,8 +217,9 @@ def test_sieve_matches_bounded_multisets():
     assert checked == 235
 
 
-# The filter and the per-degree count that the one-pass walk and the
-# shared table replaced.  They share no code with either.
+# The filter of every multiset and the mixed-sign per-degree count of
+# standard monomials.  They share no code with the side walks or the
+# side tables they check.
 
 
 def bounded_multisets_by_filter(Ttil, Wtil, grid, m):
@@ -275,11 +274,41 @@ def standard_monomials_of_degree(Ttil, Wtil, grid, m):
     )
 
 
+def test_rows_of_opposite_signs_and_the_bounds_are_ordered_exhaustive():
+    """The lemma behind convolving the two sides' standard monomials, on
+    every grid with n <= 6: every negative row lies below every positive
+    row, every Ttil below every positive row, and every negative row
+    below every Wtil, under the order on formal differences."""
+    row_pairs = triples = 0
+    for n in range(2, 7):
+        for d in range(1, n):
+            for beta in itertools.combinations(range(1, n + 1), d):
+                rows = signed_rows(beta_grid(beta, n))
+                for p, q, s in rows:
+                    for p2, q2, s2 in rows:
+                        if (s, s2) == (-1, 1):
+                            assert formal_diff_leq(p, q, p2, q2), (beta, n)
+                            row_pairs += 1
+            for alpha, beta, gamma in index_triples(n, d):
+                grid = beta_grid(beta, n)
+                Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+                T1, T2 = proj(Ttil, 1), proj(Ttil, 2)
+                W1, W2 = proj(Wtil, 1), proj(Wtil, 2)
+                for p, q, s in signed_rows(grid):
+                    if s == 1:
+                        assert formal_diff_leq(T1, T2, p, q), (alpha, beta, gamma)
+                    else:
+                        assert formal_diff_leq(p, q, W1, W2), (alpha, beta, gamma)
+                triples += 1
+    assert (row_pairs, triples) == (1496, 2606)
+
+
 def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
     """Every triple with n <= 6 and every d, degrees m <= 4 (m <= 3 at
-    n = 6): the walk lists exactly the filter's multisets in the same
-    order, the convolution of the two sides' walks counts them, and the
-    shared table gives the per-degree counts."""
+    n = 6): the join of the two side walks lists exactly the filter's
+    multisets in the same order, the convolution of their counts counts
+    them, and the convolution of the two side tables gives the mixed
+    per-degree count of standard monomials."""
     cases = 0
     for n in range(2, 7):
         m_max = 3 if n == 6 else 4
@@ -287,7 +316,7 @@ def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
             for alpha, beta, gamma in index_triples(n, d):
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-                walk = bounded_multisets_by_degree(Ttil, Wtil, grid, m_max)
+                walk = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
                 joined = bounded_multiset_counts(Ttil, Wtil, grid, m_max)
                 counts = standard_monomial_counts(Ttil, Wtil, grid, m_max)
                 assert len(walk) == len(joined) == len(counts) == m_max + 1
@@ -323,17 +352,25 @@ def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
 SIDED = ((1, 3), (3, 5), beta_grid((2, 4), 5))
 
 
+def walked_on(side, grid):
+    """Whether a point is one that verify walks on the given side: the
+    negative side walks the grid's negative points, whose first
+    coordinate is in the complement of beta, and the positive side the
+    swapped positive points, whose first coordinate is in beta."""
+    return lambda u: (u[0] in grid.beta) == (side == 1)
+
+
 @pytest.mark.parametrize("side", [-1, 1])
 def test_verify_reports_an_unbounded_side(monkeypatch, side):
-    """Let the walk accept every multiset of one sign side: the
-    bitableaux of the unbounded ones break the bound of that side."""
+    """Let the walk of one side accept every multiset: the bitableaux of
+    the unbounded ones break that side's lower bound."""
     alpha, gamma, grid = SIDED
     assert verify_groebner(alpha, gamma, grid, 3).brsk_injective
-    real = groebner.multiset_bounded_by
+    real, on_side = groebner.multiset_bounded_by, walked_on(side, grid)
     monkeypatch.setattr(
         groebner,
         "multiset_bounded_by",
-        lambda U, T, W: all(sign(u) == side for u in U) or real(U, T, W),
+        lambda U, T, W: all(map(on_side, U)) or real(U, T, W),
     )
     report = verify_groebner(alpha, gamma, grid, 3)
     assert not report.brsk_injective
@@ -342,15 +379,15 @@ def test_verify_reports_an_unbounded_side(monkeypatch, side):
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
-    """Make brsk send every multiset of one sign side to the image of
+    """Make brsk send every multiset of one side's walk to the image of
     its first point repeated: every image is still bounded, but two
     multisets of degree 2 share one."""
     alpha, gamma, grid = SIDED
-    real = groebner.brsk
+    real, on_side = groebner.brsk, walked_on(side, grid)
     monkeypatch.setattr(
         groebner,
         "brsk",
-        lambda U: real(U[:1] * len(U)) if U and sign(U[0]) == side else real(U),
+        lambda U: real(U[:1] * len(U)) if U and on_side(U[0]) else real(U),
     )
     report = verify_groebner(alpha, gamma, grid, 3)
     assert not report.brsk_injective
@@ -360,10 +397,10 @@ def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
 def test_one_pass_on_the_nine_grid():
     grid = beta_grid((1, 5, 6, 8), 9)
     Ttil, Wtil = build_bound_multisets((1, 2, 3, 5), (3, 6, 8, 9), grid)
-    walk = bounded_multisets_by_degree(Ttil, Wtil, grid, 3)
+    walk = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(4)]
     assert [len(ms) for ms in walk] == [1, 17, 152, 951]
     assert walk[3] == bounded_multisets_by_filter(Ttil, Wtil, grid, 3)
-    assert walk[2] == bounded_multisets_of_degree(Ttil, Wtil, grid, 2)
+    assert bounded_multiset_counts(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
     assert standard_monomial_counts(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
 
 
@@ -371,7 +408,9 @@ def test_one_pass_rejects_a_negative_degree():
     grid = beta_grid((1, 4), 4)
     Ttil, Wtil = build_bound_multisets((1, 2), (3, 4), grid)
     with pytest.raises(ValueError):
-        bounded_multisets_by_degree(Ttil, Wtil, grid, -1)
+        bounded_multisets_of_degree(Ttil, Wtil, grid, -1)
+    with pytest.raises(ValueError):
+        bounded_multiset_counts(Ttil, Wtil, grid, -1)
     with pytest.raises(ValueError):
         standard_monomial_counts(Ttil, Wtil, grid, -1)
 

@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq
-from grassmult.groebner import bounded_multiset_counts
+from grassmult.groebner import bounded_multiset_counts, standard_monomial_counts
 from oracles import index_triples
 
 sympy = pytest.importorskip("sympy")
@@ -67,13 +67,14 @@ def outside_count(generators, variables, m):
 
 
 def test_leading_monomials_generate_the_chain_ideal():
-    """Every triple with n <= 5 and d = 2: the leading monomials of a lex
-    Groebner basis of the minors and the forbidden chain monomials
+    """Every triple with n <= 6 and every d: the leading monomials of a
+    lex Groebner basis of the minors and the forbidden chain monomials
     generate the same monomial ideal, and its Hilbert function in
-    degrees <= 3 is the convolution of the two sides' counts."""
+    degrees <= 3 is both the count of bounded multisets and the count of
+    standard monomials, each the convolution of the two sides' counts."""
     checked = 0
-    for n in range(3, 6):
-        for alpha, beta, gamma in index_triples(n, 2):
+    for n, d in ((n, d) for n in range(2, 7) for d in range(1, n)):
+        for alpha, beta, gamma in index_triples(n, d):
             grid = beta_grid(beta, n)
             points, gens, minors = richardson_ideal(alpha, gamma, grid)
             polys = sympy.groebner(minors, *gens, order="lex").polys if minors else []
@@ -85,5 +86,6 @@ def test_leading_monomials_generate_the_chain_ideal():
             Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
             hilbert = [outside_count(leading, len(points), m) for m in range(4)]
             assert hilbert == bounded_multiset_counts(Ttil, Wtil, grid, 3), case
+            assert hilbert == standard_monomial_counts(Ttil, Wtil, grid, 3), case
             checked += 1
-    assert checked == 235
+    assert checked == 2606
