@@ -1,12 +1,13 @@
 """Index combinatorics for the Grassmannian of d-planes in n-space:
-d-subsets, lengths, the grid attached to a fixed subset beta, and the
-bound multisets of a Richardson variety at the fixed point of beta.
+d-subsets, lengths, the grid attached to a fixed subset beta, the
+bound multisets of a Richardson variety at the fixed point of beta, and
+the two one-sided problems they split into.
 """
 
 from collections import namedtuple
 
 from .chains import canonicalize
-from .multisets import difference, pairs
+from .multisets import difference, iota, pairs
 
 BetaGrid = namedtuple("BetaGrid", ["beta", "complement", "n"])
 BetaGrid.__doc__ = "A fixed column set beta, its complement (the rows), and the ambient n."
@@ -51,10 +52,6 @@ def negative_region(grid: BetaGrid):
     return {(e, f) for e in grid.complement for f in grid.beta if e < f}
 
 
-def positive_region(grid: BetaGrid):
-    return {(e, f) for e in grid.complement for f in grid.beta if e > f}
-
-
 def theta_to_rs(theta, beta):
     """The bijection theta -> (theta minus beta, beta minus theta); its
     inverse is a test oracle in tests/oracles.py."""
@@ -80,3 +77,11 @@ def build_bound_multisets(alpha, gamma, grid: BetaGrid):
     Ttil = canonicalize(pairs(zip(Ra, Sa)))
     Wtil = canonicalize(pairs(zip(Rg, Sg)))
     return Ttil, Wtil
+
+
+def sides(Ttil, Wtil, grid: BetaGrid):
+    """The two one-sided problems of the pair, each a lower bound on the
+    negative points of a grid: the negative side, then the positive side
+    swapped by iota onto the dual grid, where beta and its complement
+    trade places."""
+    return ((Ttil, grid), (iota(Wtil), BetaGrid(grid.complement, grid.beta, grid.n)))

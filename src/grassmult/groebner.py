@@ -8,28 +8,38 @@ part bounded below by Ttil joined to a positive part bounded above by
 Wtil, and a bounded bitableau is a negative half bounded below by Ttil
 stacked on a positive half bounded above by Wtil.  iota turns the
 positive problem into a negative one on the dual grid, where beta and
-its complement trade places, bounded below by iota(Wtil).  So every
-count is one negative-side computation with one lower bound, run on
-each side, and the degree-m count of the pair is the convolution
-a(m) = sum over i + j = m of N-(i) * N+(j).  Each side is walked
-once for every degree up to a bound, and its standard monomials are
-one table shared by every degree.
+its complement trade places, bounded below by iota(Wtil)
+(grassmannian.sides).  So every count is one negative-side computation
+with one lower bound, run on each side, and the degree-m count of the
+pair is the convolution a(m) = sum over i + j = m of N-(i) * N+(j).
+
+A multiset is bounded exactly when its support is, so the bounded
+multisets of one side are counted from that side's f-vector
+(multiplicity.f_vector): a face of size k is the support of
+C(m-1, k-1) multisets of degree m, and H(m) = sum over k of
+f_k C(m-1, k-1), with H(0) = 1.  Since the chain initial terms generate
+the initial ideal, H is the Hilbert function of the tangent cone.  The
+multisets themselves are listed by one walk per side, for every degree
+up to a bound, and the standard monomials of a side are one table
+shared by every degree.
 """
 
 from collections import Counter, namedtuple
 from itertools import combinations, permutations
+from math import comb
 
-from .brsk import brsk, multiset_bounded_by
+from .brsk import brsk_negative, multiset_bounded_by
 from .grassmannian import (
     BetaGrid,
     beta_grid,
     build_bound_multisets,
     negative_region,
+    sides,
     theta_to_rs,
     validate_index,
 )
 from .multisets import formal_diff_leq, iota, pairs, proj, termwise_less, union
-from .multiplicity import maximal_bounded_subsets
+from .multiplicity import f_vector, maximal_bounded_subsets
 from .tableaux import rows_bounded_by
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
@@ -120,14 +130,6 @@ def initial_term(f: SignedMinor):
     return best
 
 
-def _sides(Ttil, Wtil, grid: BetaGrid):
-    """The two one-sided problems of the pair, each a lower bound on the
-    negative points of a grid: the negative side, then the positive side
-    swapped by iota onto the dual grid, where beta and its complement
-    trade places."""
-    return ((Ttil, grid), (iota(Wtil), BetaGrid(grid.complement, grid.beta, grid.n)))
-
-
 def _walk(T, grid: BetaGrid, m_max: int):
     """The multisets on the negative points of the grid bounded below
     by T, as one list per degree 0..m_max, each in
@@ -177,7 +179,7 @@ def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
     """All degree-m multisets on the grid bounded by the pair, in
     combinations_with_replacement order over the sorted grid points:
     each bounded negative side joined to each bounded positive side."""
-    negative, positive = (_walk(T, side, m) for T, side in _sides(Ttil, Wtil, grid))
+    negative, positive = (_walk(T, side, m) for T, side in sides(Ttil, Wtil, grid))
     return sorted(
         union(neg, iota(pos))
         for i in range(m + 1)
@@ -188,11 +190,27 @@ def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
 
 def bounded_multiset_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
     """Numbers of multisets on the grid bounded by the pair, for every
-    degree 0..m_max, by convolving the two sides' counts; no mixed
-    multiset is built."""
-    return _convolve(
-        *([len(ms) for ms in _walk(T, side, m_max)] for T, side in _sides(Ttil, Wtil, grid))
-    )
+    degree 0..m_max.  Each side's count is H(m) = sum over k of
+    f_k C(m-1, k-1), H(0) = 1, from its f-vector f searched up to faces
+    of size m_max, since a larger face supports no multiset of degree
+    m_max or less; the two sides' counts are convolved.  No multiset is
+    built: the capped search tests each support of at most m_max points
+    once, where a walk of the multisets tests it again for every
+    multiset on it, so it runs on a grid of any size when m_max is
+    small."""
+    if m_max < 0:
+        raise ValueError("degree bound must be nonnegative")
+    counts = []
+    for T, side in sides(Ttil, Wtil, grid):
+        f = f_vector(T, side, m_max)
+        counts.append(
+            [1]
+            + [
+                sum(fk * comb(m - 1, k - 1) for k, fk in enumerate(f[1:], 1))
+                for m in range(1, m_max + 1)
+            ]
+        )
+    return _convolve(*counts)
 
 
 def count_monomials_outside_initial(alpha, gamma, grid: BetaGrid, m: int) -> int:
@@ -221,7 +239,7 @@ def standard_monomial_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
     counts = []
-    for T, side in _sides(Ttil, Wtil, grid):
+    for T, side in sides(Ttil, Wtil, grid):
         rows = [
             (p, q)
             for k in range(1, min(len(side.complement), len(side.beta), m_max) + 1)
@@ -265,22 +283,22 @@ def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
     brsk stacks the bitableau of a multiset's negative side on that of
     its positive side, and every row says which side it came from, so
     brsk is injective and bounded on the pairs exactly when it is on
-    each side.  Each side is walked once; its multisets go through brsk
-    and the check against the side's lower bound alone, and its counts
-    are convolved with the other side's.  Each bitableau still has its
-    semistandard check.  tests/oracles.py keeps the check of every mixed
-    multiset as the oracle.
+    each side.  Each side is walked once; its multisets, all negative,
+    go through brsk_negative and the check against the side's lower
+    bound alone, and its counts are convolved with the other side's.
+    Each bitableau still has its semistandard check.  tests/oracles.py
+    keeps the check of every mixed multiset as the oracle.
     """
     Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
     bounded = []
     injective = True
-    for T, side in _sides(Ttil, Wtil, grid):
+    for T, side in sides(Ttil, Wtil, grid):
         walk = _walk(T, side, m_max)
         bounded.append([len(ms) for ms in walk])
         lower, images = (proj(T, 1), proj(T, 2)), set()
         for multisets in walk:
             for U in multisets:
-                P, Q = brsk(U)
+                (P, Q), _ = brsk_negative(U)
                 if (P, Q) in images or not rows_bounded_by(P, Q, lower, ((), ())):
                     injective = False
                 images.add((P, Q))
@@ -292,8 +310,11 @@ def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
 
 def dimension_and_degree(alpha, beta, gamma, n: int, d: int):
     """Dimension and degree of the Richardson variety: the maximal size
-    of a square-free bounded monomial and the number attaining it.
-    Refuses grids above multiplicity.GRID_CAP points."""
+    of a square-free bounded monomial and the number attaining it: the
+    largest face size and the top entry of the f-vector of the complex
+    of bounded subsets, read from the two sides' f-vectors by
+    multiplicity.maximal_bounded_subsets.  Refuses grids above
+    multiplicity.GRID_CAP points."""
     alpha, beta, gamma = (validate_index(x, n) for x in (alpha, beta, gamma))
     if not (0 < d < n) or {len(alpha), len(beta), len(gamma)} != {d}:
         raise ValueError("indices must be d-subsets with 0 < d < n")

@@ -10,10 +10,18 @@ enumerate_families list the paths and families themselves, for
 drawing; the backtracking count over them that the determinant
 replaced is the test oracle in tests/test_multiplicity.py.
 
-maximal_bounded_subsets reaches the same count without the paths, by a
-depth-first search of the faces of the complex of chain-bounded subsets
-of the grid; the size-descending scan over every subset that it
-replaced is the test oracle in tests/test_multiplicity.py.
+maximal_bounded_subsets reaches the same count without the paths, from
+the complex of chain-bounded subsets of the grid.  Negative points are
+bounded by Ttil alone and positive points by Wtil alone, so that
+complex is the join of two one-sided complexes, and f_vector counts the
+faces of one side, by size, with a depth-first search.  Its top entry
+and its length give the side's count and size; the degree and the
+dimension are the product of the two counts and the sum of the two
+sizes.  The same f-vectors give the Hilbert function of the tangent
+cone (groebner.bounded_multiset_counts).  tests/oracles.py keeps the
+joint search over both sides that this replaced, and
+tests/test_multiplicity.py the size-descending scan over every subset
+before it.
 """
 
 from itertools import combinations
@@ -25,12 +33,13 @@ from .grassmannian import (
     build_bound_multisets,
     in_grid,
     negative_region,
-    positive_region,
+    sides,
     validate_index,
 )
 from .multisets import iota, sign
 
-# The face search is exponential in the grid size; larger grids are refused.
+# An uncapped face search is exponential in the grid size; maximal_bounded_subsets
+# refuses larger grids.
 GRID_CAP = 24
 
 
@@ -233,56 +242,73 @@ def _above_first(p):
     return (-p[1], p[0])
 
 
+def f_vector(T, grid: BetaGrid, max_size=None):
+    """The f-vector of the complex of subsets of the grid's negative
+    points that are chain-bounded below by T: entry k counts its faces
+    of size k, for every k up to the largest face or up to max_size,
+    whichever is smaller.  T must be negative (unchecked); a positive
+    problem goes through grassmannian.sides first.
+
+    A depth-first face search.  Chain-boundedness is closed under
+    taking subsets, so a face grows only by points after its last one,
+    in one fixed order, a candidate that fails is never extended, and a
+    face of max_size points is not extended either.  The bound's depth
+    at every point is computed once per call.  Every point comes after
+    the points weakly above it, so adding a point changes the face's
+    depth only at that point: testing a candidate is one chain_depth
+    call.
+    """
+    points = sorted(negative_region(grid), key=_above_first)
+    cap = len(points) if max_size is None else max_size
+    limit = [chain_depth(T, p) for p in points]
+    f = [1]
+    face = []
+    chosen = []  # indices of the face's points, ascending
+    i = 0
+    while True:
+        if i < len(points) and len(face) < cap:
+            face.append(points[i])
+            if chain_depth(face, points[i]) <= limit[i]:
+                chosen.append(i)
+                if len(face) == len(f):
+                    f.append(0)
+                f[len(face)] += 1
+            else:
+                face.pop()
+            i += 1
+        elif chosen:
+            i = chosen.pop() + 1
+            face.pop()
+        else:
+            return f
+
+
 def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid):
     """The faces of maximal size of the complex of subsets of the grid
     that are chain-bounded by (Ttil, Wtil).  Returns (number of such
     subsets, that maximal size).  Refuses grids with more than GRID_CAP
     points, and anchors of the wrong sign.
 
-    A depth-first face search.  Chain-boundedness is closed under
-    taking subsets, so a face grows only by points after its last one,
-    in one fixed order, and a candidate that fails is never extended.
-    The signs and the cap are checked once, here; after that each side
-    of a face is a list of negative raw tuples (the positive side
-    swapped), and the bound's depth at every grid point is computed
-    once per call.  Within a side, every point comes after the points
-    weakly above it, so adding a point changes the face's depth only at
-    that point: testing a candidate is one chain_depth call.  The
-    search is still exponential in the grid size.  The size-descending
-    scan over chain_bounded that it replaced is the test oracle in
-    tests/test_multiplicity.py.
+    The complex is the join of its negative side, bounded by Ttil, and
+    its positive side, bounded by Wtil: a face is a face of each side.
+    So each side's f-vector is searched once, and its top entry and its
+    length give that side's count and size of maximal faces; the count
+    is their product and the size their sum.  The search costs the sum
+    of the two sides' face counts, not their product.
     """
     if any(sign(r) >= 0 for r in Ttil):
         raise ValueError("lower anchors must be negative")
     if any(sign(r) <= 0 for r in Wtil):
         raise ValueError("upper anchors must be positive")
-    points = [(0, p) for p in sorted(negative_region(grid), key=_above_first)]
-    points += [(1, p) for p in sorted(iota(positive_region(grid)), key=_above_first)]
-    if len(points) > GRID_CAP:
-        raise ValueError("grid has %d points, above the cap %d" % (len(points), GRID_CAP))
-    bounds = (tuple(Ttil), iota(Wtil))
-    limit = [chain_depth(bounds[s], p) for s, p in points]
-    faces = ([], [])  # the current face, one list of raw tuples per side
-    chosen = []  # indices of its points, ascending
-    best, count, i = 0, 1, 0
-    while True:
-        if i < len(points):
-            s, p = points[i]
-            faces[s].append(p)
-            if chain_depth(faces[s], p) <= limit[i]:
-                chosen.append(i)
-                if len(chosen) > best:
-                    best, count = len(chosen), 0
-                count += len(chosen) == best
-            else:
-                faces[s].pop()
-            i += 1
-        elif chosen:
-            i = chosen.pop()
-            faces[points[i][0]].pop()
-            i += 1
-        else:
-            return count, best
+    size = len(grid.beta) * len(grid.complement)
+    if size > GRID_CAP:
+        raise ValueError("grid has %d points, above the cap %d" % (size, GRID_CAP))
+    count, best = 1, 0
+    for T, side in sides(Ttil, Wtil, grid):
+        f = f_vector(T, side)
+        count *= f[-1]
+        best += len(f) - 1
+    return count, best
 
 
 def render_family(family, grid: BetaGrid) -> str:

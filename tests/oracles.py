@@ -1,9 +1,10 @@
 """Reference code the tests check grassmult against.
 
 Second algorithms for what the library computes once, the point
-relations behind twisted chains, a checker for the boundedness lemma of
-bounded RSK, the Groebner verification of every mixed multiset, and the
-sweep domains the test files share.  No CLI subcommand, demo or
+relations behind twisted chains, the positive region of a grid, the
+joint face search over both signs, a checker for the boundedness lemma
+of bounded RSK, the Groebner verification of every mixed multiset, and
+the sweep domains the test files share.  No CLI subcommand, demo or
 benchmark workload reaches any of it, so it lives with the tests and
 not in src/grassmult.
 """
@@ -12,7 +13,7 @@ from itertools import combinations, permutations
 
 from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
-from grassmult.grassmannian import build_bound_multisets, index_leq, validate_index
+from grassmult.grassmannian import build_bound_multisets, index_leq, negative_region, validate_index
 from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, standard_monomial_counts
 from grassmult.multiplicity import ceil_pt, floor_pt
 from grassmult.multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign
@@ -92,6 +93,13 @@ def chain_order_leq_diagonal(R, S) -> bool:
 # Index sets and path families.
 
 
+def positive_region(grid):
+    """The grid points above the diagonal, the mirror of
+    grassmannian.negative_region; the library reaches them through the
+    swap onto the dual grid (grassmannian.sides)."""
+    return {(e, f) for e in grid.complement for f in grid.beta if e > f}
+
+
 def rs_to_theta(R, S, beta):
     """The inverse of grassmannian.theta_to_rs."""
     R, S, beta = set(R), set(S), set(beta)
@@ -129,6 +137,44 @@ def decompose_bounded_subset(U, R):
         r: tuple(sorted(u for u in U if trianglelefteq_pt(u, r) and chain_depth(U, u) == level[r]))
         for r in sorted(R)
     }
+
+
+def joint_maximal_bounded_subsets(Ttil, Wtil, grid):
+    """The face search that multiplicity.maximal_bounded_subsets ran
+    before it searched each sign side on its own: one depth-first search
+    over the faces of the whole grid, each point tagged with its side,
+    counting the faces of maximal size.  Within a side every point comes
+    after the points weakly above it, so a candidate is one chain_depth
+    test at that point.  Returns (number of such faces, their size)."""
+
+    def above_first(p):
+        return (-p[1], p[0])
+
+    points = [(0, p) for p in sorted(negative_region(grid), key=above_first)]
+    points += [(1, p) for p in sorted(iota(positive_region(grid)), key=above_first)]
+    bounds = (tuple(Ttil), iota(Wtil))
+    limit = [chain_depth(bounds[s], p) for s, p in points]
+    faces = ([], [])  # the current face, one list of raw tuples per side
+    chosen = []  # indices of its points, ascending
+    best, count, i = 0, 1, 0
+    while True:
+        if i < len(points):
+            s, p = points[i]
+            faces[s].append(p)
+            if chain_depth(faces[s], p) <= limit[i]:
+                chosen.append(i)
+                if len(chosen) > best:
+                    best, count = len(chosen), 0
+                count += len(chosen) == best
+            else:
+                faces[s].pop()
+            i += 1
+        elif chosen:
+            i = chosen.pop()
+            faces[points[i][0]].pop()
+            i += 1
+        else:
+            return count, best
 
 
 # The boundedness lemma of bounded RSK.

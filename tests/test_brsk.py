@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmult.brsk import brsk, brsk_negative, lex_sort, multiset_bounded_by, rbrsk
-from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region, positive_region
+from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region
 from grassmult.multisets import iota, multiset_order_leq, negative_part, pairs, positive_part
 from grassmult.tableaux import (
     BumpingRecord,
@@ -28,6 +28,7 @@ from oracles import (
     brsk_inverse,
     index_triples,
     negative_twisted_chains,
+    positive_region,
     verify_boundedness_preservation,
 )
 

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,6 +106,18 @@ def test_count_table(capsys):
         "1\t4\t4\tyes",
         "2\t10\t10\tyes",
         "3\t20\t20\tyes",
+    ]
+
+
+def test_count_caps_the_face_search_above_the_grid_cap(capsys):
+    """The full Grassmannian at n = 12, d = 6 bounds every subset of its
+    36 grid points, 2^36 faces; counting up to degree 2 needs the faces
+    of at most two points, C(35 + m, m) monomials of each degree m."""
+    argv = ["count", "--n", "12", "--d", "6", "--alpha", "1,2,3,4,5,6",
+            "--beta", "1,3,5,7,9,11", "--gamma", "7,8,9,10,11,12", "--mmax", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["m\tmonomials\tstandard\tequal"] + [
+        "%d\t%d\t%d\tyes" % (m, math.comb(35 + m, m), math.comb(35 + m, m)) for m in range(3)
     ]
 
 

@@ -10,11 +10,10 @@ from grassmult.grassmannian import (
     index_leq,
     length,
     negative_region,
-    positive_region,
     theta_to_rs,
     validate_index,
 )
-from oracles import rs_to_theta
+from oracles import positive_region, rs_to_theta
 
 
 def test_validate_index():

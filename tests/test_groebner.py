@@ -11,7 +11,7 @@ from grassmult.grassmannian import (
     build_bound_multisets,
     index_leq,
     negative_region,
-    positive_region,
+    sides,
     theta_to_rs,
 )
 from grassmult.groebner import (
@@ -39,6 +39,7 @@ from grassmult.multisets import (
 from oracles import (
     expand_theta_minor_all_permutations,
     index_triples,
+    positive_region,
     rs_to_theta,
     verify_groebner_per_multiset,
 )
@@ -330,6 +331,25 @@ def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
     assert cases == 10958
 
 
+def test_f_vector_counts_match_the_side_walks_exhaustive():
+    """Every triple with n <= 6 and every d, degrees m <= 4: the counts
+    from the two sides' f-vectors, H(m) = sum over k of f_k C(m-1, k-1),
+    are the numbers of multisets each side's walk lists, convolved."""
+    checked = 0
+    for n in range(2, 7):
+        for d in range(1, n):
+            for alpha, beta, gamma in index_triples(n, d):
+                grid = beta_grid(beta, n)
+                Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+                neg, pos = (
+                    [len(ms) for ms in groebner._walk(T, side, 4)] for T, side in sides(Ttil, Wtil, grid)
+                )
+                walked = [sum(neg[i] * pos[m - i] for i in range(m + 1)) for m in range(5)]
+                assert bounded_multiset_counts(Ttil, Wtil, grid, 4) == walked, (alpha, beta, gamma)
+                checked += 1
+    assert checked == 2606
+
+
 def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
     """Every triple with n <= 6 and every d, m_max = 4 (3 at n = 6): the
     join of the two sides gives the report of putting every mixed
@@ -379,14 +399,14 @@ def test_verify_reports_an_unbounded_side(monkeypatch, side):
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
-    """Make brsk send every multiset of one side's walk to the image of
-    its first point repeated: every image is still bounded, but two
-    multisets of degree 2 share one."""
+    """Make brsk_negative send every multiset of one side's walk to the
+    image of its first point repeated: every image is still bounded, but
+    two multisets of degree 2 share one."""
     alpha, gamma, grid = SIDED
-    real, on_side = groebner.brsk, walked_on(side, grid)
+    real, on_side = groebner.brsk_negative, walked_on(side, grid)
     monkeypatch.setattr(
         groebner,
-        "brsk",
+        "brsk_negative",
         lambda U: real(U[:1] * len(U)) if U and on_side(U[0]) else real(U),
     )
     report = verify_groebner(alpha, gamma, grid, 3)

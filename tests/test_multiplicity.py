@@ -1,6 +1,7 @@
 """Path families on the beta grid and the multiplicity count."""
 
 import gc
+import math
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -13,7 +14,7 @@ from grassmult.grassmannian import (
     in_grid,
     length,
     negative_region,
-    positive_region,
+    sides,
 )
 from grassmult.multiplicity import (
     _bareiss_det,
@@ -22,13 +23,20 @@ from grassmult.multiplicity import (
     count_families,
     enumerate_families,
     enumerate_paths,
+    f_vector,
     floor_pt,
     maximal_bounded_subsets,
     multiplicity,
     render_family,
 )
 from grassmult.multisets import pairs
-from oracles import canonical_path, decompose_bounded_subset, index_triples
+from oracles import (
+    canonical_path,
+    decompose_bounded_subset,
+    index_triples,
+    joint_maximal_bounded_subsets,
+    positive_region,
+)
 
 GRID9 = beta_grid((1, 5, 6, 8), 9)
 ALPHA9, GAMMA9 = (1, 2, 3, 5), (3, 6, 8, 9)
@@ -286,6 +294,8 @@ def test_maximal_bounded_subsets_empty_bounds():
 
 
 def test_face_search_matches_the_scan_exhaustive():
+    # the per-side search against the joint search it replaced and the
+    # subset scan before that
     checked = mismatches = 0
     for n in range(2, 7):
         for d in range(1, n):
@@ -293,6 +303,7 @@ def test_face_search_matches_the_scan_exhaustive():
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 got = maximal_bounded_subsets(Ttil, Wtil, grid)
+                mismatches += got != joint_maximal_bounded_subsets(Ttil, Wtil, grid)
                 mismatches += got != scan_maximal_bounded_subsets(Ttil, Wtil, grid)
                 checked += 1
     assert (checked, mismatches) == (2606, 0)
@@ -309,7 +320,38 @@ def test_face_search_matches_the_scan_on_any_anchors():
     for Ttil in lowers:
         for Wtil in uppers:
             got = maximal_bounded_subsets(Ttil, Wtil, grid)
+            assert got == joint_maximal_bounded_subsets(Ttil, Wtil, grid), (Ttil, Wtil)
             assert got == scan_maximal_bounded_subsets(Ttil, Wtil, grid), (Ttil, Wtil)
+
+
+def test_size_cap_truncates_the_f_vector_exhaustive():
+    # a cap on face size drops the larger faces and changes no count of
+    # the smaller ones, on both sides of every triple
+    checked = 0
+    for n in range(2, 7):
+        for d in range(1, n):
+            for alpha, beta, gamma in index_triples(n, d):
+                grid = beta_grid(beta, n)
+                for T, side in sides(*build_bound_multisets(alpha, gamma, grid), grid):
+                    f = f_vector(T, side)
+                    assert f[0] == 1 and all(f)
+                    for cap in range(len(f) + 1):
+                        assert f_vector(T, side, cap) == f[: cap + 1], (alpha, beta, gamma, cap)
+                    checked += 1
+    assert checked == 2 * 2606
+
+
+def test_f_vector_of_a_side_its_bound_cuts_nothing_is_binomial():
+    # at beta = (4, 5, 6) the lowest alpha bounds the nine points of the
+    # negative side by the chain (3,4), (2,5), (1,6), and every subset
+    # of them is a face; an empty bound leaves only the empty face
+    grid = beta_grid((4, 5, 6), 6)
+    Ttil, Wtil = build_bound_multisets((1, 2, 3), (4, 5, 6), grid)
+    assert (sorted(Ttil), Wtil) == ([(1, 6), (2, 5), (3, 4)], ())
+    assert len(negative_region(grid)) == 9
+    assert f_vector(Ttil, grid) == [math.comb(9, k) for k in range(10)]
+    assert f_vector(Ttil, grid, 3) == [1, 9, 36, 84]
+    assert f_vector((), grid) == [1]
 
 
 def test_maximal_bounded_subsets_validates_anchor_signs():
