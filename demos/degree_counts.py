@@ -2,7 +2,7 @@
 variety: list the signed minors with their leading monomials, then
 compare monomial counts degree by degree."""
 
-from grassmult.grassmannian import beta_grid, build_bound_multisets, theta_to_rs
+from grassmult.grassmannian import richardson, theta_to_rs
 from grassmult.groebner import (
     dimension_and_degree,
     initial_term,
@@ -15,7 +15,7 @@ from itertools import combinations
 ALPHA, BETA, GAMMA, N, D = (1, 3), (2, 4), (4, 5), 5, 2
 
 if __name__ == "__main__":
-    grid = beta_grid(BETA, N)
+    Ttil, Wtil, grid = richardson(ALPHA, BETA, GAMMA, N, D)
     print("alpha=%s beta=%s gamma=%s, %d-planes in %d-space" % (ALPHA, BETA, GAMMA, D, N))
     print()
     print("signed minors and their leading monomials:")
@@ -28,8 +28,7 @@ if __name__ == "__main__":
         print("  theta=%s  R=%s S=%s  %d terms, leads with %s"
               % (theta, R, S, len(f.expansion), " ".join("x%d%d" % m for m in lead)))
     print()
-    report = verify_groebner(ALPHA, GAMMA, grid, 4)
-    Ttil, Wtil = build_bound_multisets(ALPHA, GAMMA, grid)
+    report = verify_groebner(Ttil, Wtil, grid, 4)
     print("m  bounded multisets  standard monomials")
     for m, outside, standard in report.per_degree:
         print("%d  %17d  %18d" % (m, outside, standard))

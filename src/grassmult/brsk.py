@@ -1,5 +1,5 @@
 """The bounded RSK correspondence between nonvanishing multisets on N^2
-and nonvanishing semistandard notched bitableaux, with its reverse and
+and nonvanishing semistandard notched bitableaux, with its inverse and
 the boundedness test for multisets.  The checker of the boundedness
 lemma along an insertion is a test oracle in tests/oracles.py.
 """
@@ -7,16 +7,8 @@ lemma along an insertion is a test oracle in tests/oracles.py.
 from collections import namedtuple
 
 from .chains import chain_bounded
-from .multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign
-from .tableaux import (
-    bidegree,
-    classify_bitableau,
-    insert_rows,
-    is_semistandard_bitableau,
-    iota_bitableau,
-    reverse_bounded_insert,
-    tableau,
-)
+from .multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
+from .tableaux import insert_rows, iota_bitableau, reverse_bounded_insert, split_parts, tableau
 
 BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
 BrskStep.__doc__ = "One insertion: the pair fed in, its BumpingRecord, and the snapshot after."
@@ -68,21 +60,15 @@ def brsk_negative(U, keep_trace: bool = False):
     return (_frozen(P), _frozen(Q)), trace
 
 
-def rbrsk(B):
-    """Recover the negative multiset from a negative semistandard bitableau.
+def _reverse_negative(P, Q):
+    """The pairs that brsk_negative inserted to build the negative
+    bitableau (P, Q) of normalized tableaux, in the reverse of
+    lex_sort's insertion order.
 
     Each step removes the minimum entry b of Q from the left end of the
     lowest row of Q containing it, and reverse-inserts starting at the
-    greatest entry of that row of P below b.  Pairs come out in the
-    reverse of lex_sort's insertion order, a proved property that
-    tests/test_brsk.py asserts; the returned multiset is canonical.
+    greatest entry of that row of P below b.
     """
-    P, Q = B
-    if not is_semistandard_bitableau((P, Q)):
-        raise ValueError("expected a semistandard bitableau")
-    if bidegree((P, Q)) and classify_bitableau((P, Q)) != "negative":
-        raise ValueError("expected a negative bitableau")
-    P, Q = tableau(P), tableau(Q)
     emitted = []
     while any(Q):
         b = min(x for row in Q for x in row)
@@ -95,7 +81,25 @@ def rbrsk(B):
             rows.pop()
         Q = tableau(rows)
         emitted.append((a, b))
-    return pairs(emitted)
+    return emitted
+
+
+def rbrsk(B):
+    """Invert brsk on a nonvanishing semistandard bitableau: negative,
+    positive or mixed.
+
+    split_parts validates B once and cuts it into its negative rows and
+    its positive rows.  The negative half is undone directly; the
+    positive half, as brsk built it, through the component swap:
+    iota_bitableau makes it negative, and iota swaps the pairs undone
+    from it back.  Each half's pairs come out in the reverse of
+    lex_sort's insertion order, a proved property that tests/test_brsk.py
+    asserts; the returned multiset is canonical.
+    """
+    negative, positive = split_parts(B)
+    return union(
+        pairs(_reverse_negative(*negative)), iota(_reverse_negative(*iota_bitableau(positive)))
+    )
 
 
 def brsk(U):

@@ -2,21 +2,25 @@
 correspondence, multiplicities, path families, and the counting
 verification.  Exit code 2 flags invalid input, 1 a verification
 mismatch, 0 success.
+
+Each subcommand parses its arguments, makes one library call per
+result, and prints.  The rules for valid input live in the library,
+which raises ValueError on a bad triple, dimension, degree bound,
+multiset or bitableau; run turns that into one error line and exit 2.
 """
 
 import argparse
 import json
 import random
 import sys
-from itertools import combinations
 
 from .brsk import brsk, brsk_negative, rbrsk
 from .chains import canonicalize
-from .grassmannian import beta_grid, build_bound_multisets, index_leq
+from .grassmannian import richardson, triples
 from .groebner import bounded_multiset_counts, standard_monomial_counts, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
 from .multisets import iota, negative_part, pairs, pairs_from_json, pairs_to_json, positive_part
-from .tableaux import iota_bitableau, render, split_parts, tableau_from_json, tableau_to_json
+from .tableaux import render, tableau_from_json, tableau_to_json
 
 
 def _parse_index(text):
@@ -58,9 +62,9 @@ def _read_input(path, parse, expected):
 
 
 def _load_multiset(ns):
-    if ns.pairs:
+    if ns.pairs is not None:
         return _parse_pairs(ns.pairs)
-    if ns.input:
+    if ns.input is not None:
         return _read_input(ns.input, pairs_from_json, "a JSON list of integer [e, f] pairs")
     raise ValueError("provide --pairs or --input")
 
@@ -114,11 +118,10 @@ def _cmd_brsk(ns, out):
 
 
 def _cmd_rbrsk(ns, out):
-    if not ns.input:
+    if ns.input is None:
         raise ValueError("rbrsk reads a bitableau from --input (JSON with P and Q)")
     B = _read_input(ns.input, _bitableau_from_json, "a JSON object with integer tableaux P and Q")
-    negative, positive = split_parts(B)
-    U = pairs(rbrsk(negative) + iota(rbrsk(iota_bitableau(positive))))
+    U = rbrsk(B)
     if ns.json:
         print(json.dumps(pairs_to_json(U)), file=out)
     else:
@@ -126,28 +129,13 @@ def _cmd_rbrsk(ns, out):
     return 0
 
 
-def _require_dimensions(ns):
-    """A d-plane in n-space needs 0 < d < n, the index sets given must
-    have d entries, and a degree bound is nonnegative."""
-    if not 0 < ns.d < ns.n:
-        raise ValueError("need 0 < d < n, got d=%d and n=%d" % (ns.d, ns.n))
-    for flag, index in (("alpha", ns.alpha), ("beta", ns.beta), ("gamma", ns.gamma)):
-        if index and len(index) != ns.d:
-            raise ValueError("--%s has %d entries, not d=%d" % (flag, len(index), ns.d))
-    if getattr(ns, "mmax", 0) < 0:
-        raise ValueError("--mmax must be nonnegative, got %d" % ns.mmax)
-
-
 def _cmd_mult(ns, out):
-    _require_dimensions(ns)
     print(multiplicity(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d), file=out)
     return 0
 
 
 def _cmd_paths(ns, out):
-    _require_dimensions(ns)
-    grid = beta_grid(ns.beta, ns.n)
-    Ttil, Wtil = build_bound_multisets(ns.alpha, ns.gamma, grid)
+    Ttil, Wtil, grid = richardson(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d)
     families = enumerate_families(Ttil, Wtil, grid)
     if ns.json:
         blob = [
@@ -165,41 +153,28 @@ def _cmd_paths(ns, out):
 
 
 def _cmd_count(ns, out):
-    _require_dimensions(ns)
-    grid = beta_grid(ns.beta, ns.n)
-    Ttil, Wtil = build_bound_multisets(ns.alpha, ns.gamma, grid)
+    bounds = richardson(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d)
+    bounded = bounded_multiset_counts(*bounds, ns.mmax)
+    standard = standard_monomial_counts(*bounds, ns.mmax)
     print("m\tmonomials\tstandard\tequal", file=out)
-    bounded = bounded_multiset_counts(Ttil, Wtil, grid, ns.mmax)
-    standard = standard_monomial_counts(Ttil, Wtil, grid, ns.mmax)
     for m, (a, b) in enumerate(zip(bounded, standard)):
         print("%d\t%d\t%d\t%s" % (m, a, b, "yes" if a == b else "NO"), file=out)
     return 0
 
 
-def _iter_triples(n, d):
-    indices = list(combinations(range(1, n + 1), d))
-    for beta in indices:
-        for alpha in indices:
-            if not index_leq(alpha, beta):
-                continue
-            for gamma in indices:
-                if index_leq(beta, gamma):
-                    yield alpha, beta, gamma
-
-
 def _cmd_verify(ns, out):
-    _require_dimensions(ns)
     if ns.all_triples or ns.sample:
-        triples = list(_iter_triples(ns.n, ns.d))
+        if ns.alpha or ns.beta or ns.gamma:
+            raise ValueError("--all-triples and --sample take no --alpha, --beta or --gamma")
+        checked = list(triples(ns.n, ns.d))
         if ns.sample:
             rng = random.Random(ns.seed)
-            triples = rng.sample(triples, min(ns.sample, len(triples)))
+            checked = rng.sample(checked, min(ns.sample, len(checked)))
     else:
-        triples = [(ns.alpha, ns.beta, ns.gamma)]
+        checked = [(ns.alpha, ns.beta, ns.gamma)]
     bad = 0
-    for alpha, beta, gamma in triples:
-        grid = beta_grid(beta, ns.n)
-        report = verify_groebner(alpha, gamma, grid, ns.mmax)
+    for alpha, beta, gamma in checked:
+        report = verify_groebner(*richardson(alpha, beta, gamma, ns.n, ns.d), ns.mmax)
         ok = report.counts_equal and report.brsk_injective
         if not ok:
             bad += 1
@@ -213,7 +188,7 @@ def _cmd_verify(ns, out):
             ),
             file=out,
         )
-    print("%d triples checked, %d mismatches" % (len(triples), bad), file=out)
+    print("%d triples checked, %d mismatches" % (len(checked), bad), file=out)
     return 1 if bad else 0
 
 
@@ -257,13 +232,13 @@ def _build_parser():
         p.add_argument("--gamma", type=_parse_index, default="")
 
     p = command("brsk", _cmd_brsk, "run the correspondence on a multiset")
-    p.add_argument("--pairs", default="")
-    p.add_argument("--input", default="")
+    p.add_argument("--pairs")
+    p.add_argument("--input")
     p.add_argument("--trace", default="", help="write per-step JSONL trace here")
     p.add_argument("--json", action="store_true")
 
     p = command("rbrsk", _cmd_rbrsk, "invert the correspondence on a bitableau")
-    p.add_argument("--input", default="")
+    p.add_argument("--input")
     p.add_argument("--json", action="store_true")
 
     p = command("mult", _cmd_mult, "multiplicity at the fixed point of beta")
@@ -286,8 +261,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
 
     p = command("canonicalize", _cmd_canonicalize, "canonical twisted chain of a multiset")
-    p.add_argument("--pairs", default="")
-    p.add_argument("--input", default="")
+    p.add_argument("--pairs")
+    p.add_argument("--input")
     p.add_argument("--json", action="store_true")
     return parser
 

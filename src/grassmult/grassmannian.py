@@ -2,9 +2,14 @@
 d-subsets, lengths, the grid attached to a fixed subset beta, the
 bound multisets of a Richardson variety at the fixed point of beta, and
 the two one-sided problems they split into.
+
+richardson is the one place that checks a Richardson triple: every
+subcommand and library entry point that takes (alpha, beta, gamma, n, d)
+goes through it, and triples lists every triple that it accepts.
 """
 
 from collections import namedtuple
+from itertools import combinations
 
 from .chains import canonicalize
 from .multisets import difference, iota, pairs
@@ -77,6 +82,44 @@ def build_bound_multisets(alpha, gamma, grid: BetaGrid):
     Ttil = canonicalize(pairs(zip(Ra, Sa)))
     Wtil = canonicalize(pairs(zip(Rg, Sg)))
     return Ttil, Wtil
+
+
+def _check_dimensions(n: int, d: int):
+    if not 0 < d < n:
+        raise ValueError("need 0 < d < n, got d=%d and n=%d" % (d, n))
+
+
+def richardson(alpha, beta, gamma, n: int, d: int):
+    """The bounds and the grid of the Richardson variety of (alpha,
+    gamma) at the fixed point of beta: (Ttil, Wtil, grid).
+
+    Raises ValueError unless 0 < d < n, each index is a d-subset of
+    1..n, and alpha <= beta <= gamma.  beta_grid validates beta and
+    build_bound_multisets validates alpha and gamma, once each.
+    """
+    _check_dimensions(n, d)
+    for name, index in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if len(index) != d:
+            raise ValueError("%s has %d entries, not d=%d" % (name, len(index), d))
+    grid = beta_grid(beta, n)
+    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+    return Ttil, Wtil, grid
+
+
+def triples(n: int, d: int):
+    """Every Richardson triple alpha <= beta <= gamma of d-subsets of
+    1..n, beta outermost, each index in lexicographic order.  Raises
+    ValueError unless 0 < d < n."""
+    _check_dimensions(n, d)
+    indices = list(combinations(range(1, n + 1), d))
+    return (
+        (alpha, beta, gamma)
+        for beta in indices
+        for alpha in indices
+        if index_leq(alpha, beta)
+        for gamma in indices
+        if index_leq(beta, gamma)
+    )
 
 
 def sides(Ttil, Wtil, grid: BetaGrid):

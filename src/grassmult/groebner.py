@@ -31,9 +31,9 @@ from math import comb
 from .brsk import brsk_negative, multiset_bounded_by
 from .grassmannian import (
     BetaGrid,
-    beta_grid,
     build_bound_multisets,
     negative_region,
+    richardson,
     sides,
     theta_to_rs,
     validate_index,
@@ -275,10 +275,14 @@ def count_standard_monomials(alpha, gamma, grid: BetaGrid, m: int) -> int:
     return standard_monomial_counts(Ttil, Wtil, grid, m)[m]
 
 
-def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
-    """Compare the two counts for every degree up to m_max and check
-    that bounded RSK is injective from bounded multisets into bounded
-    bitableaux at each degree.
+def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
+    """Compare the numbers of multisets and of standard monomials on
+    the grid bounded by the pair (Ttil, Wtil) for every degree up to
+    m_max, and check that bounded RSK is injective from bounded
+    multisets into bounded bitableaux at each degree.  Takes the
+    arguments of the two counts, bounded_multiset_counts and
+    standard_monomial_counts; grassmannian.richardson builds them from
+    a triple.
 
     brsk stacks the bitableau of a multiset's negative side on that of
     its positive side, and every row says which side it came from, so
@@ -289,7 +293,6 @@ def verify_groebner(alpha, gamma, grid: BetaGrid, m_max: int) -> GroebnerReport:
     Each bitableau still has its semistandard check.  tests/oracles.py
     keeps the check of every mixed multiset as the oracle.
     """
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
     bounded = []
     injective = True
     for T, side in sides(Ttil, Wtil, grid):
@@ -313,12 +316,8 @@ def dimension_and_degree(alpha, beta, gamma, n: int, d: int):
     of a square-free bounded monomial and the number attaining it: the
     largest face size and the top entry of the f-vector of the complex
     of bounded subsets, read from the two sides' f-vectors by
-    multiplicity.maximal_bounded_subsets.  Refuses grids above
+    multiplicity.maximal_bounded_subsets.  grassmannian.richardson
+    checks the triple and builds its bounds.  Refuses grids above
     multiplicity.GRID_CAP points."""
-    alpha, beta, gamma = (validate_index(x, n) for x in (alpha, beta, gamma))
-    if not (0 < d < n) or {len(alpha), len(beta), len(gamma)} != {d}:
-        raise ValueError("indices must be d-subsets with 0 < d < n")
-    grid = beta_grid(beta, n)
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    count, max_degree = maximal_bounded_subsets(Ttil, Wtil, grid)
+    count, max_degree = maximal_bounded_subsets(*richardson(alpha, beta, gamma, n, d))
     return max_degree, count

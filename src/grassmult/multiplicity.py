@@ -27,15 +27,7 @@ before it.
 from itertools import combinations
 
 from .chains import chain_depth
-from .grassmannian import (
-    BetaGrid,
-    beta_grid,
-    build_bound_multisets,
-    in_grid,
-    negative_region,
-    sides,
-    validate_index,
-)
+from .grassmannian import BetaGrid, in_grid, negative_region, richardson, sides
 from .multisets import iota, sign
 
 # An uncapped face search is exponential in the grid size; maximal_bounded_subsets
@@ -227,13 +219,9 @@ def enumerate_families(Ttil, Wtil, grid: BetaGrid):
 
 def multiplicity(alpha, beta, gamma, n: int, d: int) -> int:
     """Multiplicity of the Richardson variety of (alpha, gamma) at the
-    torus-fixed point of beta, by counting disjoint path families."""
-    alpha, beta, gamma = (validate_index(x, n) for x in (alpha, beta, gamma))
-    if not (0 < d < n) or {len(alpha), len(beta), len(gamma)} != {d}:
-        raise ValueError("indices must be d-subsets with 0 < d < n")
-    grid = beta_grid(beta, n)
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    return count_families(Ttil, Wtil, grid)
+    torus-fixed point of beta, by counting disjoint path families.
+    grassmannian.richardson checks the triple and builds its bounds."""
+    return count_families(*richardson(alpha, beta, gamma, n, d))
 
 
 def _above_first(p):

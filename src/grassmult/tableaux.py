@@ -39,10 +39,6 @@ def tableau(rows) -> tuple[tuple[int, ...], ...]:
     return P
 
 
-def size(P) -> int:
-    return sum(len(row) for row in P)
-
-
 def row_strict(P) -> bool:
     return all(all(row[j] < row[j + 1] for j in range(len(row) - 1)) for row in P)
 
@@ -170,10 +166,6 @@ def bitableau(P, Q):
     return (P, Q)
 
 
-def bidegree(B) -> int:
-    return size(B[0])
-
-
 def _semistandard_pair(P, Q) -> bool:
     if not (row_strict(P) and row_strict(Q)):
         return False
@@ -181,11 +173,6 @@ def _semistandard_pair(P, Q) -> bool:
         if not formal_diff_leq(P[i], Q[i], P[i + 1], Q[i + 1]):
             return False
     return True
-
-
-def is_semistandard_bitableau(B) -> bool:
-    """Row strict with weakly increasing row differences P_i - Q_i."""
-    return _semistandard_pair(*bitableau(*B))
 
 
 def classify_row(p_row, q_row) -> int:
@@ -197,31 +184,10 @@ def classify_row(p_row, q_row) -> int:
     return 0
 
 
-def _row_labels(P, Q):
-    return [classify_row(p, q) for p, q in zip(P, Q)]
-
-
-def classify_bitableau(B) -> str:
-    """'negative', 'positive', 'nonvanishing', or 'neither'.
-
-    Every row must compare strictly one way or the other for the
-    bitableau to be nonvanishing; uniform rows refine the class.  The
-    empty bitableau counts as nonvanishing.
-    """
-    labels = _row_labels(*bitableau(*B))
-    if any(s == 0 for s in labels):
-        return "neither"
-    if labels and all(s == -1 for s in labels):
-        return "negative"
-    if labels and all(s == 1 for s in labels):
-        return "positive"
-    return "nonvanishing"
-
-
 def split_parts(B):
     """Split a nonvanishing semistandard bitableau into negative and positive parts."""
     P, Q = bitableau(*B)
-    labels = _row_labels(P, Q)
+    labels = [classify_row(p, q) for p, q in zip(P, Q)]
     if any(s == 0 for s in labels) or not _semistandard_pair(P, Q):
         raise ValueError("expected a nonvanishing semistandard bitableau")
     i = 0

@@ -2,22 +2,30 @@
 
 Second algorithms for what the library computes once, the point
 relations behind twisted chains, the positive region of a grid, the
-joint face search over both signs, a checker for the boundedness lemma
-of bounded RSK, the Groebner verification of every mixed multiset, and
-the sweep domains the test files share.  No CLI subcommand, demo or
-benchmark workload reaches any of it, so it lives with the tests and
-not in src/grassmult.
+joint face search over both signs, the classification of bitableaux, a
+checker for the boundedness lemma of bounded RSK, the Groebner
+verification of every mixed multiset, and the twisted chains the test
+files sweep over.  No CLI subcommand, demo or benchmark workload
+reaches any of it, so it lives with the tests and not in src/grassmult.
 """
 
 from itertools import combinations, permutations
 
-from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk
+from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
-from grassmult.grassmannian import build_bound_multisets, index_leq, negative_region, validate_index
+from grassmult.grassmannian import negative_region, validate_index
 from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, standard_monomial_counts
 from grassmult.multiplicity import ceil_pt, floor_pt
-from grassmult.multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign
-from grassmult.tableaux import bitableau_bounded_by, iota_bitableau, split_parts
+from grassmult.multisets import (
+    formal_diff_leq,
+    iota,
+    is_nonvanishing,
+    negative_part,
+    pairs,
+    positive_part,
+    sign,
+)
+from grassmult.tableaux import bitableau, bitableau_bounded_by, classify_row, row_strict
 
 # Twisted chains: the point relations and the chain predicates.
 
@@ -177,6 +185,45 @@ def joint_maximal_bounded_subsets(Ttil, Wtil, grid):
             return count, best
 
 
+# Bitableaux: the predicates behind tableaux.split_parts, one bitableau
+# at a time.
+
+
+def size(P) -> int:
+    return sum(len(row) for row in P)
+
+
+def bidegree(B) -> int:
+    return size(B[0])
+
+
+def is_semistandard_bitableau(B) -> bool:
+    """Row strict with weakly increasing row differences P_i - Q_i."""
+    P, Q = bitableau(*B)
+    return (
+        row_strict(P)
+        and row_strict(Q)
+        and all(formal_diff_leq(P[i], Q[i], P[i + 1], Q[i + 1]) for i in range(len(P) - 1))
+    )
+
+
+def classify_bitableau(B) -> str:
+    """'negative', 'positive', 'nonvanishing', or 'neither'.
+
+    Every row must compare strictly one way or the other for the
+    bitableau to be nonvanishing; uniform rows refine the class.  The
+    empty bitableau counts as nonvanishing.
+    """
+    labels = [classify_row(p, q) for p, q in zip(*bitableau(*B))]
+    if any(s == 0 for s in labels):
+        return "neither"
+    if labels and all(s == -1 for s in labels):
+        return "negative"
+    if labels and all(s == 1 for s in labels):
+        return "positive"
+    return "nonvanishing"
+
+
 # The boundedness lemma of bounded RSK.
 
 
@@ -266,13 +313,12 @@ def expand_theta_minor_all_permutations(theta, grid):
     return expansion
 
 
-def verify_groebner_per_multiset(alpha, gamma, grid, m_max):
+def verify_groebner_per_multiset(Ttil, Wtil, grid, m_max):
     """The counting verification run on every bounded multiset, mixed
     ones included: count each degree's list, and put each multiset
     through brsk and the full bound check.  The oracle for
     groebner.verify_groebner, which solves the two one-sided problems
     and convolves their counts."""
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
     bounded = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
     standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
     per_degree = []
@@ -295,17 +341,6 @@ def verify_groebner_per_multiset(alpha, gamma, grid, m_max):
 # Sweep domains.
 
 
-def index_triples(n, d):
-    """Every (alpha, beta, gamma) with alpha <= beta <= gamma in I(d, n)."""
-    indices = list(combinations(range(1, n + 1), d))
-    for beta in indices:
-        for alpha in indices:
-            if index_leq(alpha, beta):
-                for gamma in indices:
-                    if index_leq(beta, gamma):
-                        yield alpha, beta, gamma
-
-
 def negative_twisted_chains(bound):
     """All negative twisted chains with coordinates <= bound, plus the
     empty chain.  A chain of m points uses 2m distinct coordinates, so
@@ -314,8 +349,3 @@ def negative_twisted_chains(bound):
     chains = (c for m in range(1, bound // 2 + 1) for c in combinations(pts, m))
     return [()] + [pairs(c) for c in chains if is_negative_twisted_chain(c)]
 
-
-def brsk_inverse(B):
-    """Undo brsk on a nonvanishing bitableau by splitting it into its signed parts."""
-    neg, pos = split_parts(B)
-    return pairs(rbrsk(neg) + iota(rbrsk(iota_bitableau(pos))))

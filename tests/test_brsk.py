@@ -12,21 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmult.brsk import brsk, brsk_negative, lex_sort, multiset_bounded_by, rbrsk
-from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region
+from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region, triples
 from grassmult.multisets import iota, multiset_order_leq, negative_part, pairs, positive_part
 from grassmult.tableaux import (
     BumpingRecord,
     bitableau_bounded_by,
     bounded_insert,
-    classify_bitableau,
     iota_bitableau,
-    is_semistandard_bitableau,
     row_strict,
 )
 from oracles import (
     PreconditionError,
-    brsk_inverse,
-    index_triples,
+    classify_bitableau,
+    is_semistandard_bitableau,
     negative_twisted_chains,
     positive_region,
     verify_boundedness_preservation,
@@ -70,7 +68,7 @@ def test_seven_point_reverse():
 
 def test_rbrsk_rejects_bad_input():
     with pytest.raises(ValueError):
-        rbrsk((((1, 9),), ((2, 5),)))  # not a negative bitableau
+        rbrsk((((1, 9),), ((2, 5),)))  # a row that is neither negative nor positive
     with pytest.raises(ValueError):
         rbrsk((((1, 2), (2,)), ((3, 4),)))  # shape mismatch
 
@@ -115,7 +113,7 @@ def test_roundtrip_exhaustive_small():
 def test_roundtrip_random_nonvanishing(raw):
     U = pairs((e, f) for e, f in raw if e != f)
     B = brsk(U)
-    assert brsk_inverse(B) == U
+    assert rbrsk(B) == U
 
 
 def test_multiset_bounded_by():
@@ -242,10 +240,12 @@ def recorded_emissions():
 
 
 def check_against_steps(U):
-    """The kernel against the per-step oracle, and the postconditions
-    that brsk, brsk_negative and rbrsk do not re-check."""
+    """The kernel against the per-step oracle, the postconditions that
+    brsk, brsk_negative and rbrsk do not re-check, and rbrsk undoing
+    brsk on the whole multiset, mixed and positive ones included."""
     B = brsk(U)
     assert B == brsk_by_steps(U)
+    assert rbrsk(B) == U
     assert is_semistandard_bitableau(B)
     assert classify_bitableau(B) != "neither"
     for half in (negative_part(U), iota(positive_part(U))):
@@ -329,7 +329,7 @@ def test_multiset_bounded_by_matches_chain_enumeration():
     cases = set()
     for n in range(2, 7):
         for d in range(1, n):
-            for alpha, beta, gamma in index_triples(n, d):
+            for alpha, beta, gamma in triples(n, d):
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 points = sorted(negative_region(grid) | positive_region(grid))

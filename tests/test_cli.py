@@ -51,6 +51,18 @@ def test_brsk_json_with_positive_points_roundtrips_through_rbrsk(tmp_path, capsy
     assert back == sorted([int(x) for x in p.split(",")] for p in points.split())
 
 
+def test_empty_pairs_are_the_empty_multiset(tmp_path, capsys):
+    assert main(["brsk", "--pairs", "", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == '{"P": [], "Q": []}\n'
+    path = tmp_path / "bitab.json"
+    path.write_text(out)
+    assert main(["rbrsk", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "\n"
+    assert main(["canonicalize", "--pairs", ""]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_rbrsk_refuses_a_positive_row_above_a_negative_row(tmp_path, capsys):
     path = tmp_path / "bitab.json"
     path.write_text(json.dumps({"P": [[3], [1]], "Q": [[1], [2]]}))
@@ -198,6 +210,17 @@ def test_out_of_range_dimensions_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sweep", [["--all-triples"], ["--sample", "3"]])
+def test_verify_sweep_takes_no_triple(capsys, sweep):
+    """A sweep picks its own triples, so one given with it is refused,
+    valid or not."""
+    for triple in (FIVE[4:], ["--alpha", "1"], ["--beta", "2,4"]):
+        assert main(["verify", "--n", "5", "--d", "2"] + triple + sweep) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_rbrsk_requires_input(capsys):

@@ -10,9 +10,13 @@ from grassmult.grassmannian import (
     index_leq,
     length,
     negative_region,
+    richardson,
     theta_to_rs,
+    triples,
     validate_index,
 )
+from grassmult.groebner import dimension_and_degree
+from grassmult.multiplicity import multiplicity
 from oracles import positive_region, rs_to_theta
 
 
@@ -91,3 +95,54 @@ def test_bound_multisets_rejects_empty_richardson():
     grid = beta_grid((1, 5, 6, 8), 9)
     with pytest.raises(ValueError):
         build_bound_multisets((3, 6, 8, 9), (1, 2, 3, 5), grid)
+
+
+def test_richardson_builds_the_grid_and_bounds():
+    Ttil, Wtil, grid = richardson((1, 2, 3, 5), (8, 1, 6, 5), (3, 6, 8, 9), 9, 4)
+    assert grid == beta_grid((1, 5, 6, 8), 9)
+    assert (Ttil, Wtil) == (((2, 8), (3, 6)), ((3, 1), (9, 5)))
+    assert richardson((1, 3), (2, 4), (4, 5), 5, 2)  # the triple REFUSED breaks
+
+
+# Each line breaks one rule of a Richardson triple of 2-subsets of 1..5.
+REFUSED = [
+    ((1, 3), (2, 4), (4, 5), 5, 0),  # d <= 0
+    ((1, 3), (2, 4), (4, 5), 5, -1),
+    ((1, 3), (2, 4), (4, 5), 2, 2),  # d >= n
+    ((1, 3), (2, 4), (4, 5), 5, 6),
+    ((1,), (2, 4), (4, 5), 5, 2),  # an index without d entries
+    ((1, 3), (2, 4, 5), (4, 5), 5, 2),
+    ((1, 3), (2, 4), (), 5, 2),
+    ((0, 3), (2, 4), (4, 5), 5, 2),  # an entry outside 1..n
+    ((1, 3), (2, 4), (4, 6), 5, 2),
+    ((1, 3), (2, 9), (4, 5), 5, 2),
+    ((1, 1), (2, 4), (4, 5), 5, 2),  # a repeated entry
+    ((2, 5), (2, 4), (4, 5), 5, 2),  # alpha not <= beta
+    ((1, 3), (2, 4), (1, 5), 5, 2),  # beta not <= gamma
+]
+
+
+@pytest.mark.parametrize("call", [richardson, multiplicity, dimension_and_degree])
+@pytest.mark.parametrize("args", REFUSED)
+def test_a_bad_triple_is_refused(call, args):
+    with pytest.raises(ValueError):
+        call(*args)
+
+
+def test_triples():
+    assert list(triples(3, 1)) == [
+        ((1,), (1,), (1,)),
+        ((1,), (1,), (2,)),
+        ((1,), (1,), (3,)),
+        ((1,), (2,), (2,)),
+        ((1,), (2,), (3,)),
+        ((2,), (2,), (2,)),
+        ((2,), (2,), (3,)),
+        ((1,), (3,), (3,)),
+        ((2,), (3,), (3,)),
+        ((3,), (3,), (3,)),
+    ]
+    assert sum(1 for _ in triples(6, 3)) == 980
+    for n, d in ((4, 0), (4, -1), (4, 4), (3, 5), (1, 1)):
+        with pytest.raises(ValueError):
+            triples(n, d)

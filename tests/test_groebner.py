@@ -11,8 +11,10 @@ from grassmult.grassmannian import (
     build_bound_multisets,
     index_leq,
     negative_region,
+    richardson,
     sides,
     theta_to_rs,
+    triples,
 )
 from grassmult.groebner import (
     bounded_multiset_counts,
@@ -38,7 +40,6 @@ from grassmult.multisets import (
 )
 from oracles import (
     expand_theta_minor_all_permutations,
-    index_triples,
     positive_region,
     rs_to_theta,
     verify_groebner_per_multiset,
@@ -145,7 +146,7 @@ def test_standard_monomial_count_degree_one():
     # alpha <= theta <= gamma differing from beta in exactly one element
     for n, d in ((4, 2), (5, 2)):
         indices = list(itertools.combinations(range(1, n + 1), d))
-        for alpha, beta, gamma in index_triples(n, d):
+        for alpha, beta, gamma in triples(n, d):
             grid = beta_grid(beta, n)
             direct = sum(
                 1
@@ -159,8 +160,7 @@ def test_standard_monomial_count_degree_one():
 
 
 def test_counts_agree_on_a_full_richardson():
-    grid = beta_grid((1, 4), 4)
-    report = verify_groebner((1, 2), (3, 4), grid, 3)
+    report = verify_groebner(*richardson((1, 2), (1, 4), (3, 4), 4, 2), 3)
     assert report.per_degree == ((0, 1, 1), (1, 4, 4), (2, 10, 10), (3, 20, 20))
     assert report.counts_equal
     assert report.witness_degree is None
@@ -208,7 +208,7 @@ def count_by_sieve(alpha, gamma, grid, m):
 def test_sieve_matches_bounded_multisets():
     checked = 0
     for n in (3, 4, 5):
-        for alpha, beta, gamma in index_triples(n, 2):
+        for alpha, beta, gamma in triples(n, 2):
             grid = beta_grid(beta, n)
             for m in range(5):
                 assert count_monomials_outside_initial(alpha, gamma, grid, m) == (
@@ -280,7 +280,7 @@ def test_rows_of_opposite_signs_and_the_bounds_are_ordered_exhaustive():
     every grid with n <= 6: every negative row lies below every positive
     row, every Ttil below every positive row, and every negative row
     below every Wtil, under the order on formal differences."""
-    row_pairs = triples = 0
+    row_pairs = checked = 0
     for n in range(2, 7):
         for d in range(1, n):
             for beta in itertools.combinations(range(1, n + 1), d):
@@ -290,7 +290,7 @@ def test_rows_of_opposite_signs_and_the_bounds_are_ordered_exhaustive():
                         if (s, s2) == (-1, 1):
                             assert formal_diff_leq(p, q, p2, q2), (beta, n)
                             row_pairs += 1
-            for alpha, beta, gamma in index_triples(n, d):
+            for alpha, beta, gamma in triples(n, d):
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 T1, T2 = proj(Ttil, 1), proj(Ttil, 2)
@@ -300,8 +300,8 @@ def test_rows_of_opposite_signs_and_the_bounds_are_ordered_exhaustive():
                         assert formal_diff_leq(T1, T2, p, q), (alpha, beta, gamma)
                     else:
                         assert formal_diff_leq(p, q, W1, W2), (alpha, beta, gamma)
-                triples += 1
-    assert (row_pairs, triples) == (1496, 2606)
+                checked += 1
+    assert (row_pairs, checked) == (1496, 2606)
 
 
 def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
@@ -314,7 +314,7 @@ def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
     for n in range(2, 7):
         m_max = 3 if n == 6 else 4
         for d in range(1, n):
-            for alpha, beta, gamma in index_triples(n, d):
+            for alpha, beta, gamma in triples(n, d):
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 walk = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
@@ -338,7 +338,7 @@ def test_f_vector_counts_match_the_side_walks_exhaustive():
     checked = 0
     for n in range(2, 7):
         for d in range(1, n):
-            for alpha, beta, gamma in index_triples(n, d):
+            for alpha, beta, gamma in triples(n, d):
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 neg, pos = (
@@ -358,10 +358,10 @@ def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
     for n in range(2, 7):
         m_max = 3 if n == 6 else 4
         for d in range(1, n):
-            for alpha, beta, gamma in index_triples(n, d):
-                grid = beta_grid(beta, n)
-                report = verify_groebner(alpha, gamma, grid, m_max)
-                oracle = verify_groebner_per_multiset(alpha, gamma, grid, m_max)
+            for alpha, beta, gamma in triples(n, d):
+                bounds = richardson(alpha, beta, gamma, n, d)
+                report = verify_groebner(*bounds, m_max)
+                oracle = verify_groebner_per_multiset(*bounds, m_max)
                 assert report == oracle, (alpha, beta, gamma)
                 assert report.counts_equal and report.brsk_injective
                 checked += 1
@@ -369,7 +369,7 @@ def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
 
 
 # A triple bounded on both sides: (1, 3) <= (2, 4) <= (3, 5), n = 5.
-SIDED = ((1, 3), (3, 5), beta_grid((2, 4), 5))
+SIDED = richardson((1, 3), (2, 4), (3, 5), 5, 2)
 
 
 def walked_on(side, grid):
@@ -384,15 +384,15 @@ def walked_on(side, grid):
 def test_verify_reports_an_unbounded_side(monkeypatch, side):
     """Let the walk of one side accept every multiset: the bitableaux of
     the unbounded ones break that side's lower bound."""
-    alpha, gamma, grid = SIDED
-    assert verify_groebner(alpha, gamma, grid, 3).brsk_injective
+    grid = SIDED[2]
+    assert verify_groebner(*SIDED, 3).brsk_injective
     real, on_side = groebner.multiset_bounded_by, walked_on(side, grid)
     monkeypatch.setattr(
         groebner,
         "multiset_bounded_by",
         lambda U, T, W: all(map(on_side, U)) or real(U, T, W),
     )
-    report = verify_groebner(alpha, gamma, grid, 3)
+    report = verify_groebner(*SIDED, 3)
     assert not report.brsk_injective
     assert not report.counts_equal and report.witness_degree == 1
 
@@ -402,14 +402,14 @@ def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
     """Make brsk_negative send every multiset of one side's walk to the
     image of its first point repeated: every image is still bounded, but
     two multisets of degree 2 share one."""
-    alpha, gamma, grid = SIDED
+    grid = SIDED[2]
     real, on_side = groebner.brsk_negative, walked_on(side, grid)
     monkeypatch.setattr(
         groebner,
         "brsk_negative",
         lambda U: real(U[:1] * len(U)) if U and on_side(U[0]) else real(U),
     )
-    report = verify_groebner(alpha, gamma, grid, 3)
+    report = verify_groebner(*SIDED, 3)
     assert not report.brsk_injective
     assert report.counts_equal
 
@@ -441,7 +441,7 @@ def test_counting_leaves_no_reference_cycles():
     gc.disable()
     try:
         for _ in range(10):
-            verify_groebner((1, 2), (5, 6), grid, 4)
+            verify_groebner(*build_bound_multisets((1, 2), (5, 6), grid), grid, 4)
             count_standard_monomials((1, 2), (5, 6), grid, 4)
         assert gc.collect() == 0
     finally:

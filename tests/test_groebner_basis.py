@@ -7,9 +7,8 @@ import itertools
 
 import pytest
 
-from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq
+from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq, triples
 from grassmult.groebner import bounded_multiset_counts, standard_monomial_counts
-from oracles import index_triples
 
 sympy = pytest.importorskip("sympy")
 
@@ -74,7 +73,7 @@ def test_leading_monomials_generate_the_chain_ideal():
     standard monomials, each the convolution of the two sides' counts."""
     checked = 0
     for n, d in ((n, d) for n in range(2, 7) for d in range(1, n)):
-        for alpha, beta, gamma in index_triples(n, d):
+        for alpha, beta, gamma in triples(n, d):
             grid = beta_grid(beta, n)
             points, gens, minors = richardson_ideal(alpha, gamma, grid)
             polys = sympy.groebner(minors, *gens, order="lex").polys if minors else []

@@ -15,6 +15,7 @@ from grassmult.grassmannian import (
     length,
     negative_region,
     sides,
+    triples,
 )
 from grassmult.multiplicity import (
     _bareiss_det,
@@ -33,7 +34,6 @@ from grassmult.multisets import pairs
 from oracles import (
     canonical_path,
     decompose_bounded_subset,
-    index_triples,
     joint_maximal_bounded_subsets,
     positive_region,
 )
@@ -175,7 +175,7 @@ def test_count_families_matches_backtracking_exhaustive():
     checked = mismatches = 0
     for d in (1, 2, 3):
         for n in range(d + 1, 9):
-            for alpha, beta, gamma in index_triples(n, d):
+            for alpha, beta, gamma in triples(n, d):
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 check_anchor_postconditions(Ttil, Wtil, grid)
@@ -299,7 +299,7 @@ def test_face_search_matches_the_scan_exhaustive():
     checked = mismatches = 0
     for n in range(2, 7):
         for d in range(1, n):
-            for alpha, beta, gamma in index_triples(n, d):
+            for alpha, beta, gamma in triples(n, d):
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 got = maximal_bounded_subsets(Ttil, Wtil, grid)
@@ -330,7 +330,7 @@ def test_size_cap_truncates_the_f_vector_exhaustive():
     checked = 0
     for n in range(2, 7):
         for d in range(1, n):
-            for alpha, beta, gamma in index_triples(n, d):
+            for alpha, beta, gamma in triples(n, d):
                 grid = beta_grid(beta, n)
                 for T, side in sides(*build_bound_multisets(alpha, gamma, grid), grid):
                     f = f_vector(T, side)

@@ -6,28 +6,25 @@ from grassmult.brsk import rbrsk
 from grassmult.multisets import nmul, union
 from grassmult.tableaux import (
     BumpingRecord,
-    bidegree,
     bitableau,
     bitableau_bounded_by,
     bounded_insert,
-    classify_bitableau,
     classify_row,
     insert_rows,
     iota_bitableau,
-    is_semistandard_bitableau,
     is_semistandard_on,
     is_young_semistandard,
     render,
     reverse_bounded_insert,
     row_strict,
     rows_bounded_by,
-    size,
     split_parts,
     tableau,
     tableau_from_json,
     tableau_to_json,
     truncate_below,
 )
+from oracles import bidegree, classify_bitableau, is_semistandard_bitableau, size
 
 # a row-strict notched tableau whose row lengths jump around
 NOTCHED = tableau(
