@@ -6,7 +6,9 @@ mismatch, 0 success.
 Each subcommand parses its arguments, makes one library call per
 result, and prints.  The rules for valid input live in the library,
 which raises ValueError on a bad triple, dimension, degree bound,
-multiset or bitableau; run turns that into one error line and exit 2.
+multiset or bitableau.  A subcommand raises it too on options that do
+not go together, rather than ignore one.  run turns it into one error
+line and exit 2.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import sys
 from .brsk import brsk, brsk_negative, rbrsk
 from .chains import canonicalize
 from .grassmannian import richardson, triples
-from .groebner import bounded_multiset_counts, standard_monomial_counts, verify_groebner
+from .groebner import count_monomials_outside_initial, count_standard_monomials, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
 from .multisets import iota, negative_part, pairs, pairs_from_json, pairs_to_json, positive_part
 from .tableaux import render, tableau_from_json, tableau_to_json
@@ -62,6 +64,8 @@ def _read_input(path, parse, expected):
 
 
 def _load_multiset(ns):
+    if ns.pairs is not None and ns.input is not None:
+        raise ValueError("give --pairs or --input, not both")
     if ns.pairs is not None:
         return _parse_pairs(ns.pairs)
     if ns.input is not None:
@@ -135,6 +139,8 @@ def _cmd_mult(ns, out):
 
 
 def _cmd_paths(ns, out):
+    if ns.json and ns.render:
+        raise ValueError("--render draws text; it takes no --json")
     Ttil, Wtil, grid = richardson(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d)
     families = enumerate_families(Ttil, Wtil, grid)
     if ns.json:
@@ -154,8 +160,8 @@ def _cmd_paths(ns, out):
 
 def _cmd_count(ns, out):
     bounds = richardson(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d)
-    bounded = bounded_multiset_counts(*bounds, ns.mmax)
-    standard = standard_monomial_counts(*bounds, ns.mmax)
+    bounded = count_monomials_outside_initial(*bounds, ns.mmax)
+    standard = count_standard_monomials(*bounds, ns.mmax)
     print("m\tmonomials\tstandard\tequal", file=out)
     for m, (a, b) in enumerate(zip(bounded, standard)):
         print("%d\t%d\t%d\t%s" % (m, a, b, "yes" if a == b else "NO"), file=out)
@@ -163,12 +169,18 @@ def _cmd_count(ns, out):
 
 
 def _cmd_verify(ns, out):
+    if ns.sample is None and ns.seed is not None:
+        raise ValueError("--seed seeds --sample and is refused without it")
+    if ns.sample is not None and ns.sample < 1:
+        raise ValueError("--sample takes a positive number of triples")
+    if ns.sample is not None and ns.all_triples:
+        raise ValueError("--all-triples checks every triple; it takes no --sample")
     if ns.all_triples or ns.sample:
         if ns.alpha or ns.beta or ns.gamma:
             raise ValueError("--all-triples and --sample take no --alpha, --beta or --gamma")
         checked = list(triples(ns.n, ns.d))
         if ns.sample:
-            rng = random.Random(ns.seed)
+            rng = random.Random(ns.seed or 0)
             checked = rng.sample(checked, min(ns.sample, len(checked)))
     else:
         checked = [(ns.alpha, ns.beta, ns.gamma)]
@@ -257,8 +269,8 @@ def _build_parser():
     common_triple(p)
     p.add_argument("--mmax", type=int, default=3)
     p.add_argument("--all-triples", action="store_true")
-    p.add_argument("--sample", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sample", type=int)
+    p.add_argument("--seed", type=int, help="seed of --sample (default 0)")
 
     p = command("canonicalize", _cmd_canonicalize, "canonical twisted chain of a multiset")
     p.add_argument("--pairs")

@@ -18,10 +18,12 @@ multisets of one side are counted from that side's f-vector
 (multiplicity.f_vector): a face of size k is the support of
 C(m-1, k-1) multisets of degree m, and H(m) = sum over k of
 f_k C(m-1, k-1), with H(0) = 1.  Since the chain initial terms generate
-the initial ideal, H is the Hilbert function of the tangent cone.  The
-multisets themselves are listed by one walk per side, for every degree
-up to a bound, and the standard monomials of a side are one table
-shared by every degree.
+the initial ideal, H is the Hilbert function of the tangent cone
+(count_monomials_outside_initial).  verify lists the multisets
+themselves from the same supports: one depth-first search per side
+over its bounded supports, each giving its multisets of every degree
+up to a bound.  The standard monomials of a side are one table shared
+by every degree (count_standard_monomials).
 """
 
 from collections import Counter, namedtuple
@@ -29,15 +31,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .brsk import brsk_negative, multiset_bounded_by
-from .grassmannian import (
-    BetaGrid,
-    build_bound_multisets,
-    negative_region,
-    richardson,
-    sides,
-    theta_to_rs,
-    validate_index,
-)
+from .grassmannian import BetaGrid, negative_region, richardson, sides, theta_to_rs, validate_index
 from .multisets import formal_diff_leq, iota, pairs, proj, termwise_less, union
 from .multiplicity import f_vector, maximal_bounded_subsets
 from .tableaux import rows_bounded_by
@@ -132,42 +126,44 @@ def initial_term(f: SignedMinor):
 
 def _walk(T, grid: BetaGrid, m_max: int):
     """The multisets on the negative points of the grid bounded below
-    by T, as one list per degree 0..m_max, each in
-    combinations_with_replacement order over the sorted points.
+    by T, as one list per degree 0..m_max, each a sorted tuple.
 
-    One depth-first walk on an explicit stack grows multisets point by
-    point, in that order, so every degree comes out of it.  Boundedness
-    reads only the support, a subset of a bounded support is bounded,
-    and the empty multiset, with no chain, is bounded by any T.  So each
-    multiset carries the points from its last one on that it stays
-    bounded with: repeating its last point keeps that list, a new point
-    filters it with one multiset_bounded_by test per entry, and a point
-    that fails is never tried below it.
+    A multiset is bounded exactly when its support is, so the walk is a
+    depth-first search over the bounded supports, in the shape of
+    multiplicity.f_vector: a support grows only by points after its
+    last one in sorted order, up to m_max points, each candidate is one
+    multiset_bounded_by test, and a candidate that fails is never
+    extended.  A support of k points gives its multisets of every degree
+    m from k to m_max, the support plus m - k more of its points: those
+    of S + (p,) are those of S followed by j >= 1 copies of p, which
+    stay sorted since p comes after every point of S.
     """
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
     points = sorted(negative_region(grid))
-    by_degree = [[] for _ in range(m_max + 1)]
-    # (multiset, indices of the points it stays bounded with, from its last point on)
-    roots = range(len(points)) if m_max else ()
-    stack = [((), [j for j in roots if multiset_bounded_by((points[j],), T, ())])]
-    while stack:
-        U, follow = stack.pop()
-        by_degree[len(U)].append(U)
-        children = []
-        for i, k in enumerate(follow):
-            V = U + (points[k],)
-            if len(V) == m_max:
-                children.append((V, ()))
-            elif U and i == 0:  # the last point again: the support is unchanged
-                children.append((V, follow))
-            else:
-                later = [
-                    j for j in follow[i + 1 :] if multiset_bounded_by(V + (points[j],), T, ())
-                ]
-                children.append((V, [k] + later))
-        stack.extend(reversed(children))
-    return by_degree
+    by_degree = [[()]] + [[] for _ in range(m_max)]
+    support = ()
+    chosen = []  # indices of the support's points, ascending
+    exact = [[()]]  # per support on the stack, the multisets it is the support of
+    i = 0
+    while True:
+        if i < len(points) and len(support) < m_max:
+            candidate = support + (points[i],)
+            if multiset_bounded_by(candidate, T, ()):
+                support = candidate
+                chosen.append(i)
+                exact.append(
+                    [U + (points[i],) * j for U in exact[-1] for j in range(1, m_max - len(U) + 1)]
+                )
+                for U in exact[-1]:
+                    by_degree[len(U)].append(U)
+            i += 1
+        elif chosen:
+            i = chosen.pop() + 1
+            support = support[:-1]
+            exact.pop()
+        else:
+            return by_degree
 
 
 def _convolve(negative, positive):
@@ -188,16 +184,16 @@ def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
     )
 
 
-def bounded_multiset_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
-    """Numbers of multisets on the grid bounded by the pair, for every
-    degree 0..m_max.  Each side's count is H(m) = sum over k of
-    f_k C(m-1, k-1), H(0) = 1, from its f-vector f searched up to faces
-    of size m_max, since a larger face supports no multiset of degree
-    m_max or less; the two sides' counts are convolved.  No multiset is
-    built: the capped search tests each support of at most m_max points
-    once, where a walk of the multisets tests it again for every
-    multiset on it, so it runs on a grid of any size when m_max is
-    small."""
+def count_monomials_outside_initial(Ttil, Wtil, grid: BetaGrid, m_max: int):
+    """Numbers of monomials on the grid divisible by no forbidden chain
+    monomial, for every degree 0..m_max: the multisets bounded by the
+    pair, since a monomial avoids every forbidden chain exactly when
+    all the chains in its support are bounded.  Each side's count is
+    H(m) = sum over k of f_k C(m-1, k-1), H(0) = 1, from its f-vector f
+    searched up to faces of size m_max, since a larger face supports no
+    multiset of degree m_max or less; the two sides' counts are
+    convolved.  No multiset is built, so it runs on a grid of any size
+    when m_max is small."""
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
     counts = []
@@ -213,16 +209,7 @@ def bounded_multiset_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
     return _convolve(*counts)
 
 
-def count_monomials_outside_initial(alpha, gamma, grid: BetaGrid, m: int) -> int:
-    """Number of degree-m monomials on the grid divisible by no
-    forbidden chain monomial: the degree-m multisets bounded by the
-    pair, since a monomial avoids every forbidden chain exactly when
-    all the chains in its support are bounded."""
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    return bounded_multiset_counts(Ttil, Wtil, grid, m)[m]
-
-
-def standard_monomial_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
+def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):
     """Numbers of nonvanishing semistandard bitableaux on the grid
     bounded by the pair, for every degree 0..m_max.
 
@@ -268,20 +255,13 @@ def standard_monomial_counts(Ttil, Wtil, grid: BetaGrid, m_max: int):
     return _convolve(*counts)
 
 
-def count_standard_monomials(alpha, gamma, grid: BetaGrid, m: int) -> int:
-    """Number of degree-m nonvanishing semistandard bitableaux on the
-    grid bounded by the pair."""
-    Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-    return standard_monomial_counts(Ttil, Wtil, grid, m)[m]
-
-
 def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     """Compare the numbers of multisets and of standard monomials on
     the grid bounded by the pair (Ttil, Wtil) for every degree up to
     m_max, and check that bounded RSK is injective from bounded
     multisets into bounded bitableaux at each degree.  Takes the
-    arguments of the two counts, bounded_multiset_counts and
-    standard_monomial_counts; grassmannian.richardson builds them from
+    arguments of the two counts, count_monomials_outside_initial and
+    count_standard_monomials; grassmannian.richardson builds them from
     a triple.
 
     brsk stacks the bitableau of a multiset's negative side on that of
@@ -305,7 +285,7 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
                 if (P, Q) in images or not rows_bounded_by(P, Q, lower, ((), ())):
                     injective = False
                 images.add((P, Q))
-    standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
+    standard = count_standard_monomials(Ttil, Wtil, grid, m_max)
     per_degree = tuple(zip(range(m_max + 1), _convolve(*bounded), standard))
     witness = next((m for m, a, b in per_degree if a != b), None)
     return GroebnerReport(per_degree, witness is None, witness, injective)

@@ -18,8 +18,8 @@ faces of one side, by size, with a depth-first search.  Its top entry
 and its length give the side's count and size; the degree and the
 dimension are the product of the two counts and the sum of the two
 sizes.  The same f-vectors give the Hilbert function of the tangent
-cone (groebner.bounded_multiset_counts).  tests/oracles.py keeps the
-joint search over both sides that this replaced, and
+cone (groebner.count_monomials_outside_initial).  tests/oracles.py
+keeps the joint search over both sides that this replaced, and
 tests/test_multiplicity.py the size-descending scan over every subset
 before it.
 """

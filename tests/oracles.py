@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
 from grassmult.grassmannian import negative_region, validate_index
-from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, standard_monomial_counts
+from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, count_standard_monomials
 from grassmult.multiplicity import ceil_pt, floor_pt
 from grassmult.multisets import (
     formal_diff_leq,
@@ -320,7 +320,7 @@ def verify_groebner_per_multiset(Ttil, Wtil, grid, m_max):
     groebner.verify_groebner, which solves the two one-sided problems
     and convolves their counts."""
     bounded = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
-    standard = standard_monomial_counts(Ttil, Wtil, grid, m_max)
+    standard = count_standard_monomials(Ttil, Wtil, grid, m_max)
     per_degree = []
     witness = None
     injective = True

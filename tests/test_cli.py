@@ -172,6 +172,13 @@ def test_verify_sampled_is_deterministic(capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert first.splitlines()[-1] == "5 triples checked, 0 mismatches"
+    # without --seed, the sample is the one of seed 0
+    assert main(argv[:-4] + ["--mmax", "2"]) == 0
+    unseeded = capsys.readouterr().out
+    assert main(argv[:-4] + ["--seed", "0", "--mmax", "2"]) == 0
+    assert capsys.readouterr().out == unseeded
+    assert main(argv[:5] + ["--sample", "-2"]) == 2
+    assert capsys.readouterr().err == "error: --sample takes a positive number of triples\n"
 
 
 def test_invalid_richardson_data_exits_two(capsys):
@@ -203,6 +210,14 @@ FIVE = ["--n", "5", "--d", "2", "--alpha", "1,3", "--beta", "2,4", "--gamma", "4
         ["count", "--n", "5", "--d", "3"] + FIVE[4:],  # 2-subsets with d = 3
         ["verify", "--n", "5", "--d", "4"] + FIVE[4:],
         ["mult", "--n", "9", "--d", "4", "--alpha", "1,2,3"] + NINE[6:],
+        # options that do not go together, or that would be ignored
+        ["verify", "--n", "4", "--d", "2", "--sample", "-2"],
+        ["verify"] + FIVE + ["--sample", "0"],
+        ["verify"] + FIVE + ["--seed", "3"],  # a seed without a sample
+        ["verify", "--n", "4", "--d", "2", "--all-triples", "--sample", "3"],
+        ["paths"] + NINE + ["--json", "--render"],
+        ["brsk", "--pairs", "1,2", "--input", "no/such/file.json"],
+        ["canonicalize", "--pairs", "1,4", "--input", "no/such/file.json"],
     ],
 )
 def test_out_of_range_dimensions_exit_two(capsys, argv):

@@ -17,7 +17,6 @@ from grassmult.grassmannian import (
     triples,
 )
 from grassmult.groebner import (
-    bounded_multiset_counts,
     bounded_multisets_of_degree,
     chain_monomial,
     count_monomials_outside_initial,
@@ -27,7 +26,6 @@ from grassmult.groebner import (
     initial_term,
     monomial_less,
     signed_minor,
-    standard_monomial_counts,
     verify_groebner,
 )
 from grassmult.multisets import (
@@ -155,8 +153,9 @@ def test_standard_monomial_count_degree_one():
                 and index_leq(theta, gamma)
                 and len(set(theta) - set(beta)) == 1
             )
-            assert count_standard_monomials(alpha, gamma, grid, 1) == direct
-            assert count_monomials_outside_initial(alpha, gamma, grid, 1) == direct
+            Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+            assert count_standard_monomials(Ttil, Wtil, grid, 1)[1] == direct
+            assert count_monomials_outside_initial(Ttil, Wtil, grid, 1)[1] == direct
 
 
 def test_counts_agree_on_a_full_richardson():
@@ -168,10 +167,10 @@ def test_counts_agree_on_a_full_richardson():
 
 
 def test_counts_agree_on_the_six_grid():
-    grid = beta_grid((3, 5, 6), 6)
+    bounds = richardson((1, 2, 4), (3, 5, 6), (4, 5, 6), 6, 3)
     for m in range(4):
-        assert count_monomials_outside_initial((1, 2, 4), (4, 5, 6), grid, m) == (
-            count_standard_monomials((1, 2, 4), (4, 5, 6), grid, m)
+        assert count_monomials_outside_initial(*bounds, m)[m] == (
+            count_standard_monomials(*bounds, m)[m]
         )
 
 
@@ -210,8 +209,9 @@ def test_sieve_matches_bounded_multisets():
     for n in (3, 4, 5):
         for alpha, beta, gamma in triples(n, 2):
             grid = beta_grid(beta, n)
+            Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
             for m in range(5):
-                assert count_monomials_outside_initial(alpha, gamma, grid, m) == (
+                assert count_monomials_outside_initial(Ttil, Wtil, grid, m)[m] == (
                     count_by_sieve(alpha, gamma, grid, m)
                 ), (alpha, beta, gamma, m)
             checked += 1
@@ -318,8 +318,8 @@ def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 walk = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
-                joined = bounded_multiset_counts(Ttil, Wtil, grid, m_max)
-                counts = standard_monomial_counts(Ttil, Wtil, grid, m_max)
+                joined = count_monomials_outside_initial(Ttil, Wtil, grid, m_max)
+                counts = count_standard_monomials(Ttil, Wtil, grid, m_max)
                 assert len(walk) == len(joined) == len(counts) == m_max + 1
                 for m in range(m_max + 1):
                     case = (alpha, beta, gamma, m)
@@ -345,7 +345,8 @@ def test_f_vector_counts_match_the_side_walks_exhaustive():
                     [len(ms) for ms in groebner._walk(T, side, 4)] for T, side in sides(Ttil, Wtil, grid)
                 )
                 walked = [sum(neg[i] * pos[m - i] for i in range(m + 1)) for m in range(5)]
-                assert bounded_multiset_counts(Ttil, Wtil, grid, 4) == walked, (alpha, beta, gamma)
+                counted = count_monomials_outside_initial(Ttil, Wtil, grid, 4)
+                assert counted == walked, (alpha, beta, gamma)
                 checked += 1
     assert checked == 2606
 
@@ -366,6 +367,37 @@ def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
                 assert report.counts_equal and report.brsk_injective
                 checked += 1
     assert checked == 2606
+
+
+def test_verify_tests_each_support_once_exhaustive(monkeypatch):
+    """Every triple with n <= 5 and every d, m_max = 4: verify tests
+    boundedness on supports alone, sets of distinct points, each at
+    most once per side, and exactly the bounded supports of fewer than
+    m_max points, the empty one included, each grown by every later
+    point of its side."""
+    tested = []
+    real = groebner.multiset_bounded_by
+    monkeypatch.setattr(
+        groebner, "multiset_bounded_by", lambda U, T, W: tested.append((T, U)) or real(U, T, W)
+    )
+    checked = 0
+    for n in range(2, 6):
+        for d in range(1, n):
+            for alpha, beta, gamma in triples(n, d):
+                bounds = richardson(alpha, beta, gamma, n, d)
+                tested.clear()
+                verify_groebner(*bounds, 4)
+                for T, side in sides(*bounds):
+                    points = sorted(negative_region(side))
+                    mine = [U for T2, U in tested if T2 == T and set(U) <= set(points)]
+                    case = (alpha, beta, gamma, T)
+                    assert all(len(set(U)) == len(U) for U in mine), case
+                    assert len(set(mine)) == len(mine), case
+                    bounded = [()] + [U for U in mine if real(U, T, ())]
+                    grown = {S + (p,) for S in bounded if len(S) < 4 for p in points if (p,) > S[-1:]}
+                    assert set(mine) == grown, case
+                checked += 1
+    assert checked == 534
 
 
 # A triple bounded on both sides: (1, 3) <= (2, 4) <= (3, 5), n = 5.
@@ -420,8 +452,8 @@ def test_one_pass_on_the_nine_grid():
     walk = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(4)]
     assert [len(ms) for ms in walk] == [1, 17, 152, 951]
     assert walk[3] == bounded_multisets_by_filter(Ttil, Wtil, grid, 3)
-    assert bounded_multiset_counts(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
-    assert standard_monomial_counts(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
+    assert count_monomials_outside_initial(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
+    assert count_standard_monomials(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
 
 
 def test_one_pass_rejects_a_negative_degree():
@@ -430,9 +462,9 @@ def test_one_pass_rejects_a_negative_degree():
     with pytest.raises(ValueError):
         bounded_multisets_of_degree(Ttil, Wtil, grid, -1)
     with pytest.raises(ValueError):
-        bounded_multiset_counts(Ttil, Wtil, grid, -1)
+        count_monomials_outside_initial(Ttil, Wtil, grid, -1)
     with pytest.raises(ValueError):
-        standard_monomial_counts(Ttil, Wtil, grid, -1)
+        count_standard_monomials(Ttil, Wtil, grid, -1)
 
 
 def test_counting_leaves_no_reference_cycles():
@@ -442,7 +474,7 @@ def test_counting_leaves_no_reference_cycles():
     try:
         for _ in range(10):
             verify_groebner(*build_bound_multisets((1, 2), (5, 6), grid), grid, 4)
-            count_standard_monomials((1, 2), (5, 6), grid, 4)
+            count_standard_monomials(*build_bound_multisets((1, 2), (5, 6), grid), grid, 4)[4]
         assert gc.collect() == 0
     finally:
         gc.enable()

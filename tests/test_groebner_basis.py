@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq, triples
-from grassmult.groebner import bounded_multiset_counts, standard_monomial_counts
+from grassmult.groebner import count_monomials_outside_initial, count_standard_monomials
 
 sympy = pytest.importorskip("sympy")
 
@@ -84,7 +84,7 @@ def test_leading_monomials_generate_the_chain_ideal():
             assert all(any(divides(lm, c) for lm in leading) for c in chains), case
             Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
             hilbert = [outside_count(leading, len(points), m) for m in range(4)]
-            assert hilbert == bounded_multiset_counts(Ttil, Wtil, grid, 3), case
-            assert hilbert == standard_monomial_counts(Ttil, Wtil, grid, 3), case
+            assert hilbert == count_monomials_outside_initial(Ttil, Wtil, grid, 3), case
+            assert hilbert == count_standard_monomials(Ttil, Wtil, grid, 3), case
             checked += 1
     assert checked == 2606
