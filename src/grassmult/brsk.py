@@ -8,7 +8,7 @@ from collections import namedtuple
 
 from .chains import chain_bounded
 from .multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
-from .tableaux import insert_rows, iota_bitableau, reverse_bounded_insert, split_parts, tableau
+from .tableaux import insert_rows, iota_bitableau, reverse_insert_rows, split_parts
 
 BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
 BrskStep.__doc__ = "One insertion: the pair fed in, its BumpingRecord, and the snapshot after."
@@ -65,28 +65,35 @@ def _reverse_negative(P, Q):
     bitableau (P, Q) of normalized tableaux, in the reverse of
     lex_sort's insertion order.
 
-    Each step removes the minimum entry b of Q from the left end of the
-    lowest row of Q containing it, and reverse-inserts starting at the
-    greatest entry of that row of P below b.
+    Each step takes the minimum entry b of Q off the left end of the
+    lowest row of Q that it heads, and runs tableaux.reverse_insert_rows
+    from that row of P, which refuses a P that is not semistandard on b
+    or a box that cannot come out.  Both tableaux are copied to mutable
+    rows once; an emptied trailing row pair is dropped, an emptied row
+    above others is kept and skipped.  tests/test_brsk.py checks this
+    loop against the per-step oracle, which rebuilds both tableaux at
+    every step.
     """
+    P = [list(row) for row in P]
+    Q = [list(row) for row in Q]
     emitted = []
-    while any(Q):
-        b = min(x for row in Q for x in row)
-        i = max(idx + 1 for idx, row in enumerate(Q) if b in row)
-        j = sum(1 for x in P[i - 1] if x < b)
-        P, a = reverse_bounded_insert(P, b, (i, j))
-        rows = [list(r) for r in Q]
-        rows[i - 1].remove(b)
-        if rows and not rows[-1] and len(rows) > len(P):
-            rows.pop()
-        Q = tableau(rows)
-        emitted.append((a, b))
-    return emitted
+    while True:
+        b = None
+        for k, row in enumerate(Q, 1):
+            if row and (b is None or row[0] <= b):
+                b, i = row[0], k
+        if b is None:
+            return emitted
+        emitted.append((reverse_insert_rows(P, b, i), b))
+        del Q[i - 1][0]
+        if i == len(Q) and not Q[-1]:
+            Q.pop()
+            P.pop()
 
 
 def rbrsk(B):
-    """Invert brsk on a nonvanishing semistandard bitableau: negative,
-    positive or mixed.
+    """Invert brsk on its image: the multiset U with brsk(U) == B, for a
+    bitableau B that is negative, positive or mixed.
 
     split_parts validates B once and cuts it into its negative rows and
     its positive rows.  The negative half is undone directly; the
@@ -94,12 +101,18 @@ def rbrsk(B):
     iota_bitableau makes it negative, and iota swaps the pairs undone
     from it back.  Each half's pairs come out in the reverse of
     lex_sort's insertion order, a proved property that tests/test_brsk.py
-    asserts; the returned multiset is canonical.
+    asserts; the returned multiset is canonical.  Not every bitableau
+    that split_parts accepts is an image of brsk (P = ((1, 2), (1,)),
+    Q = ((2, 3), (3,)) is not); a step that cannot be undone is a
+    ValueError saying so.
     """
     negative, positive = split_parts(B)
-    return union(
-        pairs(_reverse_negative(*negative)), iota(_reverse_negative(*iota_bitableau(positive)))
-    )
+    try:
+        from_negative = _reverse_negative(*negative)
+        from_positive = _reverse_negative(*iota_bitableau(positive))
+    except ValueError:
+        raise ValueError("the bitableau is not an image of brsk") from None
+    return union(pairs(from_negative), iota(from_positive))
 
 
 def brsk(U):

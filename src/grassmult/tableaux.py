@@ -6,13 +6,16 @@ decrease.  Rows and columns are 1-indexed everywhere.  Column entries
 weakly increase downward in a semistandard Young tableau (the transpose
 of the more common convention, so insertion bumps along rows).
 
-Every forward insertion runs one kernel, insert_rows, which bumps in
-place through a list of mutable rows: bounded_insert validates its
-input, copies it and runs it once, and brsk.brsk_negative runs it on
-its own rows for a whole multiset after validating that multiset once.
+Each direction of insertion runs one kernel that works in place on a
+list of mutable rows.  Forward, insert_rows bumps a value in:
+bounded_insert validates its input, copies it and runs it once, and
+brsk.brsk_negative runs it on its own rows for a whole multiset after
+validating that multiset once.  Backward, reverse_insert_rows takes the
+rightmost entry below the bound out of a row and bumps a value out:
+reverse_bounded_insert validates, copies and runs it once, and
+brsk.rbrsk runs it on its own rows for every pair it takes back.
 Schensted insertion is bounded insertion with a bound above every
-entry.  The reverse direction, reverse_bounded_insert, validates and
-rebuilds the tableau on each call.
+entry.
 """
 
 from bisect import bisect_left, bisect_right
@@ -43,36 +46,31 @@ def row_strict(P) -> bool:
     return all(all(row[j] < row[j + 1] for j in range(len(row) - 1)) for row in P)
 
 
-def is_young_semistandard(P) -> bool:
-    """Row strict, row lengths weakly decreasing, columns weakly increasing down.
-
-    Trailing empty rows are ignored; an empty row above a nonempty one
-    disqualifies.
-    """
-    if not row_strict(P):
-        return False
-    rows = list(P)
-    while rows and not rows[-1]:
-        rows.pop()
-    for i in range(len(rows) - 1):
-        if len(rows[i]) < len(rows[i + 1]):
-            return False
-        for j in range(len(rows[i + 1])):
-            if rows[i][j] > rows[i + 1][j]:
-                return False
-    return all(rows[i] for i in range(len(rows)))
-
-
-def truncate_below(P, b: int):
-    """The tableau P^{<b}: every entry >= b removed, rows kept in place."""
+def is_semistandard_on(P, b: int) -> bool:
+    """True iff P is row strict (else a ValueError) and its entries below
+    b form a semistandard Young tableau (semistandard_below)."""
     if not row_strict(P):
         raise ValueError("tableau must be row strict")
-    return tableau(tuple(x for x in row if x < b) for row in P)
+    return semistandard_below(P, b)
 
 
-def is_semistandard_on(P, b: int) -> bool:
-    """True iff P^{<b} is a semistandard Young tableau."""
-    return is_young_semistandard(truncate_below(P, b))
+def semistandard_below(rows, b: int) -> bool:
+    """True iff the entries below b of row-strict rows form a
+    semistandard Young tableau: those prefixes weakly shorten downward
+    (so an empty one is followed only by empty ones) and their columns
+    weakly increase downward.  One pass that builds nothing.
+    """
+    above = None
+    for row in rows:
+        n = bisect_left(row, b)
+        if above is not None:
+            if n > width:
+                return False
+            for j in range(n):
+                if above[j] > row[j]:
+                    return False
+        above, width = row, n
+    return True
 
 
 def insert_rows(rows, a: int, b: int) -> BumpingRecord:
@@ -127,35 +125,58 @@ def bounded_insert(P, a: int, b: int):
     return tableau(rows), record
 
 
+def reverse_insert_rows(rows, b: int, i: int) -> int:
+    """The reverse kernel: take the rightmost entry below b out of row i
+    (1-indexed) of a list of mutable row-strict rows, reverse-bump it up
+    through the entries below b of the rows above, in place, and return
+    the value bumped out of the first row.
+
+    Each row above gives up its greatest entry below b that is at most
+    the value coming up and takes that value in its place.  An emptied
+    row stays in the list.  Refuses, as a ValueError and before it
+    changes a row, rows that are not semistandard on b, an empty new
+    box, and a removal that breaks the truncated shape; a reverse bump
+    with no entry to take it, which rows semistandard on b never give,
+    is a ValueError too.
+    """
+    if not semistandard_below(rows, b):
+        raise ValueError("tableau must be semistandard on the bound")
+    row = rows[i - 1]
+    hi = bisect_left(row, b)
+    if not hi:
+        raise ValueError("new box must be the rightmost entry below the bound in its row")
+    if i < len(rows) and bisect_left(rows[i], b) >= hi:
+        raise ValueError("removing the new box breaks the truncated shape")
+    cur = row.pop(hi - 1)
+    for k in range(i - 2, -1, -1):
+        row = rows[k]
+        j = bisect_right(row, cur) - 1
+        if j < 0:
+            raise ValueError("no entry available to reverse-bump")
+        cur, row[j] = row[j], cur
+    return cur
+
+
 def reverse_bounded_insert(Pp, b: int, new_box):
     """Invert bounded insertion given the bound and the new box.
 
     The new box must name the rightmost entry below b in its row.  A
     trailing row emptied by the removal is dropped (it was created by the
     forward insertion).  Returns (P, a) with bounded_insert(P, a, b)
-    reproducing the input.
+    reproducing the input (reverse_insert_rows on a copy of Pp).
     """
-    if not is_semistandard_on(Pp, b):
-        raise ValueError("tableau must be semistandard on the bound")
+    if not row_strict(Pp):
+        raise ValueError("tableau must be row strict")
     i, j = new_box
     if not (1 <= i <= len(Pp)):
         raise ValueError("new box outside the tableau")
-    lower = [[x for x in row if x < b] for row in Pp]
-    upper = [[x for x in row if x >= b] for row in Pp]
-    if not lower[i - 1] or j != len(lower[i - 1]):
+    if j != bisect_left(Pp[i - 1], b):
         raise ValueError("new box must be the rightmost entry below the bound in its row")
-    if i < len(lower) and len(lower[i - 1]) - 1 < len(lower[i]):
-        raise ValueError("removing the new box breaks the truncated shape")
-    cur = lower[i - 1].pop()
-    for k in range(i - 2, -1, -1):
-        idx = bisect_right(lower[k], cur) - 1
-        if idx < 0:
-            raise ValueError("no entry available to reverse-bump")
-        cur, lower[k][idx] = lower[k][idx], cur
-    rows = [lower[k] + upper[k] for k in range(len(Pp))]
-    if rows and not rows[-1] and i == len(Pp):
+    rows = [list(row) for row in Pp]
+    a = reverse_insert_rows(rows, b, i)
+    if i == len(rows) and not rows[-1]:
         rows.pop()
-    return tableau(rows), cur
+    return tableau(rows), a
 
 
 def bitableau(P, Q):

@@ -2,11 +2,12 @@
 
 Second algorithms for what the library computes once, the point
 relations behind twisted chains, the positive region of a grid, the
-joint face search over both signs, the classification of bitableaux, a
-checker for the boundedness lemma of bounded RSK, the Groebner
-verification of every mixed multiset, and the twisted chains the test
-files sweep over.  No CLI subcommand, demo or benchmark workload
-reaches any of it, so it lives with the tests and not in src/grassmult.
+joint face search over both signs, the truncation of a tableau at a
+bound, the classification of bitableaux, a checker for the boundedness
+lemma of bounded RSK, the Groebner verification of every mixed
+multiset, and the twisted chains the test files sweep over.  No CLI
+subcommand, demo or benchmark workload reaches any of it, so it lives
+with the tests and not in src/grassmult.
 """
 
 from itertools import combinations, permutations
@@ -25,7 +26,7 @@ from grassmult.multisets import (
     positive_part,
     sign,
 )
-from grassmult.tableaux import bitableau, bitableau_bounded_by, classify_row, row_strict
+from grassmult.tableaux import bitableau, bitableau_bounded_by, classify_row, row_strict, tableau
 
 # Twisted chains: the point relations and the chain predicates.
 
@@ -183,6 +184,37 @@ def joint_maximal_bounded_subsets(Ttil, Wtil, grid):
             i += 1
         else:
             return count, best
+
+
+# Tableaux: semistandard on a bound by truncating first, the oracle for
+# the one-pass tableaux.semistandard_below.
+
+
+def is_young_semistandard(P) -> bool:
+    """Row strict, row lengths weakly decreasing, columns weakly increasing down.
+
+    Trailing empty rows are ignored; an empty row above a nonempty one
+    disqualifies.
+    """
+    if not row_strict(P):
+        return False
+    rows = list(P)
+    while rows and not rows[-1]:
+        rows.pop()
+    for i in range(len(rows) - 1):
+        if len(rows[i]) < len(rows[i + 1]):
+            return False
+        for j in range(len(rows[i + 1])):
+            if rows[i][j] > rows[i + 1][j]:
+                return False
+    return all(rows[i] for i in range(len(rows)))
+
+
+def truncate_below(P, b: int):
+    """The tableau P^{<b}: every entry >= b removed, rows kept in place."""
+    if not row_strict(P):
+        raise ValueError("tableau must be row strict")
+    return tableau(tuple(x for x in row if x < b) for row in P)
 
 
 # Bitableaux: the predicates behind tableaux.split_parts, one bitableau

@@ -3,7 +3,7 @@
 import importlib
 import itertools
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -13,20 +13,30 @@ from hypothesis import strategies as st
 
 from grassmult.brsk import brsk, brsk_negative, lex_sort, multiset_bounded_by, rbrsk
 from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region, triples
-from grassmult.multisets import iota, multiset_order_leq, negative_part, pairs, positive_part
+from grassmult.multisets import (
+    iota,
+    multiset_order_leq,
+    negative_part,
+    pairs,
+    positive_part,
+    termwise_less,
+)
 from grassmult.tableaux import (
     BumpingRecord,
     bitableau_bounded_by,
     bounded_insert,
     iota_bitableau,
     row_strict,
+    split_parts,
 )
 from oracles import (
     PreconditionError,
     classify_bitableau,
     is_semistandard_bitableau,
+    is_young_semistandard,
     negative_twisted_chains,
     positive_region,
+    truncate_below,
     verify_boundedness_preservation,
 )
 
@@ -220,23 +230,71 @@ def brsk_by_steps(U):
     return (Pn + Pp, Qn + Qp)
 
 
+# The per-step oracle for the loop of rbrsk: every step truncates P at
+# the bound, checks the truncation is a Young tableau, splits every row at
+# the bound, reverse-bumps through the lower parts, reassembles the rows
+# and removes b from Q, rebuilding both tableaux as tuples.  It shares no
+# code with the library's reverse kernel.
+
+
+def reverse_insert_by_parts(P, b, new_box):
+    if not is_young_semistandard(truncate_below(P, b)):
+        raise ValueError("tableau must be semistandard on the bound")
+    i, j = new_box
+    if not (1 <= i <= len(P)):
+        raise ValueError("new box outside the tableau")
+    lower = [[x for x in row if x < b] for row in P]
+    upper = [[x for x in row if x >= b] for row in P]
+    if not lower[i - 1] or j != len(lower[i - 1]):
+        raise ValueError("new box must be the rightmost entry below the bound in its row")
+    if i < len(lower) and len(lower[i - 1]) - 1 < len(lower[i]):
+        raise ValueError("removing the new box breaks the truncated shape")
+    cur = lower[i - 1].pop()
+    for k in range(i - 2, -1, -1):
+        idx = bisect_right(lower[k], cur) - 1
+        if idx < 0:
+            raise ValueError("no entry available to reverse-bump")
+        cur, lower[k][idx] = lower[k][idx], cur
+    rows = [lower[k] + upper[k] for k in range(len(P))]
+    if rows and not rows[-1] and i == len(P):
+        rows.pop()
+    return tuple(map(tuple, rows)), cur
+
+
+def reverse_negative_by_steps(P, Q):
+    """The pairs undone from a negative bitableau, last inserted first."""
+    emitted = []
+    while any(Q):
+        b = min(x for row in Q for x in row)
+        i = max(idx + 1 for idx, row in enumerate(Q) if b in row)
+        j = sum(1 for x in P[i - 1] if x < b)
+        P, a = reverse_insert_by_parts(P, b, (i, j))
+        rows = [list(r) for r in Q]
+        rows[i - 1].remove(b)
+        if rows and not rows[-1] and len(rows) > len(P):
+            rows.pop()
+        Q = tuple(map(tuple, rows))
+        emitted.append((a, b))
+    return emitted
+
+
 @contextmanager
 def recorded_emissions():
-    """The pairs rbrsk emits, in order: each reverse insertion it calls
+    """The pairs rbrsk emits, in order: each call of the reverse kernel
     takes b and gives back a."""
     emitted = []
-    original = BRSK_MODULE.reverse_bounded_insert
+    original = BRSK_MODULE.reverse_insert_rows
 
-    def recording(P, b, box):
-        P, a = original(P, b, box)
+    def recording(rows, b, i):
+        a = original(rows, b, i)
         emitted.append((a, b))
-        return P, a
+        return a
 
-    BRSK_MODULE.reverse_bounded_insert = recording
+    BRSK_MODULE.reverse_insert_rows = recording
     try:
         yield emitted
     finally:
-        BRSK_MODULE.reverse_bounded_insert = original
+        BRSK_MODULE.reverse_insert_rows = original
 
 
 def check_against_steps(U):
@@ -260,7 +318,7 @@ def check_against_steps(U):
         assert classify_bitableau((P, Q)) == ("negative" if half else "nonvanishing")
         with recorded_emissions() as emitted:
             assert rbrsk((P, Q)) == half
-        assert emitted == list(reversed(lex_sort(half)))
+        assert emitted == list(reversed(lex_sort(half))) == reverse_negative_by_steps(P, Q)
 
 
 def test_kernel_matches_per_step_oracle_exhaustive():
@@ -284,6 +342,43 @@ def test_kernel_matches_per_step_oracle_exhaustive():
 )
 def test_kernel_matches_per_step_oracle_random(raw):
     check_against_steps(pairs((e, f) for e, f in raw if e != f))
+
+
+def test_rbrsk_matches_per_step_oracle_on_every_small_negative_bitableau():
+    """Every bitableau that split_parts accepts as negative, with entries
+    <= 5, at most 3 rows, at most 3 boxes per row and at most 5 boxes:
+    rbrsk gives the oracle's pairs or, like the oracle, refuses a
+    bitableau that is not an image of brsk."""
+    rows = [
+        (p, q)
+        for m in range(1, 4)
+        for p in itertools.combinations(range(1, 6), m)
+        for q in itertools.combinations(range(1, 6), m)
+        if termwise_less(p, q)
+    ]
+    count = refused = 0
+    for r in range(1, 4):
+        for chosen in itertools.product(rows, repeat=r):
+            if sum(len(p) for p, _ in chosen) > 5:
+                continue
+            B = tuple(p for p, _ in chosen), tuple(q for _, q in chosen)
+            try:
+                negative, positive = split_parts(B)
+            except ValueError:
+                continue
+            if positive[0]:
+                continue
+            count += 1
+            try:
+                expected = pairs(reverse_negative_by_steps(*B))
+            except ValueError:
+                with pytest.raises(ValueError, match="not an image of brsk"):
+                    rbrsk(B)
+                refused += 1
+                continue
+            assert rbrsk(B) == expected, B
+            assert brsk(expected) == B
+    assert (count, refused) == (2569, 794)
 
 
 def chains_of(points):

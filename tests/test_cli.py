@@ -253,6 +253,19 @@ def run_interpreter(flags, args, cwd):
     )
 
 
+# semistandard and negative, so split_parts accepts it, but no multiset
+# has it as its image under brsk
+NO_PREIMAGE = '{"P": [[1, 2], [1]], "Q": [[2, 3], [3]]}'
+
+
+def test_rbrsk_refuses_a_bitableau_that_is_not_an_image(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(NO_PREIMAGE)
+    assert main(["rbrsk", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the bitableau is not an image of brsk\n")
+
+
 def test_cli_under_python_O_matches_a_normal_run(tmp_path):
     """No check the CLI relies on lives in an assert: with asserts
     stripped, output, traces and exit codes stay the same."""
@@ -260,10 +273,12 @@ def test_cli_under_python_O_matches_a_normal_run(tmp_path):
         json.dumps({"P": [[1, 2], [2, 3, 4, 7], [6]], "Q": [[7, 8], [4, 6, 7, 8], [7]]})
     )
     (tmp_path / "vanishing.json").write_text(json.dumps({"P": [[1, 9]], "Q": [[2, 5]]}))
+    (tmp_path / "no_preimage.json").write_text(NO_PREIMAGE)
     commands = [
         ["brsk", "--pairs", "7,8 2,8 6,7 4,7 1,7 3,6 2,4 3,1 5,2 5,2", "--trace", "steps.jsonl"],
         ["rbrsk", "--input", "bitab.json"],
         ["rbrsk", "--input", "vanishing.json"],
+        ["rbrsk", "--input", "no_preimage.json"],
         ["brsk", "--pairs", "1,1"],
         ["verify", "--n", "4", "--d", "2", "--all-triples", "--mmax", "3"],
     ]
@@ -277,7 +292,7 @@ def test_cli_under_python_O_matches_a_normal_run(tmp_path):
             trace.unlink(missing_ok=True)
         assert runs[0] == runs[1], args
         codes.append(runs[0][0])
-    assert codes == [0, 0, 2, 2, 0]
+    assert codes == [0, 0, 2, 2, 2, 0]
 
 
 def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
@@ -292,6 +307,20 @@ def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
     )
     proc = run_interpreter(["-O"], ["-c", code], tmp_path)
     assert (proc.returncode, proc.stdout) == (0, "refused\nrefused\n"), proc.stderr
+
+
+def test_reverse_insert_rows_refuses_bad_input_under_python_O(tmp_path):
+    code = (
+        "from grassmult.tableaux import reverse_insert_rows\n"
+        "assert False, 'asserts are on'\n"
+        "for rows, b, i in [([[2, 3], [1]], 5, 2), ([[1, 2], [6]], 5, 2), ([[1, 2], [1, 3]], 5, 1)]:\n"
+        "    try:\n"
+        "        reverse_insert_rows(rows, b, i)\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
+    )
+    proc = run_interpreter(["-O"], ["-c", code], tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "refused\n" * 3), proc.stderr
 
 
 def test_diagonal_pair_exits_two(capsys):
@@ -310,6 +339,7 @@ def test_diagonal_pair_exits_two(capsys):
         ("rbrsk", '{"P": [[1.5]], "Q": [[3]]}'),  # not truncated to 1
         ("rbrsk", '{"P": [[true]], "Q": [[3]]}'),
         ("rbrsk", '{"P": {"12": 0}, "Q": {"34": 0}}'),  # objects are not tableaux
+        ("rbrsk", NO_PREIMAGE),  # not an image of brsk
         ("brsk", "[[1.5, 2]]"),
         ("brsk", '[["1", "2"]]'),
     ],

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,18 +15,24 @@ from grassmult.tableaux import (
     insert_rows,
     iota_bitableau,
     is_semistandard_on,
-    is_young_semistandard,
     render,
     reverse_bounded_insert,
+    reverse_insert_rows,
     row_strict,
     rows_bounded_by,
     split_parts,
     tableau,
     tableau_from_json,
     tableau_to_json,
+)
+from oracles import (
+    bidegree,
+    classify_bitableau,
+    is_semistandard_bitableau,
+    is_young_semistandard,
+    size,
     truncate_below,
 )
-from oracles import bidegree, classify_bitableau, is_semistandard_bitableau, size
 
 # a row-strict notched tableau whose row lengths jump around
 NOTCHED = tableau(
@@ -101,6 +109,49 @@ def test_insert_rows_bumps_in_place_below_the_bound():
     assert rows == [[1, 9], [2], [3]]
 
 
+def test_semistandard_on_matches_truncation_oracle():
+    """The one-pass check against truncating first, on every row-strict
+    tableau of at most 3 rows with entries <= 5, at every bound."""
+    rows = [row for m in range(6) for row in itertools.combinations(range(1, 6), m)]
+    count = 0
+    for r in range(4):
+        for P in itertools.product(rows, repeat=r):
+            for b in range(1, 7):
+                assert is_semistandard_on(P, b) == is_young_semistandard(truncate_below(P, b)), (P, b)
+                count += 1
+    assert count == 6 * (1 + 32 + 32**2 + 32**3)
+    with pytest.raises(ValueError):
+        is_semistandard_on([[2, 1]], 5)
+
+
+def test_reverse_insert_rows_bumps_in_place_below_the_bound():
+    rows = [[1, 2, 3, 7], [1, 4, 8], [3, 5, 6, 7, 8, 9], [4, 6]]
+    first = rows[0]
+    assert reverse_insert_rows(rows, 6, 3) == 3
+    assert rows == [[1, 2, 4, 7], [1, 5, 8], [3, 6, 7, 8, 9], [4, 6]]
+    assert rows[0] is first
+    # with a bound above every entry all of them take part, and an
+    # emptied row stays in the list
+    rows = [[1, 9], [2], [3]]
+    assert reverse_insert_rows(rows, 10, 3) == 1
+    assert rows == [[2, 9], [3], []]
+
+
+@pytest.mark.parametrize(
+    "rows, b, i",
+    [
+        ([[2, 3], [1]], 5, 2),  # not semistandard on the bound: 2 above 1
+        ([[1, 2], [6]], 5, 2),  # no entry below the bound in the row
+        ([[1, 2], [1, 3]], 5, 1),  # the row below is as long below the bound
+    ],
+)
+def test_reverse_insert_rows_refuses_before_changing_a_row(rows, b, i):
+    before = [list(row) for row in rows]
+    with pytest.raises(ValueError):
+        reverse_insert_rows(rows, b, i)
+    assert rows == before
+
+
 def test_bounded_insert_preconditions():
     P = tableau([[1, 2, 4, 7], [1, 5, 8], [3, 6, 7, 8, 9], [4, 6]])
     with pytest.raises(ValueError):
@@ -146,6 +197,32 @@ def test_bounded_insert_reverse_roundtrip(run):
         assert entries(nxt) == union(entries(P), (a,))
         assert reverse_bounded_insert(nxt, b, record.new_box) == (P, a)
         P = nxt
+
+
+@st.composite
+def notched_runs(draw):
+    """Rows semistandard on a bound b, with entries >= b after the
+    prefix of each row, and a value a < b to insert."""
+    b = draw(st.integers(min_value=2, max_value=9))
+    rows = []
+    for a in draw(st.lists(st.integers(min_value=1, max_value=b - 1), max_size=8)):
+        insert_rows(rows, a, b)
+    rows += [[] for _ in range(draw(st.integers(min_value=0, max_value=2)))]
+    for row in rows:
+        row += sorted(draw(st.sets(st.integers(min_value=b, max_value=12), max_size=3)))
+    return rows, draw(st.integers(min_value=1, max_value=b - 1)), b
+
+
+@given(notched_runs())
+def test_reverse_insert_rows_undoes_insert_rows(run):
+    rows, a, b = run
+    before = [list(row) for row in rows]
+    record = insert_rows(rows, a, b)
+    i = record.new_box[0]
+    assert reverse_insert_rows(rows, b, i) == a
+    if i > len(before):
+        assert rows.pop() == []
+    assert rows == before
 
 
 EIGHT_P = tableau(
