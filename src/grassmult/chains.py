@@ -14,23 +14,6 @@ def completely_disjointed(T) -> bool:
     return len(coords) == len(set(coords))
 
 
-def _greedy_arrange(firsts, seconds):
-    """Pair each second component, ascending, with the largest unused
-    first component below it.  Returns None when some second cannot be
-    matched, which happens exactly when no negative arrangement exists.
-    """
-    free = sorted(firsts)
-    out = []
-    for f in sorted(seconds):
-        candidates = [e for e in free if e < f]
-        if not candidates:
-            return None
-        e = candidates[-1]
-        free.remove(e)
-        out.append((e, f))
-    return out
-
-
 def canonicalize(T):
     """The canonical twisted chain with the same two projections as T.
 
@@ -38,8 +21,9 @@ def canonicalize(T):
     components that keep every point strictly below the diagonal (or
     strictly above, for positive T), returns the lex-least one: listed
     with second components ascending, first components are compared
-    largest-first.  Raises ValueError if T is not completely disjointed
-    or no such arrangement exists.
+    largest-first.  A positive T gives iota(canonicalize(iota(T))).
+    Raises ValueError if T is not completely disjointed or not a
+    uniform-sign set of nonvanishing points.
     """
     pts = list(T)
     if not pts:
@@ -47,20 +31,20 @@ def canonicalize(T):
     if not completely_disjointed(pts):
         raise ValueError("multiset is not completely disjointed")
     signs = {sign(p) for p in pts}
-    if signs == {-1}:
-        firsts = [p[0] for p in pts]
-        seconds = [p[1] for p in pts]
-    elif signs == {1}:
-        firsts = [p[1] for p in pts]
-        seconds = [p[0] for p in pts]
-    else:
+    if signs != {-1} and signs != {1}:
         raise ValueError("expected a uniform-sign set of nonvanishing points")
-    arranged = _greedy_arrange(firsts, seconds)
-    if arranged is None:
-        raise ValueError("no negative arrangement exists")
-    if signs == {1}:
-        arranged = iota(arranged)
-    return pairs(arranged)
+    # Read in increasing order, each point's larger coordinate closes and
+    # takes the latest open smaller one: the largest free one below it.
+    # Every closing coordinate up to c has its own point's smaller one
+    # below it, so one is always free.
+    closing = {max(p) for p in pts}
+    free, arranged = [], []
+    for c in sorted([c for p in pts for c in p]):
+        if c in closing:
+            arranged.append((free.pop(), c))
+        else:
+            free.append(c)
+    return pairs(arranged) if signs == {-1} else iota(arranged)
 
 
 def chain_depth(R, x) -> int:

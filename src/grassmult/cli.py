@@ -1,7 +1,7 @@
 """Command-line front end: one binary with subcommands for the
 correspondence, multiplicities, path families, and the counting
-verification.  Exit code 2 flags invalid input, 1 a verification
-mismatch, 0 success.
+verification.  Exit code 2 flags invalid input, 1 a mismatch found by
+count or verify, 0 success.
 
 Each subcommand parses its arguments, makes one library call per
 result, and prints.  The rules for valid input live in the library,
@@ -165,7 +165,7 @@ def _cmd_count(ns, out):
     print("m\tmonomials\tstandard\tequal", file=out)
     for m, (a, b) in enumerate(zip(bounded, standard)):
         print("%d\t%d\t%d\t%s" % (m, a, b, "yes" if a == b else "NO"), file=out)
-    return 0
+    return 0 if bounded == standard else 1
 
 
 def _cmd_verify(ns, out):
@@ -261,7 +261,7 @@ def _build_parser():
     p.add_argument("--render", action="store_true")
     p.add_argument("--json", action="store_true")
 
-    p = command("count", _cmd_count, "tabulate both monomial counts per degree")
+    p = command("count", _cmd_count, "tabulate both monomial counts per degree; exit 1 on mismatch")
     common_triple(p)
     p.add_argument("--mmax", type=int, default=4)
 

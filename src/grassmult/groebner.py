@@ -22,8 +22,9 @@ the initial ideal, H is the Hilbert function of the tangent cone
 (count_monomials_outside_initial).  verify lists the multisets
 themselves from the same supports: one depth-first search per side
 over its bounded supports, each giving its multisets of every degree
-up to a bound.  The standard monomials of a side are one table shared
-by every degree (count_standard_monomials).
+up to a bound.  A side's standard monomials are the chains of one table
+of rows shared by every degree (_standard_table): it counts them, and
+verify checks each brsk image as a chain of it.
 """
 
 from collections import Counter, namedtuple
@@ -34,7 +35,6 @@ from .brsk import brsk_negative, multiset_bounded_by
 from .grassmannian import BetaGrid, negative_region, richardson, sides, theta_to_rs, validate_index
 from .multisets import formal_diff_leq, iota, pairs, proj, termwise_less, union
 from .multiplicity import f_vector, maximal_bounded_subsets
-from .tableaux import rows_bounded_by
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
 SignedMinor.__doc__ = (
@@ -209,6 +209,38 @@ def count_monomials_outside_initial(Ttil, Wtil, grid: BetaGrid, m_max: int):
     return _convolve(*counts)
 
 
+def _standard_table(T, side: BetaGrid, m_max: int):
+    """One side's standard monomials as a table (root, follow, counts).
+
+    Its rows are the negative rows (p, q) of the side's grid, p strictly
+    below q termwise, of at most m_max boxes, that lie above T.  From
+    root = (T(1), T(2)) and from each row, follow gives the rows that
+    may come next, so the standard monomials are the chains from the
+    root; the row order is transitive, so the rows above the root are
+    exactly those a chain reaches.  counts[r] is the number of chains
+    of r boxes, r = 0..m_max, from one recursion shared by every degree.
+    """
+    root = (proj(T, 1), proj(T, 2))
+    rows = [
+        (p, q)
+        for k in range(1, min(len(side.complement), len(side.beta), m_max) + 1)
+        for p in combinations(side.complement, k)
+        for q in combinations(side.beta, k)
+        if termwise_less(p, q) and formal_diff_leq(*root, p, q)
+    ]
+    follow = {row: {r for r in rows if formal_diff_leq(*row, *r)} for row in [root, *rows]}
+    ways = []  # ways[r][row]: completions after row with r boxes left
+    for r in range(m_max + 1):
+        ways.append(
+            {
+                row: int(r == 0)
+                + sum(ways[r - len(nxt[0])][nxt] for nxt in nexts if len(nxt[0]) <= r)
+                for row, nexts in follow.items()
+            }
+        )
+    return root, follow, [layer[root] for layer in ways]
+
+
 def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):
     """Numbers of nonvanishing semistandard bitableaux on the grid
     bounded by the pair, for every degree 0..m_max.
@@ -217,42 +249,12 @@ def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):
     any positive row and below Wtil, and Ttil below any positive row.
     A bounded bitableau is then a negative half whose first row lies
     above Ttil stacked on a positive half whose last row lies below
-    Wtil, and the counts are the convolution of the two sides' counts.
-    Each side counts negative rows (p, q), p strictly below q termwise,
-    each below the next, in one table shared by every degree: the ways
-    to finish below each row with r boxes left, for r = 0..m_max, over
-    the rows that T leads to, with their successors found once.
+    Wtil, and the counts are the convolution of the chain counts of the
+    two sides' tables (_standard_table).
     """
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
-    counts = []
-    for T, side in sides(Ttil, Wtil, grid):
-        rows = [
-            (p, q)
-            for k in range(1, min(len(side.complement), len(side.beta), m_max) + 1)
-            for p in combinations(side.complement, k)
-            for q in combinations(side.beta, k)
-            if termwise_less(p, q)
-        ]
-        root = (proj(T, 1), proj(T, 2))  # T lies above a first row as a row above the next
-        below = {}
-        todo = [root]
-        while todo:
-            row = todo.pop()
-            if row not in below:
-                below[row] = [r for r in rows if formal_diff_leq(*row, *r)]
-                todo.extend(below[row])
-        ways = []  # ways[r][row]: completions below row with r boxes left
-        for r in range(m_max + 1):
-            ways.append(
-                {
-                    row: int(r == 0)
-                    + sum(ways[r - len(nxt[0])][nxt] for nxt in nexts if len(nxt[0]) <= r)
-                    for row, nexts in below.items()
-                }
-            )
-        counts.append([layer[root] for layer in ways])
-    return _convolve(*counts)
+    return _convolve(*(_standard_table(T, side, m_max)[2] for T, side in sides(Ttil, Wtil, grid)))
 
 
 def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
@@ -267,26 +269,29 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     brsk stacks the bitableau of a multiset's negative side on that of
     its positive side, and every row says which side it came from, so
     brsk is injective and bounded on the pairs exactly when it is on
-    each side.  Each side is walked once; its multisets, all negative,
-    go through brsk_negative and the check against the side's lower
-    bound alone, and its counts are convolved with the other side's.
-    Each bitableau still has its semistandard check.  tests/oracles.py
+    each side.  Each side is walked once and its table of standard
+    monomials built once.  The brsk_negative image of each multiset of
+    the walk, all negative, must be a chain of the table: a semistandard
+    bitableau on the side's grid above its bound.  tests/oracles.py
     keeps the check of every mixed multiset as the oracle.
     """
-    bounded = []
+    bounded, standard = [], []
     injective = True
     for T, side in sides(Ttil, Wtil, grid):
         walk = _walk(T, side, m_max)
+        root, follow, counts = _standard_table(T, side, m_max)
         bounded.append([len(ms) for ms in walk])
-        lower, images = (proj(T, 1), proj(T, 2)), set()
+        standard.append(counts)
+        images = set()
         for multisets in walk:
             for U in multisets:
                 (P, Q), _ = brsk_negative(U)
-                if (P, Q) in images or not rows_bounded_by(P, Q, lower, ((), ())):
+                path = [root, *zip(P, Q)]
+                chain = len(P) == len(Q) and all(b in follow[a] for a, b in zip(path, path[1:]))
+                if (P, Q) in images or not chain:
                     injective = False
                 images.add((P, Q))
-    standard = count_standard_monomials(Ttil, Wtil, grid, m_max)
-    per_degree = tuple(zip(range(m_max + 1), _convolve(*bounded), standard))
+    per_degree = tuple(zip(range(m_max + 1), _convolve(*bounded), _convolve(*standard)))
     witness = next((m for m, a, b in per_degree if a != b), None)
     return GroebnerReport(per_degree, witness is None, witness, injective)
 

@@ -232,28 +232,22 @@ def bitableau_bounded_by(B, T, W) -> bool:
         T(1) - T(2) <= P_1 - Q_1   and   P_r - Q_r <= W(1) - W(2).
 
     An empty bitableau is bounded by anything; an empty T rules out a
-    negative first row, an empty W a positive last row.  Validates the
-    bounds' signs, then runs rows_bounded_by.
+    negative first row, an empty W a positive last row.  Refuses, as a
+    ValueError, bounds of the wrong sign and a bitableau that is not
+    semistandard.
     """
     P, Q = bitableau(*B)
     if any(sign(t) >= 0 for t in T):
         raise ValueError("lower bound must be a negative multiset")
     if any(sign(w) <= 0 for w in W):
         raise ValueError("upper bound must be a positive multiset")
-    return rows_bounded_by(P, Q, (proj(T, 1), proj(T, 2)), (proj(W, 1), proj(W, 2)))
-
-
-def rows_bounded_by(P, Q, lower, upper) -> bool:
-    """The kernel of bitableau_bounded_by, for a caller that checks one
-    pair of bounds against many bitableaux: (P, Q) are normalized
-    tableaux of equal shape, and lower and upper are the projections
-    (T(1), T(2)) and (W(1), W(2)) of bounds already validated.  Still
-    refuses a bitableau that is not semistandard."""
     if not _semistandard_pair(P, Q):
         raise ValueError("expected a semistandard bitableau")
     if not P:
         return True
-    return formal_diff_leq(*lower, P[0], Q[0]) and formal_diff_leq(P[-1], Q[-1], *upper)
+    return formal_diff_leq(proj(T, 1), proj(T, 2), P[0], Q[0]) and formal_diff_leq(
+        P[-1], Q[-1], proj(W, 1), proj(W, 2)
+    )
 
 
 def render(P) -> str:

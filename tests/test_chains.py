@@ -103,6 +103,23 @@ def test_canonicalize_matches_brute_force():
             assert is_positive_twisted_chain(canonicalize(iota(T)))
 
 
+def test_canonicalize_arranges_every_small_set_exhaustive():
+    """Every completely disjointed, uniform-sign set of at most 3 points
+    with coordinates <= 7 has a canonical twisted chain on the same
+    projections."""
+    points = [(e, f) for e in range(1, 8) for f in range(1, 8) if e != f]
+    checked = 0
+    for k in range(4):
+        for T in itertools.combinations(points, k):
+            if not completely_disjointed(T) or len({e < f for e, f in T}) > 1:
+                continue
+            C = canonicalize(T)
+            assert is_negative_twisted_chain(C) or is_positive_twisted_chain(C), T
+            assert [sorted(x) for x in zip(*C)] == [sorted(x) for x in zip(*T)], T
+            checked += 1
+    assert checked == 463  # 1 + 42 + 2 * 3 * C(7, 4) + 2 * 15 * C(7, 6)
+
+
 def test_bound_multisets_are_twisted_chains():
     # every lower chain (gamma = beta) and every upper chain
     # (alpha = beta) of every fixed point with n <= 7

@@ -121,6 +121,27 @@ def test_count_table(capsys):
     ]
 
 
+def test_count_exits_1_on_a_mismatch(monkeypatch, capsys):
+    """A standard count off by one in degree 2: that row alone reads NO,
+    the whole table still prints, and the exit status is 1."""
+    real = cli.count_standard_monomials
+    monkeypatch.setattr(
+        cli,
+        "count_standard_monomials",
+        lambda *args: [c + (m == 2) for m, c in enumerate(real(*args))],
+    )
+    argv = ["count", "--n", "4", "--d", "2", "--alpha", "1,2", "--beta", "1,4",
+            "--gamma", "3,4", "--mmax", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "m\tmonomials\tstandard\tequal",
+        "0\t1\t1\tyes",
+        "1\t4\t4\tyes",
+        "2\t10\t11\tNO",
+        "3\t20\t20\tyes",
+    ]
+
+
 def test_count_caps_the_face_search_above_the_grid_cap(capsys):
     """The full Grassmannian at n = 12, d = 6 bounds every subset of its
     36 grid points, 2^36 faces; counting up to degree 2 needs the faces

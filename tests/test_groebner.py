@@ -36,6 +36,7 @@ from grassmult.multisets import (
     positive_part,
     proj,
 )
+from grassmult.tableaux import bitableau_bounded_by
 from oracles import (
     expand_theta_minor_all_permutations,
     positive_region,
@@ -442,6 +443,53 @@ def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
         lambda U: real(U[:1] * len(U)) if U and on_side(U[0]) else real(U),
     )
     report = verify_groebner(*SIDED, 3)
+    assert not report.brsk_injective
+    assert report.counts_equal
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda P, Q: (P[::-1], Q[::-1]),  # in two different rows, the first not below the next
+        lambda P, Q: (P, Q[:-1]),  # halves with different numbers of rows
+    ],
+    ids=["rows_reversed", "last_q_row_dropped"],
+)
+def test_verify_reports_an_image_that_is_not_a_bitableau_chain(monkeypatch, side, broken):
+    """Break every image of one side's walk: verify reports a mismatch
+    and lets no exception escape."""
+    real, on_side = groebner.brsk_negative, walked_on(side, SIDED[2])
+
+    def broken_brsk(U):
+        B, trace = real(U)
+        return (broken(*B) if U and on_side(U[0]) else B), trace
+
+    monkeypatch.setattr(groebner, "brsk_negative", broken_brsk)
+    report = verify_groebner(*SIDED, 3)
+    assert not report.brsk_injective
+    assert report.counts_equal
+
+
+# A triple whose bounds let some one-box rows off the grid through:
+# (1, 2) <= (2, 4) <= (4, 5), n = 5.
+LOOSE = richardson((1, 2), (2, 4), (4, 5), 5, 2)
+
+
+@pytest.mark.parametrize(
+    "side, U, row", [(0, ((1, 4),), ((2,), (4,))), (1, ((2, 5),), ((3,), (5,)))]
+)
+def test_verify_reports_an_image_off_the_side_grid(monkeypatch, side, U, row):
+    """Send one multiset of one side's walk to a one-row bitableau whose
+    entry in P is not in the side's complement.  The row is negative
+    and above the side's bound, so only the side's table refuses it."""
+    T, grid = sides(*LOOSE)[side]
+    B = ((row[0],), (row[1],))
+    assert row[0][0] not in grid.complement and bitableau_bounded_by(B, T, ())
+    assert verify_groebner(*LOOSE, 3).brsk_injective
+    real = groebner.brsk_negative
+    monkeypatch.setattr(groebner, "brsk_negative", lambda V: (B, []) if V == U else real(V))
+    report = verify_groebner(*LOOSE, 3)
     assert not report.brsk_injective
     assert report.counts_equal
 

@@ -19,7 +19,6 @@ from grassmult.tableaux import (
     reverse_bounded_insert,
     reverse_insert_rows,
     row_strict,
-    rows_bounded_by,
     split_parts,
     tableau,
     tableau_from_json,
@@ -284,16 +283,8 @@ def test_bitableau_bounded_by():
         bitableau_bounded_by(B, ((2, 1),), ())  # lower bound must be negative
     with pytest.raises(ValueError):
         bitableau_bounded_by(B, (), ((1, 2),))  # upper bound must be positive
-
-
-def test_rows_bounded_by_is_the_kernel_on_projections():
-    B = (((1,),), ((2,),))
-    lower, upper = ((1,), (2,)), ((), ())
-    assert rows_bounded_by(*B, lower, upper) == bitableau_bounded_by(B, ((1, 2),), ()) is True
-    assert not rows_bounded_by(*B, ((2,), (3,)), upper)
-    assert rows_bounded_by((), (), ((), ()), ((), ()))
     with pytest.raises(ValueError):
-        rows_bounded_by(((1,), (1,)), ((2,), (3,)), lower, upper)  # not semistandard
+        bitableau_bounded_by((((1,), (1,)), ((2,), (3,))), ((1, 2),), ())  # not semistandard
 
 
 def test_render_and_json():
