@@ -283,6 +283,21 @@ def test_bitableau_bounded_by():
         bitableau_bounded_by(B, ((2, 1),), ())  # lower bound must be negative
     with pytest.raises(ValueError):
         bitableau_bounded_by(B, (), ((1, 2),))  # upper bound must be positive
+
+
+def test_rows_bounded_by_is_the_kernel_on_projections():
+    # bitableau_bounded_by reads its bounds only through the projections
+    # (T(1), T(2)) and (W(1), W(2)), against the first and last rows
+    rows = [r for k in (1, 2) for r in itertools.combinations(range(1, 6), k)]
+    bitableaux = [((p,), (q,)) for p in rows for q in rows if len(p) == len(q)]
+    lowers = (((1, 3), (2, 4)), ((1, 4), (2, 3)))  # both project to (1, 2), (3, 4)
+    uppers = (((3, 1), (4, 2)), ((4, 1), (3, 2)))  # both project to (3, 4), (1, 2)
+    seen = set()
+    for B in bitableaux:
+        answers = {bitableau_bounded_by(B, T, W) for T in lowers for W in uppers}
+        assert len(answers) == 1, B
+        seen |= answers
+    assert seen == {True, False}
     with pytest.raises(ValueError):
         bitableau_bounded_by((((1,), (1,)), ((2,), (3,))), ((1, 2),), ())  # not semistandard
 
