@@ -6,7 +6,7 @@ lemma along an insertion is a test oracle in tests/oracles.py.
 
 from collections import namedtuple
 
-from .chains import chain_bounded
+from .chains import chain_bounded, completely_disjointed
 from .multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
 from .tableaux import insert_rows, iota_bitableau, reverse_insert_rows, split_parts
 
@@ -14,15 +14,19 @@ BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
 BrskStep.__doc__ = "One insertion: the pair fed in, its BumpingRecord, and the snapshot after."
 
 
-def lex_sort(U):
-    """Pairs of a negative multiset in insertion order.
+def lex_key(p):
+    """Sort key of brsk's insertion order: second components weakly
+    decreasing, ties broken by weakly decreasing first components.
+    multiplicity.bounded_faces lists a side's points in this order too."""
+    return (-p[1], -p[0])
 
-    Second components weakly decreasing; ties broken by weakly
-    decreasing first components.  The sort is stable.
-    """
+
+def lex_sort(U):
+    """Pairs of a negative multiset in insertion order (lex_key).  The
+    sort is stable."""
     if any(sign(u) >= 0 for u in U):
         raise ValueError("expected a negative multiset")
-    return tuple(sorted(U, key=lambda p: (-p[1], -p[0])))
+    return tuple(sorted(U, key=lex_key))
 
 
 def _frozen(rows):
@@ -58,6 +62,22 @@ def brsk_negative(U, keep_trace: bool = False):
         if keep_trace:
             trace.append(BrskStep((a, b), record, _frozen(P), _frozen(Q)))
     return (_frozen(P), _frozen(Q)), trace
+
+
+def insert_pair(P, Q, a: int, b: int):
+    """One step of brsk_negative on the mutable rows P and Q, in place:
+    bounded-insert a into P below b (tableaux.insert_rows), then place
+    b at the left end of the row of Q in which the new box appeared.
+    Checks nothing: the caller feeds the pairs in lex_sort order, which
+    keeps P semistandard on each next bound.  groebner.bounded_images
+    grows the image of a multiset by a last pair with it; brsk_negative
+    runs the same step inline.
+    """
+    row = insert_rows(P, a, b).new_box[0]
+    if row > len(Q):
+        Q.append([b])
+    else:
+        Q[row - 1].insert(0, b)
 
 
 def _reverse_negative(P, Q):
@@ -147,11 +167,15 @@ def multiset_bounded_by(U, T, W) -> bool:
     chains.chain_bounded on the support of U: polynomial time, not one
     comparison per chain.  For other bounds the two can differ: U =
     {(1, 3)} passes the chain condition against T = {(1, 2), (2, 3)}
-    but not the depth order.  tests/test_brsk.py keeps the enumeration
-    of every chain as its oracle.
+    but not the depth order.  So a bound that is not completely
+    disjointed (chains.completely_disjointed), as that T is not, is a
+    ValueError.  tests/test_brsk.py keeps the enumeration of every
+    chain as its oracle.
     """
     if any(sign(t) >= 0 for t in T):
         raise ValueError("lower bound must be a negative multiset")
     if any(sign(w) <= 0 for w in W):
         raise ValueError("upper bound must be a positive multiset")
+    if not (completely_disjointed(T) and completely_disjointed(W)):
+        raise ValueError("bounds must be completely disjointed")
     return chain_bounded(U, T, W)

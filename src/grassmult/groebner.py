@@ -20,21 +20,25 @@ C(m-1, k-1) multisets of degree m, and H(m) = sum over k of
 f_k C(m-1, k-1), with H(0) = 1.  Since the chain initial terms generate
 the initial ideal, H is the Hilbert function of the tangent cone
 (count_monomials_outside_initial).  verify lists the multisets
-themselves from the same supports: one depth-first search per side
-over its bounded supports, each giving its multisets of every degree
-up to a bound.  A side's standard monomials are the chains of one table
-of rows shared by every degree (_standard_table): it counts them, and
-verify checks each brsk image as a chain of it.
+themselves from the same supports, walking multiplicity.bounded_faces
+once per side: the faces come in brsk's insertion order, so each
+multiset's brsk image is its predecessor's grown by one insertion
+(bounded_images).  A side's standard monomials are the chains of one
+table of rows shared by every degree (_standard_table): it counts them,
+and verify checks each brsk image as a chain of it.
+bounded_multisets_of_degree lists the mixed multisets of one degree by
+its own walk with one brsk.multiset_bounded_by test per candidate
+(_walk); the tests check the face search against it.
 """
 
 from collections import Counter, namedtuple
 from itertools import combinations, permutations
 from math import comb
 
-from .brsk import brsk_negative, multiset_bounded_by
+from .brsk import insert_pair, multiset_bounded_by
 from .grassmannian import BetaGrid, negative_region, richardson, sides, theta_to_rs, validate_index
 from .multisets import formal_diff_leq, iota, pairs, proj, termwise_less, union
-from .multiplicity import f_vector, maximal_bounded_subsets
+from .multiplicity import bounded_faces, f_vector, maximal_bounded_subsets
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
 SignedMinor.__doc__ = (
@@ -166,6 +170,40 @@ def _walk(T, grid: BetaGrid, m_max: int):
             return by_degree
 
 
+def bounded_images(T, grid: BetaGrid, m_max: int):
+    """Every nonempty multiset on the negative points of the grid
+    bounded below by T, of degree at most m_max, with its
+    brsk.brsk_negative image: yields (U, (P, Q)), U in brsk's insertion
+    order.
+
+    One walk of multiplicity.bounded_faces(T, grid, m_max).  Its faces
+    come in preorder and list their points in insertion order, so the
+    multisets supported on a face S + (p,) are those supported on S
+    followed by j >= 1 copies of p, and brsk inserts those copies last.
+    Each image of S is copied to mutable rows once and grown by
+    brsk.insert_pair one copy of p at a time: one insertion per
+    multiset, not one per pair.  The images at each size of the current
+    branch are kept on a stack.
+    """
+    if m_max < 0:
+        raise ValueError("degree bound must be nonnegative")
+    stack = [[((), (), ())]]  # per face size: (U, P, Q) for the face's multisets of degree < m_max
+    for k, p in bounded_faces(T, grid, m_max):
+        del stack[k:]
+        grown = []
+        a, b = p
+        for U, P, Q in stack[-1]:
+            P, Q = [list(row) for row in P], [list(row) for row in Q]
+            for _ in range(len(U), m_max):
+                insert_pair(P, Q, a, b)
+                U += (p,)
+                image = (tuple(map(tuple, P)), tuple(map(tuple, Q)))
+                yield U, image
+                if len(U) < m_max:
+                    grown.append((U, *image))
+        stack.append(grown)
+
+
 def _convolve(negative, positive):
     """a(m) = sum over i + j = m of N-(i) * N+(j), for every degree m."""
     return [sum(negative[i] * positive[m - i] for i in range(m + 1)) for m in range(len(negative))]
@@ -269,28 +307,28 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     brsk stacks the bitableau of a multiset's negative side on that of
     its positive side, and every row says which side it came from, so
     brsk is injective and bounded on the pairs exactly when it is on
-    each side.  Each side is walked once and its table of standard
-    monomials built once.  The brsk_negative image of each multiset of
-    the walk, all negative, must be a chain of the table: a semistandard
-    bitableau on the side's grid above its bound.  tests/oracles.py
-    keeps the check of every mixed multiset as the oracle.
+    each side.  Each side's bounded multisets come with their
+    brsk_negative images from one face search (bounded_images), and its
+    table of standard monomials is built once.  Each image, all
+    negative, must be a chain of the table: a semistandard bitableau on
+    the side's grid above its bound.  tests/oracles.py keeps the check
+    of every mixed multiset as the oracle.
     """
     bounded, standard = [], []
     injective = True
     for T, side in sides(Ttil, Wtil, grid):
-        walk = _walk(T, side, m_max)
         root, follow, counts = _standard_table(T, side, m_max)
-        bounded.append([len(ms) for ms in walk])
         standard.append(counts)
+        found = [1] + [0] * m_max
         images = set()
-        for multisets in walk:
-            for U in multisets:
-                (P, Q), _ = brsk_negative(U)
-                path = [root, *zip(P, Q)]
-                chain = len(P) == len(Q) and all(b in follow[a] for a, b in zip(path, path[1:]))
-                if (P, Q) in images or not chain:
-                    injective = False
-                images.add((P, Q))
+        for U, (P, Q) in bounded_images(T, side, m_max):
+            found[len(U)] += 1
+            path = [root, *zip(P, Q)]
+            chain = len(P) == len(Q) and all(b in follow[a] for a, b in zip(path, path[1:]))
+            if (P, Q) in images or not chain:
+                injective = False
+            images.add((P, Q))
+        bounded.append(found)
     per_degree = tuple(zip(range(m_max + 1), _convolve(*bounded), _convolve(*standard)))
     witness = next((m for m, a, b in per_degree if a != b), None)
     return GroebnerReport(per_degree, witness is None, witness, injective)

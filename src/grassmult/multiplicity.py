@@ -18,14 +18,18 @@ faces of one side, by size, with a depth-first search.  Its top entry
 and its length give the side's count and size; the degree and the
 dimension are the product of the two counts and the sum of the two
 sizes.  The same f-vectors give the Hilbert function of the tangent
-cone (groebner.count_monomials_outside_initial).  tests/oracles.py
-keeps the joint search over both sides that this replaced, and
+cone (groebner.count_monomials_outside_initial).  bounded_faces lists
+the same faces one by one, in brsk's insertion order, with the depths
+of a face's points kept on its stack: groebner.verify_groebner walks it
+to list each side's bounded multisets.  tests/oracles.py keeps the
+joint search over both sides that f_vector replaced, and
 tests/test_multiplicity.py the size-descending scan over every subset
 before it.
 """
 
 from itertools import combinations
 
+from .brsk import lex_key
 from .chains import chain_depth
 from .grassmannian import BetaGrid, in_grid, negative_region, richardson, sides
 from .multisets import iota, sign
@@ -224,6 +228,65 @@ def multiplicity(alpha, beta, gamma, n: int, d: int) -> int:
     return count_families(*richardson(alpha, beta, gamma, n, d))
 
 
+def bounded_faces(T, grid: BetaGrid, max_size=None):
+    """The nonempty faces of the complex of subsets of the grid's
+    negative points that are chain-bounded below by T, of at most
+    max_size points: yields (size, last point) for each, in the preorder
+    of a depth-first search, so the face of a yielded (k, p) is the
+    face of size k - 1 yielded last, with p added.  T must be negative
+    (unchecked); a positive problem goes through grassmannian.sides
+    first.
+
+    Chain-boundedness is closed under taking subsets, so a face grows
+    only by points after its last one, in one fixed order, a candidate
+    that fails is never extended, and a face of max_size points is not
+    extended either.  The order is brsk's insertion order (brsk.lex_key:
+    columns descending, rows descending within a column), so the points
+    of a face come in the order brsk inserts them.  A point p is
+    bounded within a face when the face's depth at p, the longest chain
+    of face points weakly above p, is at most T's depth at p; the
+    bound's depth at every point is computed once, and a point where it
+    is 0 is in no face and dropped.
+
+    Testing a candidate p = (e, f) takes the depths of the face's points,
+    kept on the stack: p is accepted when 1 + the largest depth of a
+    face point with row < e and column > f is at most T's depth at p.
+    Two facts make that exact.
+      - A longest chain weakly above p can be taken to start at p: p has
+        the smallest column and the largest row of the points weakly
+        above it, so it can take the place of a chain's first point.
+        The face's depth at p is then 1 + the largest depth at a face
+        point strictly above and to the right of it.
+      - Adding p changes no earlier point's depth.  An earlier point q
+        with p weakly above it is in p's column, since a point of a
+        larger column than q would come before q.  So p, in the same
+        column with a smaller row, can only start a chain weakly above
+        q, and q can take its place there.
+    So a face's points keep the depths they had when they were added,
+    and a face with p added is bounded exactly when p is.
+    """
+    limits = ((p, chain_depth(T, p)) for p in sorted(negative_region(grid), key=lex_key))
+    points = [(p, limit) for p, limit in limits if limit]
+    cap = len(points) if max_size is None else max_size
+    face = []  # (row, column, depth) of the face's points, in order
+    chosen = []  # indices of the face's points, ascending
+    i = 0
+    while True:
+        if i < len(points) and len(face) < cap:
+            (e, f), limit = points[i]
+            depth = 1 + max((d for g, h, d in face if g < e and h > f), default=0)
+            if depth <= limit:
+                face.append((e, f, depth))
+                chosen.append(i)
+                yield len(face), (e, f)
+            i += 1
+        elif chosen:
+            i = chosen.pop() + 1
+            face.pop()
+        else:
+            return
+
+
 def _above_first(p):
     """Sort key that puts each negative point after the points weakly
     above it (row no larger, column no smaller)."""
@@ -244,7 +307,8 @@ def f_vector(T, grid: BetaGrid, max_size=None):
     at every point is computed once per call.  Every point comes after
     the points weakly above it, so adding a point changes the face's
     depth only at that point: testing a candidate is one chain_depth
-    call.
+    call.  bounded_faces lists the same faces in brsk's insertion order;
+    tests/test_multiplicity.py checks that the two count alike.
     """
     points = sorted(negative_region(grid), key=_above_first)
     cap = len(points) if max_size is None else max_size

@@ -8,9 +8,10 @@ of the more common convention, so insertion bumps along rows).
 
 Each direction of insertion runs one kernel that works in place on a
 list of mutable rows.  Forward, insert_rows bumps a value in:
-bounded_insert validates its input, copies it and runs it once, and
+bounded_insert validates its input, copies it and runs it once,
 brsk.brsk_negative runs it on its own rows for a whole multiset after
-validating that multiset once.  Backward, reverse_insert_rows takes the
+validating that multiset once, and brsk.insert_pair runs it for one
+more pair on rows its caller keeps.  Backward, reverse_insert_rows takes the
 rightmost entry below the bound out of a row and bumps a value out:
 reverse_bounded_insert validates, copies and runs it once, and
 brsk.rbrsk runs it on its own rows for every pair it takes back.

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmult.brsk import brsk, brsk_negative, lex_sort, multiset_bounded_by, rbrsk
+from grassmult.chains import chain_bounded
 from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region, triples
 from grassmult.multisets import (
     iota,
@@ -415,6 +416,19 @@ def bounded_by_chains(U, T, W):
     return lower_side_by_chains(T, negative_part(U)) and upper_side_by_chains(
         W, positive_part(U)
     )
+
+
+def test_multiset_bounded_by_refuses_bounds_that_are_not_completely_disjointed():
+    """Against T = {(1, 2), (2, 3)}, which shares the coordinate 2, the
+    chain definition bounds {(1, 3)} and the depth order does not; so
+    such a bound, on either side, is refused."""
+    U, T = ((1, 3),), ((1, 2), (2, 3))
+    assert bounded_by_chains(U, T, ())
+    assert not chain_bounded(U, T, ())
+    with pytest.raises(ValueError):
+        multiset_bounded_by(U, T, ())
+    with pytest.raises(ValueError):
+        multiset_bounded_by(iota(U), (), iota(T))
 
 
 def test_multiset_bounded_by_matches_chain_enumeration():

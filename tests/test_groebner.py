@@ -5,7 +5,7 @@ import math
 import pytest
 
 from grassmult import groebner
-from grassmult.brsk import brsk, multiset_bounded_by
+from grassmult.brsk import brsk, brsk_negative, lex_key, lex_sort, multiset_bounded_by
 from grassmult.grassmannian import (
     beta_grid,
     build_bound_multisets,
@@ -370,33 +370,66 @@ def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
     assert checked == 2606
 
 
+def test_side_images_match_the_walk_and_brsk_negative_exhaustive():
+    """Every triple with n <= 6 and every d, m_max = 4: the multisets
+    that bounded_images lists for each side are, degree by degree, those
+    of that side's walk, each in insertion order and with its
+    brsk_negative image."""
+    checked = listed = 0
+    for n in range(2, 7):
+        for d in range(1, n):
+            for alpha, beta, gamma in triples(n, d):
+                for T, side in sides(*richardson(alpha, beta, gamma, n, d)):
+                    by_degree = [[()]] + [[] for _ in range(4)]
+                    for U, image in groebner.bounded_images(T, side, 4):
+                        assert U == lex_sort(U), (T, side, U)
+                        assert image == brsk_negative(U)[0], (T, side, U)
+                        by_degree[len(U)].append(tuple(sorted(U)))
+                        listed += 1
+                    walk = groebner._walk(T, side, 4)
+                    assert [sorted(ms) for ms in by_degree] == [sorted(ms) for ms in walk], (T, side)
+                checked += 1
+    assert (checked, listed) == (2606, 162386)
+
+
 def test_verify_tests_each_support_once_exhaustive(monkeypatch):
-    """Every triple with n <= 5 and every d, m_max = 4: verify tests
-    boundedness on supports alone, sets of distinct points, each at
-    most once per side, and exactly the bounded supports of fewer than
-    m_max points, the empty one included, each grown by every later
-    point of its side."""
-    tested = []
-    real = groebner.multiset_bounded_by
-    monkeypatch.setattr(
-        groebner, "multiset_bounded_by", lambda U, T, W: tested.append((T, U)) or real(U, T, W)
-    )
+    """Every triple with n <= 5 and every d, m_max = 4: verify runs one
+    face search per side, capped at m_max points, and it yields
+    supports alone, sets of distinct points, each once, and exactly the
+    bounded supports of at most m_max points."""
+    searches = []
+    real = groebner.bounded_faces
+
+    def recorded(T, grid, max_size):
+        face, supports = [], []
+        searches.append(((T, grid, max_size), supports))
+        for k, p in real(T, grid, max_size):
+            del face[k - 1 :]
+            face.append(p)
+            supports.append(tuple(face))
+            yield k, p
+
+    monkeypatch.setattr(groebner, "bounded_faces", recorded)
     checked = 0
     for n in range(2, 6):
         for d in range(1, n):
             for alpha, beta, gamma in triples(n, d):
                 bounds = richardson(alpha, beta, gamma, n, d)
-                tested.clear()
+                searches.clear()
                 verify_groebner(*bounds, 4)
-                for T, side in sides(*bounds):
+                assert [args for args, _ in searches] == [(T, side, 4) for T, side in sides(*bounds)]
+                for (T, side, _), mine in searches:
                     points = sorted(negative_region(side))
-                    mine = [U for T2, U in tested if T2 == T and set(U) <= set(points)]
                     case = (alpha, beta, gamma, T)
                     assert all(len(set(U)) == len(U) for U in mine), case
-                    assert len(set(mine)) == len(mine), case
-                    bounded = [()] + [U for U in mine if real(U, T, ())]
-                    grown = {S + (p,) for S in bounded if len(S) < 4 for p in points if (p,) > S[-1:]}
-                    assert set(mine) == grown, case
+                    assert len(set(map(frozenset, mine))) == len(mine), case
+                    bounded = {
+                        frozenset(U)
+                        for k in range(1, 5)
+                        for U in itertools.combinations(points, k)
+                        if multiset_bounded_by(U, T, ())
+                    }
+                    assert set(map(frozenset, mine)) == bounded, case
                 checked += 1
     assert checked == 534
 
@@ -413,18 +446,43 @@ def walked_on(side, grid):
     return lambda u: (u[0] in grid.beta) == (side == 1)
 
 
+def every_support(points, max_size, start=0, size=0):
+    """Every nonempty set of at most max_size of the points, as
+    bounded_faces yields faces: (size, last point), in preorder."""
+    for i in range(start, len(points)):
+        yield size + 1, points[i]
+        if size + 1 < max_size:
+            yield from every_support(points, max_size, i + 1, size + 1)
+
+
+def breaking_images(monkeypatch, on_side, broken):
+    """Make verify's source of (multiset, image) pairs send each
+    multiset U whose points are on_side to broken(U, image)."""
+    real = groebner.bounded_images
+
+    def images(T, grid, m_max):
+        for U, image in real(T, grid, m_max):
+            yield U, (broken(U, image) if on_side(U[0]) else image)
+
+    monkeypatch.setattr(groebner, "bounded_images", images)
+
+
 @pytest.mark.parametrize("side", [-1, 1])
 def test_verify_reports_an_unbounded_side(monkeypatch, side):
-    """Let the walk of one side accept every multiset: the bitableaux of
-    the unbounded ones break that side's lower bound."""
+    """Let the face search of one side accept every support: the
+    bitableaux of the unbounded multisets break that side's lower
+    bound."""
     grid = SIDED[2]
     assert verify_groebner(*SIDED, 3).brsk_injective
-    real, on_side = groebner.multiset_bounded_by, walked_on(side, grid)
-    monkeypatch.setattr(
-        groebner,
-        "multiset_bounded_by",
-        lambda U, T, W: all(map(on_side, U)) or real(U, T, W),
-    )
+    real, on_side = groebner.bounded_faces, walked_on(side, grid)
+
+    def search(T, grid, max_size):
+        points = sorted(negative_region(grid), key=lex_key)
+        if points and on_side(points[0]):
+            return every_support(points, max_size)
+        return real(T, grid, max_size)
+
+    monkeypatch.setattr(groebner, "bounded_faces", search)
     report = verify_groebner(*SIDED, 3)
     assert not report.brsk_injective
     assert not report.counts_equal and report.witness_degree == 1
@@ -432,15 +490,13 @@ def test_verify_reports_an_unbounded_side(monkeypatch, side):
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
-    """Make brsk_negative send every multiset of one side's walk to the
-    image of its first point repeated: every image is still bounded, but
-    two multisets of degree 2 share one."""
-    grid = SIDED[2]
-    real, on_side = groebner.brsk_negative, walked_on(side, grid)
-    monkeypatch.setattr(
-        groebner,
-        "brsk_negative",
-        lambda U: real(U[:1] * len(U)) if U and on_side(U[0]) else real(U),
+    """Send every multiset of one side to the image of its least point
+    repeated: every image is still bounded, but two multisets of degree
+    2 share one."""
+    breaking_images(
+        monkeypatch,
+        walked_on(side, SIDED[2]),
+        lambda U, image: brsk_negative(sorted(U)[:1] * len(U))[0],
     )
     report = verify_groebner(*SIDED, 3)
     assert not report.brsk_injective
@@ -457,15 +513,9 @@ def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
     ids=["rows_reversed", "last_q_row_dropped"],
 )
 def test_verify_reports_an_image_that_is_not_a_bitableau_chain(monkeypatch, side, broken):
-    """Break every image of one side's walk: verify reports a mismatch
-    and lets no exception escape."""
-    real, on_side = groebner.brsk_negative, walked_on(side, SIDED[2])
-
-    def broken_brsk(U):
-        B, trace = real(U)
-        return (broken(*B) if U and on_side(U[0]) else B), trace
-
-    monkeypatch.setattr(groebner, "brsk_negative", broken_brsk)
+    """Break every image of one side: verify reports a mismatch and
+    lets no exception escape."""
+    breaking_images(monkeypatch, walked_on(side, SIDED[2]), lambda U, image: broken(*image))
     report = verify_groebner(*SIDED, 3)
     assert not report.brsk_injective
     assert report.counts_equal
@@ -480,15 +530,14 @@ LOOSE = richardson((1, 2), (2, 4), (4, 5), 5, 2)
     "side, U, row", [(0, ((1, 4),), ((2,), (4,))), (1, ((2, 5),), ((3,), (5,)))]
 )
 def test_verify_reports_an_image_off_the_side_grid(monkeypatch, side, U, row):
-    """Send one multiset of one side's walk to a one-row bitableau whose
-    entry in P is not in the side's complement.  The row is negative
-    and above the side's bound, so only the side's table refuses it."""
+    """Send one multiset of one side to a one-row bitableau whose entry
+    in P is not in the side's complement.  The row is negative and
+    above the side's bound, so only the side's table refuses it."""
     T, grid = sides(*LOOSE)[side]
     B = ((row[0],), (row[1],))
     assert row[0][0] not in grid.complement and bitableau_bounded_by(B, T, ())
     assert verify_groebner(*LOOSE, 3).brsk_injective
-    real = groebner.brsk_negative
-    monkeypatch.setattr(groebner, "brsk_negative", lambda V: (B, []) if V == U else real(V))
+    breaking_images(monkeypatch, lambda u: True, lambda V, image: B if tuple(sorted(V)) == U else image)
     report = verify_groebner(*LOOSE, 3)
     assert not report.brsk_injective
     assert report.counts_equal
@@ -513,6 +562,8 @@ def test_one_pass_rejects_a_negative_degree():
         count_monomials_outside_initial(Ttil, Wtil, grid, -1)
     with pytest.raises(ValueError):
         count_standard_monomials(Ttil, Wtil, grid, -1)
+    with pytest.raises(ValueError):
+        verify_groebner(Ttil, Wtil, grid, -1)
 
 
 def test_counting_leaves_no_reference_cycles():

@@ -20,6 +20,7 @@ from grassmult.grassmannian import (
 from grassmult.multiplicity import (
     _bareiss_det,
     _path_count_matrix,
+    bounded_faces,
     ceil_pt,
     count_families,
     enumerate_families,
@@ -339,6 +340,37 @@ def test_size_cap_truncates_the_f_vector_exhaustive():
                         assert f_vector(T, side, cap) == f[: cap + 1], (alpha, beta, gamma, cap)
                     checked += 1
     assert checked == 2 * 2606
+
+
+def faces_by_size(T, grid, max_size=None):
+    """The sizes of the faces that bounded_faces yields, counted, the
+    empty face included."""
+    f = [1]
+    for k, _ in bounded_faces(T, grid, max_size):
+        if k == len(f):
+            f.append(0)
+        f[k] += 1
+    return f
+
+
+def test_bounded_faces_counts_the_faces_f_vector_counts_exhaustive():
+    """Every side of every triple with n <= 7 and every d, uncapped and
+    capped at 1, 2 and 3 points: the search on the depths kept on its
+    stack, in insertion order, yields as many faces of each size as
+    f_vector, with one chain_depth test per candidate in its own order,
+    counts; a cap keeps the sizes up to it."""
+    checked = 0
+    for n in range(2, 8):
+        for d in range(1, n):
+            for alpha, beta, gamma in triples(n, d):
+                grid = beta_grid(beta, n)
+                for T, side in sides(*build_bound_multisets(alpha, gamma, grid), grid):
+                    f = f_vector(T, side)
+                    assert faces_by_size(T, side) == f, (alpha, beta, gamma)
+                    for cap in (1, 2, 3):
+                        assert faces_by_size(T, side, cap) == f[: cap + 1], (alpha, beta, gamma, cap)
+                    checked += 1
+    assert checked == 26716
 
 
 def test_f_vector_of_a_side_its_bound_cuts_nothing_is_binomial():
