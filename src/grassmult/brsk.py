@@ -42,7 +42,8 @@ def brsk_negative(U, keep_trace: bool = False):
 
     lex_sort validates U once; the loop then runs the insertion kernel
     tableaux.insert_rows on mutable rows of P and Q and freezes them
-    once at the end (and after every step when a trace is kept).  The
+    once at the end.  With a trace kept, the kernel also reports its
+    bumping records and the rows are frozen after every step.  The
     lex order keeps P semistandard on each next bound, so no step
     re-validates.  That Q is row-strict and (P, Q) negative or empty are
     proved, so the result is not re-checked either.  tests/test_brsk.py
@@ -53,8 +54,11 @@ def brsk_negative(U, keep_trace: bool = False):
     P, Q = [], []
     trace = [] if keep_trace else None
     for a, b in lex_sort(U):
-        record = insert_rows(P, a, b)
-        row = record.new_box[0]
+        if keep_trace:
+            record = insert_rows(P, a, b)
+            row = record.new_box[0]
+        else:
+            row = insert_rows(P, a, b, record=False)
         if row > len(Q):
             Q.append([b])
         else:
@@ -68,12 +72,13 @@ def insert_pair(P, Q, a: int, b: int):
     """One step of brsk_negative on the mutable rows P and Q, in place:
     bounded-insert a into P below b (tableaux.insert_rows), then place
     b at the left end of the row of Q in which the new box appeared.
-    Checks nothing: the caller feeds the pairs in lex_sort order, which
+    Asks the kernel for that row alone, not a bumping record.  Checks
+    nothing: the caller feeds the pairs in lex_sort order, which
     keeps P semistandard on each next bound.  groebner.bounded_images
     grows the image of a multiset by a last pair with it; brsk_negative
     runs the same step inline.
     """
-    row = insert_rows(P, a, b).new_box[0]
+    row = insert_rows(P, a, b, record=False)
     if row > len(Q):
         Q.append([b])
     else:

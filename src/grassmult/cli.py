@@ -187,17 +187,16 @@ def _cmd_verify(ns, out):
     bad = 0
     for alpha, beta, gamma in checked:
         report = verify_groebner(*richardson(alpha, beta, gamma, ns.n, ns.d), ns.mmax)
-        ok = report.counts_equal and report.brsk_injective
-        if not ok:
-            bad += 1
+        if not report.counts_equal:
+            verdict = "MISMATCH at m=%d" % report.witness_degree
+        elif not report.brsk_injective:
+            verdict = "MISMATCH: brsk is not injective into the bounded standard bitableaux"
+        else:
+            verdict = "ok"
+        bad += verdict != "ok"
         print(
             "alpha=%s beta=%s gamma=%s %s"
-            % (
-                ",".join(map(str, alpha)),
-                ",".join(map(str, beta)),
-                ",".join(map(str, gamma)),
-                "ok" if ok else "MISMATCH at m=%s" % report.witness_degree,
-            ),
+            % (",".join(map(str, alpha)), ",".join(map(str, beta)), ",".join(map(str, gamma)), verdict),
             file=out,
         )
     print("%d triples checked, %d mismatches" % (len(checked), bad), file=out)

@@ -25,7 +25,11 @@ once per side: the faces come in brsk's insertion order, so each
 multiset's brsk image is its predecessor's grown by one insertion
 (bounded_images).  A side's standard monomials are the chains of one
 table of rows shared by every degree (_standard_table): it counts them,
-and verify checks each brsk image as a chain of it.
+and verify checks each brsk image as a chain of it.  The table numbers
+its rows and compares them by their prefix-count profiles
+(multisets.diff_profile), one per row, in which the order on formal
+differences is pointwise dominance; verify reads each image's rows as
+ids through one lookup each.
 bounded_multisets_of_degree lists the mixed multisets of one degree by
 its own walk with one brsk.multiset_bounded_by test per candidate
 (_walk); the tests check the face search against it.
@@ -37,7 +41,7 @@ from math import comb
 
 from .brsk import insert_pair, multiset_bounded_by
 from .grassmannian import BetaGrid, negative_region, richardson, sides, theta_to_rs, validate_index
-from .multisets import formal_diff_leq, iota, pairs, proj, termwise_less, union
+from .multisets import diff_profile, dominates, iota, pairs, proj, union
 from .multiplicity import bounded_faces, f_vector, maximal_bounded_subsets
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
@@ -182,8 +186,8 @@ def bounded_images(T, grid: BetaGrid, m_max: int):
     followed by j >= 1 copies of p, and brsk inserts those copies last.
     Each image of S is copied to mutable rows once and grown by
     brsk.insert_pair one copy of p at a time: one insertion per
-    multiset, not one per pair.  The images at each size of the current
-    branch are kept on a stack.
+    multiset, not one per pair, and no bumping record.  The images at
+    each size of the current branch are kept on a stack.
     """
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -248,35 +252,49 @@ def count_monomials_outside_initial(Ttil, Wtil, grid: BetaGrid, m_max: int):
 
 
 def _standard_table(T, side: BetaGrid, m_max: int):
-    """One side's standard monomials as a table (root, follow, counts).
+    """One side's standard monomials as a table on row ids:
+    (index, follow, counts).
 
     Its rows are the negative rows (p, q) of the side's grid, p strictly
-    below q termwise, of at most m_max boxes, that lie above T.  From
-    root = (T(1), T(2)) and from each row, follow gives the rows that
-    may come next, so the standard monomials are the chains from the
-    root; the row order is transitive, so the rows above the root are
-    exactly those a chain reaches.  counts[r] is the number of chains
-    of r boxes, r = 0..m_max, from one recursion shared by every degree.
+    below q termwise, of at most m_max boxes, that lie above T.  index
+    maps each row to its id, 1 on; id 0 is the root (T(1), T(2)).
+    follow is the set of id pairs (i, j) whose row j may come after
+    id i, so the standard monomials are the chains of ids from 0; the
+    row order is transitive, so the rows above the root are exactly
+    those a chain reaches.  counts[r] is the number of chains of r boxes,
+    r = 0..m_max, from one recursion on ids shared by every degree.
+
+    The order on formal differences is read from one prefix-count
+    profile per row (multisets.diff_profile), computed once: p and q
+    are disjoint, so a row is negative exactly when its profile is >= 0
+    everywhere, and one row lies below another, or below the root,
+    exactly when its profile dominates.  tests/oracles.py keeps the
+    table built from formal_diff_leq on row tuples as the oracle.
     """
-    root = (proj(T, 1), proj(T, 2))
-    rows = [
-        (p, q)
-        for k in range(1, min(len(side.complement), len(side.beta), m_max) + 1)
-        for p in combinations(side.complement, k)
-        for q in combinations(side.beta, k)
-        if termwise_less(p, q) and formal_diff_leq(*root, p, q)
-    ]
-    follow = {row: {r for r in rows if formal_diff_leq(*row, *r)} for row in [root, *rows]}
-    ways = []  # ways[r][row]: completions after row with r boxes left
-    for r in range(m_max + 1):
-        ways.append(
-            {
-                row: int(r == 0)
-                + sum(ways[r - len(nxt[0])][nxt] for nxt in nexts if len(nxt[0]) <= r)
-                for row, nexts in follow.items()
-            }
-        )
-    return root, follow, [layer[root] for layer in ways]
+    n = side.n
+    profiles = [diff_profile(proj(T, 1), proj(T, 2), n)]
+    root = profiles[0]
+    sizes = [0]
+    index = {}
+    for k in range(1, min(len(side.complement), len(side.beta), m_max) + 1):
+        for p in combinations(side.complement, k):
+            for q in combinations(side.beta, k):
+                h = diff_profile(p, q, n)
+                if min(h) >= 0 and dominates(root, h):
+                    index[p, q] = len(profiles)
+                    profiles.append(h)
+                    sizes.append(k)
+    follow = {
+        (i, j) for i, h in enumerate(profiles) for j, g in enumerate(profiles) if j and dominates(h, g)
+    }
+    ways = [[1] * len(profiles)]  # ways[r][i]: completions after id i with r boxes left
+    for r in range(1, m_max + 1):
+        layer = [0] * len(profiles)
+        for i, j in follow:
+            if sizes[j] <= r:
+                layer[i] += ways[r - sizes[j]][j]
+        ways.append(layer)
+    return index, follow, [layer[0] for layer in ways]
 
 
 def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):
@@ -311,23 +329,28 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     brsk_negative images from one face search (bounded_images), and its
     table of standard monomials is built once.  Each image, all
     negative, must be a chain of the table: a semistandard bitableau on
-    the side's grid above its bound.  tests/oracles.py keeps the check
-    of every mixed multiset as the oracle.
+    the side's grid above its bound.  Its rows zip(P, Q) are read as ids
+    through the table's index, a row off the table reading as no id,
+    and the chain is tested on the ids.  Images are told apart by their
+    id tuples: ids name table rows one to one, and an image that is not
+    a chain fails anyway, so this is the verdict of comparing the
+    bitableaux.  tests/oracles.py keeps the check of every mixed
+    multiset as the oracle.
     """
     bounded, standard = [], []
     injective = True
     for T, side in sides(Ttil, Wtil, grid):
-        root, follow, counts = _standard_table(T, side, m_max)
+        index, follow, counts = _standard_table(T, side, m_max)
         standard.append(counts)
         found = [1] + [0] * m_max
         images = set()
         for U, (P, Q) in bounded_images(T, side, m_max):
             found[len(U)] += 1
-            path = [root, *zip(P, Q)]
-            chain = len(P) == len(Q) and all(b in follow[a] for a, b in zip(path, path[1:]))
-            if (P, Q) in images or not chain:
+            ids = tuple(map(index.get, zip(P, Q)))
+            chain = len(P) == len(Q) and follow.issuperset(zip((0, *ids), ids))
+            if ids in images or not chain:
                 injective = False
-            images.add((P, Q))
+            images.add(ids)
         bounded.append(found)
     per_degree = tuple(zip(range(m_max + 1), _convolve(*bounded), _convolve(*standard)))
     witness = next((m for m, a, b in per_degree if a != b), None)

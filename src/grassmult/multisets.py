@@ -6,6 +6,9 @@ repetitions.  Infinite multisets (formal differences A - B) are never
 materialized: comparisons against them reduce to counting inequalities.
 """
 
+from itertools import accumulate
+from operator import ge
+
 
 def nmul(values) -> tuple[int, ...]:
     """Canonical multiset on N: a sorted tuple."""
@@ -88,6 +91,33 @@ def formal_diff_leq(A, B, C, D) -> bool:
     if len(A) + len(D) != len(C) + len(B):
         raise ValueError("formal differences of unequal degree are incomparable")
     return termwise_leq(union(A, D), union(C, B))
+
+
+def diff_profile(A, B, n: int) -> tuple[int, ...]:
+    """The prefix-count profile of the formal difference A - B of two
+    multisets on 1..n: h(t) = #{a in A: a <= t} - #{b in B: b <= t} for
+    t = 1..n.
+
+    It is exact for formal_diff_leq.  X <= Y termwise, for X and Y of
+    one degree, exactly when X has at least as many entries <= t as Y
+    at every t.  So A - B <= C - D, that is A + D <= C + B termwise,
+    exactly when diff_profile(A, B, n) dominates diff_profile(C, D, n)
+    at every t (dominates): the counts agree below 1, and above n when
+    the degrees match.  For disjoint sets p and q of one size, the
+    profile of (p, q) is >= 0 everywhere exactly when
+    termwise_less(p, q): disjoint entries never tie.
+    """
+    delta = [0] * (n + 1)
+    for a in A:
+        delta[a] += 1
+    for b in B:
+        delta[b] -= 1
+    return tuple(accumulate(delta[1:]))
+
+
+def dominates(h, g) -> bool:
+    """Whether the profile h is >= the profile g at every t."""
+    return all(map(ge, h, g))
 
 
 def multiset_order_leq(U, V) -> bool:

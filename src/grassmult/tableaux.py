@@ -11,7 +11,9 @@ list of mutable rows.  Forward, insert_rows bumps a value in:
 bounded_insert validates its input, copies it and runs it once,
 brsk.brsk_negative runs it on its own rows for a whole multiset after
 validating that multiset once, and brsk.insert_pair runs it for one
-more pair on rows its caller keeps.  Backward, reverse_insert_rows takes the
+more pair on rows its caller keeps.  Only bounded_insert and a traced
+brsk_negative ask it for the bumping record; the other callers take the
+row of the new box alone.  Backward, reverse_insert_rows takes the
 rightmost entry below the bound out of a row and bumps a value out:
 reverse_bounded_insert validates, copies and runs it once, and
 brsk.rbrsk runs it on its own rows for every pair it takes back.
@@ -74,7 +76,7 @@ def semistandard_below(rows, b: int) -> bool:
     return True
 
 
-def insert_rows(rows, a: int, b: int) -> BumpingRecord:
+def insert_rows(rows, a: int, b: int, record: bool = True):
     """The insertion kernel: Schensted-insert a into the entries below b
     of a list of mutable rows, in place, and return the BumpingRecord.
 
@@ -85,8 +87,13 @@ def insert_rows(rows, a: int, b: int) -> BumpingRecord:
     above every entry this is Schensted row insertion.  Checks nothing:
     callers validate once that a < b and that the rows are semistandard
     on b.
+
+    bounded_insert and a traced brsk_negative report the whole record.
+    The untraced insertions of brsk need only the row of the new box
+    (1-indexed), to place b in Q: with record false the kernel builds no
+    route and returns that row.
     """
-    route = []
+    route = [] if record else None
     cur = a
     i = 0
     while i < len(rows):
@@ -95,14 +102,17 @@ def insert_rows(rows, a: int, b: int) -> BumpingRecord:
         j = bisect_left(row, cur, 0, hi)
         if j == hi:
             row.insert(j, cur)
-            new_box = (i + 1, j + 1)
             break
-        route.append((i + 1, j + 1))
+        if record:
+            route.append((i + 1, j + 1))
         cur, row[j] = row[j], cur
         i += 1
     else:
         rows.append([cur])
-        new_box = (i + 1, 1)
+        j = 0
+    if not record:
+        return i + 1
+    new_box = (i + 1, j + 1)
     route.append(new_box)
     return BumpingRecord(tuple(route), new_box)
 

@@ -5,9 +5,10 @@ relations behind twisted chains, the positive region of a grid, the
 joint face search over both signs, the truncation of a tableau at a
 bound, the classification of bitableaux, a checker for the boundedness
 lemma of bounded RSK, the Groebner verification of every mixed
-multiset, and the twisted chains the test files sweep over.  No CLI
-subcommand, demo or benchmark workload reaches any of it, so it lives
-with the tests and not in src/grassmult.
+multiset, the table of standard monomials on row tuples, and the
+twisted chains the test files sweep over.  No CLI subcommand, demo or
+benchmark workload reaches any of it, so it lives with the tests and
+not in src/grassmult.
 """
 
 from itertools import combinations, permutations
@@ -24,7 +25,9 @@ from grassmult.multisets import (
     negative_part,
     pairs,
     positive_part,
+    proj,
     sign,
+    termwise_less,
 )
 from grassmult.tableaux import bitableau, bitableau_bounded_by, classify_row, row_strict, tableau
 
@@ -368,6 +371,34 @@ def verify_groebner_per_multiset(Ttil, Wtil, grid, m_max):
                 injective = False
             seen.add(B)
     return GroebnerReport(tuple(per_degree), witness is None, witness, injective)
+
+
+def standard_table_by_rows(T, side, m_max):
+    """One side's table of standard monomials on row tuples, compared by
+    formal_diff_leq pair by pair: (root, follow, counts).  root is
+    (T(1), T(2)), follow maps the root and each negative row (p, q) of
+    at most m_max boxes above the root to the set of rows that may come
+    next, and counts[r] is the number of chains of r boxes from the
+    root.  The oracle for groebner's table on row ids."""
+    root = (proj(T, 1), proj(T, 2))
+    rows = [
+        (p, q)
+        for k in range(1, min(len(side.complement), len(side.beta), m_max) + 1)
+        for p in combinations(side.complement, k)
+        for q in combinations(side.beta, k)
+        if termwise_less(p, q) and formal_diff_leq(*root, p, q)
+    ]
+    follow = {row: {r for r in rows if formal_diff_leq(*row, *r)} for row in [root, *rows]}
+    ways = []  # ways[r][row]: completions after row with r boxes left
+    for r in range(m_max + 1):
+        ways.append(
+            {
+                row: int(r == 0)
+                + sum(ways[r - len(nxt[0])][nxt] for nxt in nexts if len(nxt[0]) <= r)
+                for row, nexts in follow.items()
+            }
+        )
+    return root, follow, [layer[root] for layer in ways]
 
 
 # Sweep domains.

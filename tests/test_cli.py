@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grassmult
-from grassmult import cli
+from grassmult import cli, groebner
 from grassmult.cli import _build_parser, main, run
 
 NINE = ["--n", "9", "--d", "4", "--alpha", "1,2,3,5", "--beta", "1,5,6,8", "--gamma", "3,6,8,9"]
@@ -175,6 +175,30 @@ def test_count_and_verify_golden(capsys, triple, counts):
     alpha, beta, gamma = triple[5::2]
     assert capsys.readouterr().out == (
         "alpha=%s beta=%s gamma=%s ok\n1 triples checked, 0 mismatches\n" % (alpha, beta, gamma)
+    )
+
+
+def test_verify_names_a_brsk_failure_when_the_counts_agree(monkeypatch, capsys):
+    """Every degree-2 multiset sent to the image of the first one: the
+    counts still agree, so the line names brsk's failure rather than a
+    degree, and the exit status is 1."""
+    real = groebner.bounded_images
+
+    def images(T, grid, m_max):
+        first = []
+        for U, image in real(T, grid, m_max):
+            if len(U) == 2:
+                first = first or [image]
+                image = first[0]
+            yield U, image
+
+    monkeypatch.setattr(groebner, "bounded_images", images)
+    argv = ["verify", "--alpha", "1,2", "--beta", "3,4", "--gamma", "5,6",
+            "--n", "6", "--d", "2", "--mmax", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "alpha=1,2 beta=3,4 gamma=5,6 MISMATCH: brsk is not injective into the bounded standard bitableaux\n"
+        "1 triples checked, 1 mismatches\n"
     )
 
 

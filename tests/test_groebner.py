@@ -41,6 +41,7 @@ from oracles import (
     expand_theta_minor_all_permutations,
     positive_region,
     rs_to_theta,
+    standard_table_by_rows,
     verify_groebner_per_multiset,
 )
 
@@ -352,6 +353,30 @@ def test_f_vector_counts_match_the_side_walks_exhaustive():
     assert checked == 2606
 
 
+def test_standard_table_on_row_ids_matches_the_row_tuple_oracle_exhaustive():
+    """Every side of every triple with n <= 6 and every d at every
+    m_max <= 4, and of every (7, 3) triple at m_max = 3: the table on
+    row ids has the oracle's rows, numbered 1 on, the oracle's follow
+    relation read through its index, and the oracle's counts."""
+    cases = [(n, d, range(5)) for n in range(2, 7) for d in range(1, n)] + [(7, 3, [3])]
+    checked = 0
+    for n, d, m_maxes in cases:
+        for alpha, beta, gamma in triples(n, d):
+            for T, side in sides(*richardson(alpha, beta, gamma, n, d)):
+                for m_max in m_maxes:
+                    index, follow, counts = groebner._standard_table(T, side, m_max)
+                    root, by_rows, expected = standard_table_by_rows(T, side, m_max)
+                    case = (alpha, beta, gamma, T, m_max)
+                    assert set(index) == by_rows[root], case
+                    assert sorted(index.values()) == list(range(1, len(index) + 1)), case
+                    assert follow == {(0, index[r]) for r in by_rows[root]} | {
+                        (index[row], index[r]) for row in index for r in by_rows[row]
+                    }, case
+                    assert counts == expected, case
+                    checked += 1
+    assert checked == 34292
+
+
 def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
     """Every triple with n <= 6 and every d, m_max = 4 (3 at n = 6): the
     join of the two sides gives the report of putting every mixed
@@ -509,8 +534,9 @@ def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
     [
         lambda P, Q: (P[::-1], Q[::-1]),  # in two different rows, the first not below the next
         lambda P, Q: (P, Q[:-1]),  # halves with different numbers of rows
+        lambda P, Q: (P, Q + Q[-1:]),  # one row more in Q: zip(P, Q) reads every row of P
     ],
-    ids=["rows_reversed", "last_q_row_dropped"],
+    ids=["rows_reversed", "last_q_row_dropped", "last_q_row_repeated"],
 )
 def test_verify_reports_an_image_that_is_not_a_bitableau_chain(monkeypatch, side, broken):
     """Break every image of one side: verify reports a mismatch and

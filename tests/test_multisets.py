@@ -1,13 +1,16 @@
 """Multiset calculus on N and N^2: canonical forms and comparison orders."""
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from grassmult.multisets import (
+    diff_profile,
     difference,
+    dominates,
     formal_diff_leq,
     iota,
     is_nonvanishing,
@@ -108,6 +111,30 @@ def test_termwise_implementations_agree(A, B):
     assert termwise_leq(A, A)
     if termwise_leq(A, B) and termwise_leq(B, A):
         assert sorted(A) == sorted(B)
+
+
+def test_profiles_decide_the_order_on_formal_differences_exhaustive():
+    """Every pair of rows (p, q) of equal-size subsets of 1..6 with at
+    most 3 elements, 661 rows: profile dominance is formal_diff_leq on
+    all 436,921 ordered pairs, and on the 140 rows whose p and q are
+    disjoint, as a table's rows are, a profile >= 0 is termwise_less."""
+    rows = [
+        (p, q)
+        for k in range(1, 4)
+        for p in combinations(range(1, 7), k)
+        for q in combinations(range(1, 7), k)
+    ]
+    profiles = [diff_profile(p, q, 6) for p, q in rows]
+    disjoint = 0
+    for (p, q), h in zip(rows, profiles):
+        if not set(p) & set(q):
+            assert (min(h) >= 0) == termwise_less(p, q), (p, q)
+            disjoint += 1
+        for (r, s), g in zip(rows, profiles):
+            assert dominates(h, g) == formal_diff_leq(p, q, r, s), (p, q, r, s)
+    assert (len(rows), disjoint) == (661, 140)
+    # repeated entries, as in a bound's projections, count with multiplicity
+    assert diff_profile((1, 1, 3), (2, 4, 4), 4) == (2, 1, 2, 0)
 
 
 def test_formal_diff_examples():
