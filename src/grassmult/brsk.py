@@ -8,7 +8,7 @@ from collections import namedtuple
 
 from .chains import chain_bounded, completely_disjointed
 from .multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
-from .tableaux import insert_rows, iota_bitableau, reverse_insert_rows, split_parts
+from .tableaux import bounded_insert, insert_rows, iota_bitableau, reverse_insert_rows, split_parts
 
 BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
 BrskStep.__doc__ = "One insertion: the pair fed in, its BumpingRecord, and the snapshot after."
@@ -33,18 +33,12 @@ def _frozen(rows):
     return tuple(map(tuple, rows))
 
 
-def brsk_negative(U, keep_trace: bool = False):
-    """Insert a negative multiset pair by pair.
+def brsk_negative(U):
+    """Insert a negative multiset pair by pair: returns (P, Q).
 
-    Returns ((P, Q), trace); the trace is None unless requested.  Each
-    pair (a, b) is bounded-inserted into P, and b is placed at the left
-    end of the row of Q in which the new box appeared.
-
-    lex_sort validates U once; the loop then runs the insertion kernel
-    tableaux.insert_rows on mutable rows of P and Q and freezes them
-    once at the end.  With a trace kept, the kernel also reports its
-    bumping records and the rows are frozen after every step.  The
-    lex order keeps P semistandard on each next bound, so no step
+    lex_sort validates U once; insert_pair then runs each step on
+    mutable rows of P and Q, which are frozen once at the end.  The lex
+    order keeps P semistandard on each next bound, so no step
     re-validates.  That Q is row-strict and (P, Q) negative or empty are
     proved, so the result is not re-checked either.  tests/test_brsk.py
     asserts both, and checks this loop against the per-step oracle:
@@ -52,33 +46,44 @@ def brsk_negative(U, keep_trace: bool = False):
     in Q, rebuilding both tableaux at every step.
     """
     P, Q = [], []
-    trace = [] if keep_trace else None
     for a, b in lex_sort(U):
-        if keep_trace:
-            record = insert_rows(P, a, b)
-            row = record.new_box[0]
-        else:
-            row = insert_rows(P, a, b, record=False)
-        if row > len(Q):
-            Q.append([b])
-        else:
-            Q[row - 1].insert(0, b)
-        if keep_trace:
-            trace.append(BrskStep((a, b), record, _frozen(P), _frozen(Q)))
-    return (_frozen(P), _frozen(Q)), trace
+        insert_pair(P, Q, a, b)
+    return _frozen(P), _frozen(Q)
+
+
+def brsk_trace(U):
+    """The steps of brsk_negative(U), one BrskStep per pair.
+
+    Each pair is replayed through tableaux.bounded_insert, which
+    validates P, runs the kernel of insert_pair on a copy of it and
+    reports the bumping record, and b is placed in Q as insert_pair
+    places it.  brsk --trace and demos/insertion_walkthrough.py read
+    it; tests/test_brsk.py runs insert_pair beside it and compares the
+    tableaux after every pair.
+    """
+    P, Q = (), []
+    for a, b in lex_sort(U):
+        P, record = bounded_insert(P, a, b)
+        _place_left(Q, record.new_box[0], b)
+        yield BrskStep((a, b), record, P, _frozen(Q))
 
 
 def insert_pair(P, Q, a: int, b: int):
     """One step of brsk_negative on the mutable rows P and Q, in place:
     bounded-insert a into P below b (tableaux.insert_rows), then place
-    b at the left end of the row of Q in which the new box appeared.
-    Asks the kernel for that row alone, not a bumping record.  Checks
-    nothing: the caller feeds the pairs in lex_sort order, which
-    keeps P semistandard on each next bound.  groebner.bounded_images
-    grows the image of a multiset by a last pair with it; brsk_negative
-    runs the same step inline.
+    b in Q (_place_left).  Asks the kernel for the row of the new box
+    alone, not a bumping record.  Checks nothing: the caller feeds the
+    pairs in lex_sort order, which keeps P semistandard on each next
+    bound.  groebner.bounded_images grows the image of a multiset by a
+    last pair with it.
     """
-    row = insert_rows(P, a, b, record=False)
+    _place_left(Q, insert_rows(P, a, b, record=False), b)
+
+
+def _place_left(Q, row: int, b: int):
+    """Put b at the left end of row `row` (1-indexed) of the mutable rows
+    Q, the row of the box that the insertion of b's pair created in P;
+    a row one past the last starts a new row."""
     if row > len(Q):
         Q.append([b])
     else:
@@ -146,18 +151,14 @@ def brsk(U):
     The negative part is inserted directly; the positive part goes
     through the component swap (insert the swapped multiset, swap the
     bitableau back); the results are stacked, negative rows on top.
+    An empty part inserts to ((), ()), which the swap keeps empty.
     The result is a nonvanishing semistandard bitableau, a proved
     property that tests/test_brsk.py asserts instead of every call.
     """
     if not is_nonvanishing(U):
         raise ValueError("multiset has vanishing points")
-    (Pn, Qn), _ = brsk_negative(negative_part(U))
-    Up = positive_part(U)
-    if Up:
-        neg_image, _ = brsk_negative(iota(Up))
-        Pp, Qp = iota_bitableau(neg_image)
-    else:
-        Pp, Qp = (), ()
+    Pn, Qn = brsk_negative(negative_part(U))
+    Pp, Qp = iota_bitableau(brsk_negative(iota(positive_part(U))))
     return (Pn + Pp, Qn + Qp)
 
 

@@ -16,16 +16,17 @@ import json
 import random
 import sys
 
-from .brsk import brsk, brsk_negative, rbrsk
+from .brsk import brsk, brsk_trace, rbrsk
 from .chains import canonicalize
 from .grassmannian import richardson, triples
 from .groebner import count_monomials_outside_initial, count_standard_monomials, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
-from .multisets import iota, negative_part, pairs, pairs_from_json, pairs_to_json, positive_part
-from .tableaux import render, tableau_from_json, tableau_to_json
+from .multisets import iota, negative_part, pairs, pairs_from_json, positive_part
+from .tableaux import render, tableau_from_json
 
 
-def _parse_index(text):
+def index_set(text):
+    """An index set such as 1,2,4; argparse names it in its refusals."""
     return tuple(int(x) for x in text.split(",") if x)
 
 
@@ -92,21 +93,9 @@ def _write_trace(U, path):
         raise ValueError("cannot write %s: %s" % (path, err.strerror)) from err
     with fh:
         for sgn, half in ((-1, negative_part(U)), (1, iota(positive_part(U)))):
-            _, trace = brsk_negative(half, keep_trace=True)
-            for step in trace:
-                fh.write(
-                    json.dumps(
-                        {
-                            "sign": sgn,
-                            "pair": list(step.pair),
-                            "route": pairs_to_json(step.record.route),
-                            "new_box": list(step.record.new_box),
-                            "P": tableau_to_json(step.P),
-                            "Q": tableau_to_json(step.Q),
-                        }
-                    )
-                    + "\n"
-                )
+            for pair, (route, new_box), P, Q in brsk_trace(half):
+                step = {"sign": sgn, "pair": pair, "route": route, "new_box": new_box, "P": P, "Q": Q}
+                fh.write(json.dumps(step) + "\n")
 
 
 def _cmd_brsk(ns, out):
@@ -115,7 +104,7 @@ def _cmd_brsk(ns, out):
     if ns.trace:
         _write_trace(U, ns.trace)
     if ns.json:
-        print(json.dumps({"P": tableau_to_json(P), "Q": tableau_to_json(Q)}), file=out)
+        print(json.dumps({"P": P, "Q": Q}), file=out)
     else:
         print("P:\n%s\nQ:\n%s" % (render(P), render(Q)), file=out)
     return 0
@@ -127,7 +116,7 @@ def _cmd_rbrsk(ns, out):
     B = _read_input(ns.input, _bitableau_from_json, "a JSON object with integer tableaux P and Q")
     U = rbrsk(B)
     if ns.json:
-        print(json.dumps(pairs_to_json(U)), file=out)
+        print(json.dumps(U), file=out)
     else:
         print(_pairs_text(U), file=out)
     return 0
@@ -144,10 +133,7 @@ def _cmd_paths(ns, out):
     Ttil, Wtil, grid = richardson(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d)
     families = enumerate_families(Ttil, Wtil, grid)
     if ns.json:
-        blob = [
-            {"%d,%d" % r: pairs_to_json(path) for r, path in fam.items()}
-            for fam in families
-        ]
+        blob = [{"%d,%d" % r: path for r, path in fam.items()} for fam in families]
         print(json.dumps({"count": len(families), "families": blob}), file=out)
         return 0
     print("%d families" % len(families), file=out)
@@ -206,7 +192,7 @@ def _cmd_verify(ns, out):
 def _cmd_canonicalize(ns, out):
     T = canonicalize(_load_multiset(ns))
     if ns.json:
-        print(json.dumps(pairs_to_json(T)), file=out)
+        print(json.dumps(T), file=out)
     else:
         print(_pairs_text(T), file=out)
     return 0
@@ -238,9 +224,9 @@ def _build_parser():
     def common_triple(p):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--alpha", type=_parse_index, default="")
-        p.add_argument("--beta", type=_parse_index, default="")
-        p.add_argument("--gamma", type=_parse_index, default="")
+        p.add_argument("--alpha", type=index_set, default="")
+        p.add_argument("--beta", type=index_set, default="")
+        p.add_argument("--gamma", type=index_set, default="")
 
     p = command("brsk", _cmd_brsk, "run the correspondence on a multiset")
     p.add_argument("--pairs")

@@ -13,19 +13,18 @@ its complement trade places, bounded below by iota(Wtil)
 with one lower bound, run on each side, and the degree-m count of the
 pair is the convolution a(m) = sum over i + j = m of N-(i) * N+(j).
 
-A multiset is bounded exactly when its support is, so the bounded
-multisets of one side are counted from that side's f-vector
-(multiplicity.f_vector): a face of size k is the support of
+A multiset is bounded exactly when its support is, so both count
+and verify read one face search per side, multiplicity.bounded_faces,
+which lists the bounded supports in brsk's insertion order.  count
+tallies its faces by size: a face of size k is the support of
 C(m-1, k-1) multisets of degree m, and H(m) = sum over k of
-f_k C(m-1, k-1), with H(0) = 1.  Since the chain initial terms generate
-the initial ideal, H is the Hilbert function of the tangent cone
-(count_monomials_outside_initial).  verify lists the multisets
-themselves from the same supports, walking multiplicity.bounded_faces
-once per side: the faces come in brsk's insertion order, so each
-multiset's brsk image is its predecessor's grown by one insertion
-(bounded_images).  A side's standard monomials are the chains of one
-table of rows shared by every degree (_standard_table): it counts them,
-and verify checks each brsk image as a chain of it.  The table numbers
+f_k C(m-1, k-1), with H(0) = 1.  Since the chain initial terms
+generate the initial ideal, H is the Hilbert function of the tangent
+cone (count_monomials_outside_initial).  verify lists the multisets
+themselves from the same faces: each multiset's brsk image is its
+predecessor's grown by one insertion (bounded_images).  A side's
+standard monomials are the chains of one table of rows shared by every
+degree (_standard_table): it counts them, and verify checks each brsk image as a chain of it.  The table numbers
 its rows and compares them by their prefix-count profiles
 (multisets.diff_profile), one per row, in which the order on formal
 differences is pointwise dominance; verify reads each image's rows as
@@ -42,7 +41,7 @@ from math import comb
 from .brsk import insert_pair, multiset_bounded_by
 from .grassmannian import BetaGrid, negative_region, richardson, sides, theta_to_rs, validate_index
 from .multisets import diff_profile, dominates, iota, pairs, proj, union
-from .multiplicity import bounded_faces, f_vector, maximal_bounded_subsets
+from .multiplicity import bounded_faces, maximal_bounded_subsets
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
 SignedMinor.__doc__ = (
@@ -138,7 +137,7 @@ def _walk(T, grid: BetaGrid, m_max: int):
 
     A multiset is bounded exactly when its support is, so the walk is a
     depth-first search over the bounded supports, in the shape of
-    multiplicity.f_vector: a support grows only by points after its
+    multiplicity.bounded_faces: a support grows only by points after its
     last one in sorted order, up to m_max points, each candidate is one
     multiset_bounded_by test, and a candidate that fails is never
     extended.  A support of k points gives its multisets of every degree
@@ -231,22 +230,18 @@ def count_monomials_outside_initial(Ttil, Wtil, grid: BetaGrid, m_max: int):
     monomial, for every degree 0..m_max: the multisets bounded by the
     pair, since a monomial avoids every forbidden chain exactly when
     all the chains in its support are bounded.  Each side's count is
-    H(m) = sum over k of f_k C(m-1, k-1), H(0) = 1, from its f-vector f
-    searched up to faces of size m_max, since a larger face supports no
-    multiset of degree m_max or less; the two sides' counts are
-    convolved.  No multiset is built, so it runs on a grid of any size
-    when m_max is small."""
+    H(m) = sum over k of f_k C(m-1, k-1), H(0) = 1, where f_k counts the
+    faces of size k that multiplicity.bounded_faces lists up to size
+    m_max, since a larger face supports no multiset of degree m_max or
+    less; the two sides' counts are convolved.  No multiset is built,
+    so it runs on a grid of any size when m_max is small."""
     if m_max < 0:
         raise ValueError("degree bound must be nonnegative")
     counts = []
     for T, side in sides(Ttil, Wtil, grid):
-        f = f_vector(T, side, m_max)
+        f = Counter(k for k, _ in bounded_faces(T, side, m_max))
         counts.append(
-            [1]
-            + [
-                sum(fk * comb(m - 1, k - 1) for k, fk in enumerate(f[1:], 1))
-                for m in range(1, m_max + 1)
-            ]
+            [1] + [sum(fk * comb(m - 1, k - 1) for k, fk in f.items()) for m in range(1, m_max + 1)]
         )
     return _convolve(*counts)
 

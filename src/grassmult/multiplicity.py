@@ -17,14 +17,14 @@ complex is the join of two one-sided complexes, and f_vector counts the
 faces of one side, by size, with a depth-first search.  Its top entry
 and its length give the side's count and size; the degree and the
 dimension are the product of the two counts and the sum of the two
-sizes.  The same f-vectors give the Hilbert function of the tangent
-cone (groebner.count_monomials_outside_initial).  bounded_faces lists
-the same faces one by one, in brsk's insertion order, with the depths
-of a face's points kept on its stack: groebner.verify_groebner walks it
-to list each side's bounded multisets.  tests/oracles.py keeps the
-joint search over both sides that f_vector replaced, and
-tests/test_multiplicity.py the size-descending scan over every subset
-before it.
+sizes.  bounded_faces lists the same faces one by one, in brsk's
+insertion order, up to a size cap, with the depths of a face's points
+kept on its stack: groebner.count_monomials_outside_initial tallies
+them by size for the Hilbert function of the tangent cone, and
+groebner.verify_groebner walks them to list each side's bounded
+multisets.  tests/oracles.py keeps the joint search over both sides
+that f_vector replaced, and tests/test_multiplicity.py the
+size-descending scan over every subset before it.
 """
 
 from itertools import combinations
@@ -293,32 +293,31 @@ def _above_first(p):
     return (-p[1], p[0])
 
 
-def f_vector(T, grid: BetaGrid, max_size=None):
+def f_vector(T, grid: BetaGrid):
     """The f-vector of the complex of subsets of the grid's negative
     points that are chain-bounded below by T: entry k counts its faces
-    of size k, for every k up to the largest face or up to max_size,
-    whichever is smaller.  T must be negative (unchecked); a positive
-    problem goes through grassmannian.sides first.
+    of size k, for every k up to the largest face.  T must be negative
+    (unchecked); a positive problem goes through grassmannian.sides
+    first.
 
     A depth-first face search.  Chain-boundedness is closed under
     taking subsets, so a face grows only by points after its last one,
-    in one fixed order, a candidate that fails is never extended, and a
-    face of max_size points is not extended either.  The bound's depth
-    at every point is computed once per call.  Every point comes after
-    the points weakly above it, so adding a point changes the face's
-    depth only at that point: testing a candidate is one chain_depth
-    call.  bounded_faces lists the same faces in brsk's insertion order;
-    tests/test_multiplicity.py checks that the two count alike.
+    in one fixed order, and a candidate that fails is never extended.
+    The bound's depth at every point is computed once per call.  Every
+    point comes after the points weakly above it, so adding a point
+    changes the face's depth only at that point: testing a candidate is
+    one chain_depth call.  bounded_faces lists the same faces in brsk's insertion order;
+    tests/test_multiplicity.py checks that the two count alike, at
+    every cap of bounded_faces.
     """
     points = sorted(negative_region(grid), key=_above_first)
-    cap = len(points) if max_size is None else max_size
     limit = [chain_depth(T, p) for p in points]
     f = [1]
     face = []
     chosen = []  # indices of the face's points, ascending
     i = 0
     while True:
-        if i < len(points) and len(face) < cap:
+        if i < len(points):
             face.append(points[i])
             if chain_depth(face, points[i]) <= limit[i]:
                 chosen.append(i)

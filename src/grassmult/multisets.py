@@ -125,10 +125,6 @@ def multiset_order_leq(U, V) -> bool:
     return formal_diff_leq(proj(U, 1), proj(U, 2), proj(V, 1), proj(V, 2))
 
 
-def pairs_to_json(U) -> list:
-    return [[e, f] for e, f in U]
-
-
 def pairs_from_json(data):
     """A multiset on N^2 from a JSON list of [e, f] pairs; any entry that
     is not an integer (a float, a string, true or false) is a ValueError."""

@@ -8,12 +8,11 @@ of the more common convention, so insertion bumps along rows).
 
 Each direction of insertion runs one kernel that works in place on a
 list of mutable rows.  Forward, insert_rows bumps a value in:
-bounded_insert validates its input, copies it and runs it once,
-brsk.brsk_negative runs it on its own rows for a whole multiset after
-validating that multiset once, and brsk.insert_pair runs it for one
-more pair on rows its caller keeps.  Only bounded_insert and a traced
-brsk_negative ask it for the bumping record; the other callers take the
-row of the new box alone.  Backward, reverse_insert_rows takes the
+bounded_insert validates its input, copies it, runs it once and
+reports the bumping record (brsk.brsk_trace replays a multiset through
+it), and brsk.insert_pair runs it for one more pair on rows its caller
+keeps, taking the row of the new box alone (brsk.brsk_negative and
+groebner.bounded_images).  Backward, reverse_insert_rows takes the
 rightmost entry below the bound out of a row and bumps a value out:
 reverse_bounded_insert validates, copies and runs it once, and
 brsk.rbrsk runs it on its own rows for every pair it takes back.
@@ -88,10 +87,9 @@ def insert_rows(rows, a: int, b: int, record: bool = True):
     callers validate once that a < b and that the rows are semistandard
     on b.
 
-    bounded_insert and a traced brsk_negative report the whole record.
-    The untraced insertions of brsk need only the row of the new box
-    (1-indexed), to place b in Q: with record false the kernel builds no
-    route and returns that row.
+    bounded_insert reports the whole record.  brsk.insert_pair needs
+    only the row of the new box (1-indexed), to place b in Q: with
+    record false the kernel builds no route and returns that row.
     """
     route = [] if record else None
     cur = a
@@ -123,9 +121,10 @@ def bounded_insert(P, a: int, b: int):
     Entries >= b stay where they are, a is Schensted-inserted into the
     Young tableau of the entries below b, and each row keeps its entries
     >= b to the right (insert_rows on a copy of P).  Requires a < b and
-    P semistandard on b.  brsk_negative runs the kernel directly on its
-    own rows.  tests/test_brsk.py keeps the split-insert-reassemble form
-    of this function as the per-step oracle for both.
+    P semistandard on b.  brsk.brsk_trace replays a multiset through it;
+    brsk.insert_pair runs the kernel directly on its caller's rows.
+    tests/test_brsk.py keeps the split-insert-reassemble form of this
+    function as the per-step oracle for both.
     """
     if a >= b:
         raise ValueError("inserted value must be below the bound")
@@ -264,10 +263,6 @@ def bitableau_bounded_by(B, T, W) -> bool:
 def render(P) -> str:
     """One row per line, entries space-separated."""
     return "\n".join(" ".join(str(x) for x in row) for row in P)
-
-
-def tableau_to_json(P) -> list:
-    return [list(row) for row in P]
 
 
 def tableau_from_json(data):

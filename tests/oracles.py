@@ -13,7 +13,7 @@ not in src/grassmult.
 
 from itertools import combinations, permutations
 
-from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by
+from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
 from grassmult.grassmannian import negative_region, validate_index
 from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, count_standard_monomials
@@ -270,10 +270,9 @@ def _verify_negative_side(V, T) -> bool:
     """Check boundedness is preserved along the insertion of a negative
     multiset V bounded below by T, rebuilding a witness chain for every
     first-row entry below min(Q_1) at every prefix."""
-    (P, Q), trace = brsk_negative(V, keep_trace=True)
     chains = []
     prefix = set()
-    for step in trace:
+    for step in brsk_trace(V):
         a, b = step.pair
         prefix.add((a, b))
         new_row, new_col = step.record.new_box
@@ -299,7 +298,7 @@ def _verify_negative_side(V, T) -> bool:
                 return False
         if not bitableau_bounded_by((step.P, step.Q), T, ()):
             return False
-    return bitableau_bounded_by((P, Q), T, ())
+    return bitableau_bounded_by(brsk_negative(V), T, ())
 
 
 def verify_boundedness_preservation(U, T, W) -> bool:

@@ -10,7 +10,7 @@ import time
 from bisect import bisect_left, bisect_right
 from itertools import combinations, combinations_with_replacement
 
-from grassmult.brsk import brsk, brsk_negative, multiset_bounded_by, rbrsk
+from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by, rbrsk
 from grassmult.chains import chain_order_leq
 from grassmult.grassmannian import beta_grid, length, richardson, triples
 from grassmult.groebner import (
@@ -49,10 +49,11 @@ SEVEN_SNAPSHOTS = [
 
 
 def test_criterion_01_seven_pair_golden_run():
-    B, trace = brsk_negative(SEVEN, keep_trace=True)
+    B = brsk_negative(SEVEN)
+    trace = list(brsk_trace(SEVEN))
     assert B == (((1, 2), (2, 3, 4, 7), (6,)), ((7, 8), (4, 6, 7, 8), (7,)))
     assert [(step.P, step.Q) for step in trace] == SEVEN_SNAPSHOTS
-    best = min(_timed(lambda: brsk_negative(SEVEN, keep_trace=True)) for _ in range(5))
+    best = min(_timed(lambda: list(brsk_trace(SEVEN))) for _ in range(5))
     assert best < 1e-3
     print("criterion 01 PASS: golden run with all 7 snapshots, %.0f us" % (best * 1e6))
 
@@ -96,7 +97,7 @@ def test_criterion_04_bijection_roundtrips():
     for m in range(6):
         for U in combinations_with_replacement(pts, m):
             U = pairs(U)
-            B, _ = brsk_negative(U)
+            B = brsk_negative(U)
             assert rbrsk(B) == U
             seen.add(B)
             count += 1

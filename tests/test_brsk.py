@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassmult.brsk import brsk, brsk_negative, lex_sort, multiset_bounded_by, rbrsk
+from grassmult.brsk import (
+    brsk,
+    brsk_negative,
+    brsk_trace,
+    insert_pair,
+    lex_sort,
+    multiset_bounded_by,
+    rbrsk,
+)
 from grassmult.chains import chain_bounded
 from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region, triples
 from grassmult.multisets import (
@@ -25,10 +33,10 @@ from grassmult.multisets import (
 from grassmult.tableaux import (
     BumpingRecord,
     bitableau_bounded_by,
-    bounded_insert,
     iota_bitableau,
     row_strict,
     split_parts,
+    tableau,
 )
 from oracles import (
     PreconditionError,
@@ -65,7 +73,8 @@ def test_lex_order():
 
 
 def test_seven_point_insertion_with_snapshots():
-    B, trace = brsk_negative(SEVEN, keep_trace=True)
+    B = brsk_negative(SEVEN)
+    trace = list(brsk_trace(SEVEN))
     assert [(step.P, step.Q) for step in trace] == SEVEN_SNAPSHOTS
     assert tuple(step.pair for step in trace) == lex_sort(SEVEN)
     assert B == SEVEN_SNAPSHOTS[-1]
@@ -73,8 +82,7 @@ def test_seven_point_insertion_with_snapshots():
 
 
 def test_seven_point_reverse():
-    B, _ = brsk_negative(SEVEN)
-    assert rbrsk(B) == SEVEN
+    assert rbrsk(brsk_negative(SEVEN)) == SEVEN
 
 
 def test_rbrsk_rejects_bad_input():
@@ -109,10 +117,9 @@ def negative_multisets(bound, degree):
 
 def test_roundtrip_exhaustive_small():
     for U in negative_multisets(4, 3):
-        B, _ = brsk_negative(U)
+        B = brsk_negative(U)
         assert rbrsk(B) == U
-        again, _ = brsk_negative(rbrsk(B))
-        assert again == B
+        assert brsk_negative(rbrsk(B)) == B
 
 
 @given(
@@ -299,22 +306,26 @@ def recorded_emissions():
 
 
 def check_against_steps(U):
-    """The kernel against the per-step oracle, the postconditions that
-    brsk, brsk_negative and rbrsk do not re-check, and rbrsk undoing
-    brsk on the whole multiset, mixed and positive ones included."""
+    """The kernel against the per-step oracle, the traced steps against
+    insert_pair at every pair, the postconditions that brsk,
+    brsk_negative and rbrsk do not re-check, and rbrsk undoing brsk on
+    the whole multiset, mixed and positive ones included."""
     B = brsk(U)
     assert B == brsk_by_steps(U)
     assert rbrsk(B) == U
     assert is_semistandard_bitableau(B)
     assert classify_bitableau(B) != "neither"
     for half in (negative_part(U), iota(positive_part(U))):
-        (P, Q), trace = brsk_negative(half, keep_trace=True)
+        P, Q = brsk_negative(half)
         expected, steps = brsk_negative_by_steps(half)
         assert (P, Q) == expected
-        assert [tuple(step) for step in trace] == steps
-        before = [()] + [step[2] for step in steps[:-1]]
-        for prev, (pair, record, after, _) in zip(before, steps):
-            assert bounded_insert(prev, *pair) == (after, record)
+        trace = []
+        rows = [], []
+        for step in brsk_trace(half):
+            insert_pair(*rows, *step.pair)
+            assert (tableau(rows[0]), tableau(rows[1])) == (step.P, step.Q)
+            trace.append(tuple(step))
+        assert trace == steps
         assert row_strict(Q)
         assert classify_bitableau((P, Q)) == ("negative" if half else "nonvanishing")
         with recorded_emissions() as emitted:

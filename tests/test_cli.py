@@ -88,6 +88,32 @@ def test_brsk_trace(tmp_path, capsys):
     assert [step["sign"] for step in steps("2,1")] == [1]
 
 
+MIXED = "7,8 2,8 6,7 3,1"
+
+
+def test_brsk_and_rbrsk_json_bytes(tmp_path, capsys):
+    """The exact bytes that brsk --json, brsk --trace and rbrsk --json
+    write for a mixed multiset."""
+    trace = tmp_path / "steps.jsonl"
+    assert main(["brsk", "--pairs", MIXED, "--json", "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert out == '{"P": [[2, 6], [7], [3]], "Q": [[7, 8], [8], [1]]}\n'
+    assert trace.read_text() == (
+        '{"sign": -1, "pair": [7, 8], "route": [[1, 1]], "new_box": [1, 1], "P": [[7]], '
+        '"Q": [[8]]}\n'
+        '{"sign": -1, "pair": [2, 8], "route": [[1, 1], [2, 1]], "new_box": [2, 1], "P": [[2], '
+        '[7]], "Q": [[8], [8]]}\n'
+        '{"sign": -1, "pair": [6, 7], "route": [[1, 2]], "new_box": [1, 2], "P": [[2, 6], [7]], '
+        '"Q": [[7, 8], [8]]}\n'
+        '{"sign": 1, "pair": [1, 3], "route": [[1, 1]], "new_box": [1, 1], "P": [[1]], '
+        '"Q": [[3]]}\n'
+    )
+    bitab = tmp_path / "bitab.json"
+    bitab.write_text(out)
+    assert main(["rbrsk", "--input", str(bitab), "--json"]) == 0
+    assert capsys.readouterr().out == "[[2, 8], [3, 1], [6, 7], [7, 8]]\n"
+
+
 def test_mult(capsys):
     assert main(["mult"] + NINE) == 0
     assert capsys.readouterr().out == "6\n"
@@ -101,11 +127,26 @@ def test_paths_render(capsys):
     assert out.count("x") + out.count("*") == 6 * 4  # one mark per anchor per family
 
 
+PATHS_NINE_JSON = (
+    '{"count": 6, "families": [{"3,1": [[3, 1], [2, 1]], "2,8": [[2, 5], [2, 6], [2, 8], [3, 8], '
+    '[4, 8], [7, 8]], "3,6": [[3, 5], [3, 6], [4, 6]], "9,5": [[9, 8], [9, 6], [9, 5], [7, 5]]}, {'
+    '"3,1": [[3, 1], [2, 1]], "2,8": [[2, 5], [2, 6], [2, 8], [3, 8], [4, 8], [7, 8]], '
+    '"3,6": [[3, 5], [3, 6], [4, 6]], "9,5": [[9, 8], [9, 6], [7, 6], [7, 5]]}, {'
+    '"3,1": [[3, 1], [2, 1]], "2,8": [[2, 5], [2, 6], [2, 8], [3, 8], [4, 8], [7, 8]], '
+    '"3,6": [[3, 5], [4, 5], [4, 6]], "9,5": [[9, 8], [9, 6], [9, 5], [7, 5]]}, {'
+    '"3,1": [[3, 1], [2, 1]], "2,8": [[2, 5], [2, 6], [2, 8], [3, 8], [4, 8], [7, 8]], '
+    '"3,6": [[3, 5], [4, 5], [4, 6]], "9,5": [[9, 8], [9, 6], [7, 6], [7, 5]]}, {'
+    '"3,1": [[3, 1], [2, 1]], "2,8": [[2, 5], [2, 6], [3, 6], [3, 8], [4, 8], [7, 8]], '
+    '"3,6": [[3, 5], [4, 5], [4, 6]], "9,5": [[9, 8], [9, 6], [9, 5], [7, 5]]}, {'
+    '"3,1": [[3, 1], [2, 1]], "2,8": [[2, 5], [2, 6], [3, 6], [3, 8], [4, 8], [7, 8]], '
+    '"3,6": [[3, 5], [4, 5], [4, 6]], "9,5": [[9, 8], [9, 6], [7, 6], [7, 5]]}]}'
+    "\n"
+)
+
+
 def test_paths_json(capsys):
     assert main(["paths"] + NINE + ["--json"]) == 0
-    blob = json.loads(capsys.readouterr().out)
-    assert blob["count"] == 6 and len(blob["families"]) == 6
-    assert set(blob["families"][0]) == {"2,8", "3,6", "3,1", "9,5"}
+    assert capsys.readouterr().out == PATHS_NINE_JSON
 
 
 def test_count_table(capsys):
@@ -235,7 +276,9 @@ def test_invalid_richardson_data_exits_two(capsys):
     # a malformed index is refused by argparse, also with status 2
     with pytest.raises(SystemExit, match="^2$"):
         main(["mult"] + NINE[:5] + ["1,x"] + NINE[6:])
-    assert "argument --alpha" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --alpha" in err
+    assert "_parse" not in err
 
 
 FIVE = ["--n", "5", "--d", "2", "--alpha", "1,3", "--beta", "2,4", "--gamma", "4,5"]
@@ -504,7 +547,7 @@ def test_canonicalize(capsys):
     assert main(["canonicalize", "--pairs", "1,4 2,5 3,7 6,8"]) == 0
     assert capsys.readouterr().out == "1,8 2,5 3,4 6,7\n"
     assert main(["canonicalize", "--pairs", "1,4 2,5 3,7 6,8", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == [[1, 8], [2, 5], [3, 4], [6, 7]]
+    assert capsys.readouterr().out == "[[1, 8], [2, 5], [3, 4], [6, 7]]\n"
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Multiset calculus on N and N^2: canonical forms and comparison orders."""
 
+import json
 from collections import Counter
 from itertools import combinations
 
@@ -19,7 +20,6 @@ from grassmult.multisets import (
     nmul,
     pairs,
     pairs_from_json,
-    pairs_to_json,
     positive_part,
     proj,
     sign,
@@ -184,7 +184,7 @@ def test_iota_is_an_involution(U):
 
 def test_json_roundtrip():
     U = pairs([(1, 5), (3, 2), (1, 5)])
-    assert pairs_from_json(pairs_to_json(U)) == U
+    assert pairs_from_json(json.loads(json.dumps(U))) == U
 
 
 @pytest.mark.parametrize("data", [[[1.5, 2]], [["1", "2"]], [[True, 2]]])
