@@ -33,8 +33,11 @@ def index_set(text):
 def _parse_pairs(text):
     out = []
     for tok in text.split():
-        e, f = tok.split(",")
-        out.append((int(e), int(f)))
+        try:
+            e, f = map(int, tok.split(","))
+        except ValueError:
+            raise ValueError("--pairs takes e,f pairs of integers, not %r" % tok) from None
+        out.append((e, f))
     return pairs(out)
 
 

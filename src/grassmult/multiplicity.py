@@ -4,11 +4,12 @@ with the bounded-subset oracle for the dimension and the degree.
 
 The multiplicity counts the families of pairwise disjoint paths, one
 per anchor.  count_families takes it as a Lindstrom-Gessel-Viennot
-determinant of single-path counts on each sign side, in exact integer
-arithmetic and in time polynomial in n.  enumerate_paths and
-enumerate_families list the paths and families themselves, for
-drawing; the backtracking count over them that the determinant
-replaced is the test oracle in tests/test_multiplicity.py.
+determinant of single-path counts on each sign side, the positive one
+through grassmannian.sides on the dual grid, in exact integers and in
+time polynomial in n.  enumerate_paths and enumerate_families list the
+paths and families on the caller's grid, for drawing; the backtracking
+count over them that the determinant replaced is the test oracle in
+tests/test_multiplicity.py.
 
 maximal_bounded_subsets reaches the same count without the paths, from
 the complex of chain-bounded subsets of the grid.  Negative points are
@@ -28,11 +29,12 @@ size-descending scan over every subset before it.
 """
 
 from itertools import combinations
+from math import prod
 
 from .brsk import lex_key
 from .chains import chain_depth
 from .grassmannian import BetaGrid, in_grid, negative_region, richardson, sides
-from .multisets import iota, sign
+from .multisets import sign
 
 # An uncapped face search is exponential in the grid size; maximal_bounded_subsets
 # refuses larger grids.
@@ -40,44 +42,21 @@ GRID_CAP = 24
 
 
 def _require_region(r, grid: BetaGrid):
-    if not in_grid(r, grid) or sign(r) == 0:
+    if not in_grid(r, grid):
         raise ValueError("point %r is not in the grid regions" % (r,))
 
 
-def floor_pt(r, grid: BetaGrid):
-    """Extremal grid point of the row of r, on the far side of the
-    staircase boundary: the smallest admissible column for a negative
-    point, the largest for a positive one."""
-    _require_region(r, grid)
-    e, f = r
-    if sign(r) < 0:
-        return (e, min(y for y in grid.beta if e < y))
-    return (e, max(y for y in grid.beta if y < e))
-
-
-def ceil_pt(r, grid: BetaGrid):
-    """Extremal grid point of the column of r: the largest admissible
-    row for a negative point, the smallest for a positive one."""
-    _require_region(r, grid)
-    e, f = r
-    if sign(r) < 0:
-        return (max(x for x in grid.complement if x < f), f)
-    return (min(x for x in grid.complement if x > f), f)
-
-
 def _axes(r, grid: BetaGrid):
-    """Rows and columns spanned by the staircase rectangle of r, listed
-    in walking order from floor to ceil."""
-    e, f = r
-    e1, _ = ceil_pt(r, grid)
-    _, f0 = floor_pt(r, grid)
-    if sign(r) < 0:
-        rows = [x for x in grid.complement if e <= x <= e1]
-        cols = [y for y in grid.beta if f0 <= y <= f]
-    else:
-        rows = [x for x in grid.complement if e1 <= x <= e][::-1]
-        cols = [y for y in grid.beta if f <= y <= f0][::-1]
-    return rows, cols
+    """Rows and columns of the staircase rectangle of r, in walking order
+    from its floor (rows[0], cols[0]) to its ceiling (rows[-1], cols[-1]):
+    the complement and beta entries between min(r) and max(r), ascending
+    for a negative point, descending for a positive one.  Refuses a point
+    off the grid."""
+    _require_region(r, grid)
+    lo, hi, step = min(r), max(r), -sign(r)
+    rows = [x for x in grid.complement if lo <= x <= hi]
+    cols = [y for y in grid.beta if lo <= y <= hi]
+    return rows[::step], cols[::step]
 
 
 def enumerate_paths(r, grid: BetaGrid):
@@ -103,38 +82,30 @@ def enumerate_paths(r, grid: BetaGrid):
     return out
 
 
-def _anchor_key(r):
-    return (min(r), max(r))
-
-
-def _anchor_paths(anchors, grid):
-    return [(r, enumerate_paths(r, grid)) for r in sorted(anchors, key=_anchor_key)]
-
-
 def _path_count_matrix(anchors, grid: BetaGrid):
-    """Entry (i, j) counts the monotone staircases from floor(r_i) to
-    ceil(r_j) inside the sign region of the anchors, which are taken in
-    _anchor_key order for rows and columns alike.  One grid table per
-    source, walked in the order of _axes up to the farthest ceiling."""
-    anchors = sorted(anchors, key=_anchor_key)
-    negative = sign(anchors[0]) < 0
-    rows, cols = (grid.complement, grid.beta) if negative else (grid.complement[::-1], grid.beta[::-1])
-    row_at = {x: i for i, x in enumerate(rows)}
-    col_at = {y: j for j, y in enumerate(cols)}
-    sinks = [(row_at[x], col_at[y]) for x, y in (ceil_pt(r, grid) for r in anchors)]
+    """Entry (i, j) counts the monotone staircases from the floor of r_i
+    to the ceiling of r_j in the negative region, for negative anchors
+    in sorted order.  One grid table per source, up to the farthest
+    ceiling.  A positive side's matrix on the dual grid is the transpose
+    of its matrix on the caller's grid, with the same determinant."""
+    row_at = {x: i for i, x in enumerate(grid.complement)}
+    col_at = {y: j for j, y in enumerate(grid.beta)}
+    sources, sinks = [], []
+    for r in sorted(anchors):
+        rows, cols = _axes(r, grid)
+        sources.append((row_at[rows[0]], col_at[cols[0]]))
+        sinks.append((row_at[rows[-1]], col_at[cols[-1]]))
     last_row = max(i for i, _ in sinks)
     span_end = max(j for _, j in sinks) + 1
     matrix = []
-    for r in anchors:
-        e, f = floor_pt(r, grid)
-        i0, j0 = row_at[e], col_at[f]
-        span = cols[j0:span_end]
+    for i0, j0 in sources:
+        span = grid.beta[j0:span_end]
         line = [1] + [0] * (len(span) - 1)  # a virtual row entering the floor
         table = []
-        for x in rows[i0 : last_row + 1]:
+        for x in grid.complement[i0 : last_row + 1]:
             left = 0
             for k, y in enumerate(span):
-                left = left + line[k] if (x < y) == negative else 0
+                left = left + line[k] if x < y else 0
                 line[k] = left
             table.append(line[:])
         matrix.append([table[i - i0][j - j0] if i >= i0 and j >= j0 else 0 for i, j in sinks])
@@ -170,14 +141,14 @@ def _crossing(anchors) -> bool:
 
 
 def _side_count(anchors, grid: BetaGrid) -> int:
-    """Disjoint families for the anchors of one sign side.  Without a
-    crossing, the anchors form a twisted chain up to shared coordinates
-    (which give equal rows or columns, hence 0), so they sit on the
-    staircase in non-permuting order and the Lindstrom-Gessel-Viennot
-    determinant counts the families."""
+    """Disjoint families for negative anchors.  Without a crossing, the
+    anchors form a twisted chain up to shared coordinates (which give
+    equal rows or columns, hence 0), so they sit on the staircase in
+    non-permuting order and the Lindstrom-Gessel-Viennot determinant
+    counts the families."""
     if not anchors:
         return 1
-    if _crossing(anchors if sign(anchors[0]) < 0 else iota(anchors)):
+    if _crossing(anchors):
         return 0
     return _bareiss_det(_path_count_matrix(anchors, grid))
 
@@ -185,28 +156,25 @@ def _side_count(anchors, grid: BetaGrid) -> int:
 def count_families(Ttil, Wtil, grid: BetaGrid) -> int:
     """Number of families of pairwise disjoint paths, one per anchor.
 
-    Each sign side is counted by the determinant det[N(floor r_i ->
-    ceil r_j)] of single-path counts N, taken exactly by fraction-free
-    elimination; the negative and positive anchors live on opposite
-    sides of the staircase, so the two counts are multiplied.  With k
-    anchors on a side that costs O(k n^2) for the path counts and O(k^3)
-    for the determinant.  The backtracking count over enumerate_paths
-    that this replaced is the test oracle in tests/test_multiplicity.py.
+    Refuses an anchor off the grid, named as given, and through
+    grassmannian.sides anchors of the wrong sign.  Each side of the
+    split is counted by the determinant det[N(floor r_i -> ceil r_j)] of
+    single-path counts N, taken exactly by fraction-free elimination;
+    the negative and positive anchors live on opposite sides of the
+    staircase, so the two counts are multiplied.  With k anchors on a
+    side that costs O(k n^2) for the path counts and O(k^3) for the
+    determinant.  The backtracking count over enumerate_paths that this
+    replaced is the test oracle in tests/test_multiplicity.py.
     """
-    for r in Ttil:
+    for r in (*Ttil, *Wtil):
         _require_region(r, grid)
-        if sign(r) >= 0:
-            raise ValueError("lower anchors must be negative")
-    for r in Wtil:
-        _require_region(r, grid)
-        if sign(r) <= 0:
-            raise ValueError("upper anchors must be positive")
-    return _side_count(tuple(Ttil), grid) * _side_count(tuple(Wtil), grid)
+    return prod(_side_count(T, side) for T, side in sides(Ttil, Wtil, grid))
 
 
 def enumerate_families(Ttil, Wtil, grid: BetaGrid):
     """All disjoint families, as maps anchor -> path."""
-    anchor_paths = _anchor_paths(tuple(Ttil) + tuple(Wtil), grid)
+    anchors = sorted((*Ttil, *Wtil), key=lambda r: (min(r), max(r)))
+    anchor_paths = [(r, enumerate_paths(r, grid)) for r in anchors]
     families = []
     stack = [(0, frozenset(), ())]
     while stack:  # depth first, the paths of each anchor in their listed order
@@ -233,9 +201,9 @@ def bounded_faces(T, grid: BetaGrid, max_size=None):
     negative points that are chain-bounded below by T, of at most
     max_size points: yields (size, last point) for each, in the preorder
     of a depth-first search, so the face of a yielded (k, p) is the
-    face of size k - 1 yielded last, with p added.  T must be negative
-    (unchecked); a positive problem goes through grassmannian.sides
-    first.
+    face of size k - 1 yielded last, with p added.  T must be negative,
+    as grassmannian.sides checks; a positive problem goes through it
+    onto the dual grid first.
 
     Chain-boundedness is closed under taking subsets, so a face grows
     only by points after its last one, in one fixed order, a candidate
@@ -296,9 +264,9 @@ def _above_first(p):
 def f_vector(T, grid: BetaGrid):
     """The f-vector of the complex of subsets of the grid's negative
     points that are chain-bounded below by T: entry k counts its faces
-    of size k, for every k up to the largest face.  T must be negative
-    (unchecked); a positive problem goes through grassmannian.sides
-    first.
+    of size k, for every k up to the largest face.  T must be negative,
+    as grassmannian.sides checks; a positive problem goes through it
+    onto the dual grid first.
 
     A depth-first face search.  Chain-boundedness is closed under
     taking subsets, so a face grows only by points after its last one,
@@ -337,8 +305,9 @@ def f_vector(T, grid: BetaGrid):
 def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid):
     """The faces of maximal size of the complex of subsets of the grid
     that are chain-bounded by (Ttil, Wtil).  Returns (number of such
-    subsets, that maximal size).  Refuses grids with more than GRID_CAP
-    points, and anchors of the wrong sign.
+    subsets, that maximal size).  Refuses anchors of the wrong sign,
+    through grassmannian.sides, and grids with more than GRID_CAP
+    points.
 
     The complex is the join of its negative side, bounded by Ttil, and
     its positive side, bounded by Wtil: a face is a face of each side.
@@ -347,15 +316,12 @@ def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid):
     is their product and the size their sum.  The search costs the sum
     of the two sides' face counts, not their product.
     """
-    if any(sign(r) >= 0 for r in Ttil):
-        raise ValueError("lower anchors must be negative")
-    if any(sign(r) <= 0 for r in Wtil):
-        raise ValueError("upper anchors must be positive")
+    halves = sides(Ttil, Wtil, grid)
     size = len(grid.beta) * len(grid.complement)
     if size > GRID_CAP:
         raise ValueError("grid has %d points, above the cap %d" % (size, GRID_CAP))
     count, best = 1, 0
-    for T, side in sides(Ttil, Wtil, grid):
+    for T, side in halves:
         f = f_vector(T, side)
         count *= f[-1]
         best += len(f) - 1

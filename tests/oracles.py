@@ -2,22 +2,21 @@
 
 Second algorithms for what the library computes once, the point
 relations behind twisted chains, the positive region of a grid, the
-joint face search over both signs, the truncation of a tableau at a
-bound, the classification of bitableaux, a checker for the boundedness
-lemma of bounded RSK, the Groebner verification of every mixed
-multiset, the table of standard monomials on row tuples, and the
-twisted chains the test files sweep over.  No CLI subcommand, demo or
-benchmark workload reaches any of it, so it lives with the tests and
-not in src/grassmult.
+floor and the ceiling of an anchor, the joint face search over both
+signs, the truncation of a tableau at a bound, the classification of
+bitableaux, a checker for the boundedness lemma of bounded RSK, the
+Groebner verification of every mixed multiset, the table of standard
+monomials on row tuples, and the twisted chains the test files sweep
+over.  No CLI subcommand, demo or benchmark workload reaches any of
+it, so it lives with the tests and not in src/grassmult.
 """
 
 from itertools import combinations, permutations
 
 from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
-from grassmult.grassmannian import negative_region, validate_index
+from grassmult.grassmannian import in_grid, negative_region, validate_index
 from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, count_standard_monomials
-from grassmult.multiplicity import ceil_pt, floor_pt
 from grassmult.multisets import (
     formal_diff_leq,
     iota,
@@ -118,6 +117,34 @@ def rs_to_theta(R, S, beta):
     if not S <= beta or R & beta or len(R) != len(S):
         raise ValueError("expected R disjoint from beta and S inside beta, equal sizes")
     return tuple(sorted((beta - S) | R))
+
+
+def _require_region(r, grid):
+    if not in_grid(r, grid) or sign(r) == 0:
+        raise ValueError("point %r is not in the grid regions" % (r,))
+
+
+def floor_pt(r, grid):
+    """Extremal grid point of the row of r, on the far side of the
+    staircase boundary: the smallest admissible column for a negative
+    point, the largest for a positive one.  The oracle for the first
+    corner of multiplicity._axes."""
+    _require_region(r, grid)
+    e, f = r
+    if sign(r) < 0:
+        return (e, min(y for y in grid.beta if e < y))
+    return (e, max(y for y in grid.beta if y < e))
+
+
+def ceil_pt(r, grid):
+    """Extremal grid point of the column of r: the largest admissible
+    row for a negative point, the smallest for a positive one.  The
+    oracle for the last corner of multiplicity._axes."""
+    _require_region(r, grid)
+    e, f = r
+    if sign(r) < 0:
+        return (max(x for x in grid.complement if x < f), f)
+    return (min(x for x in grid.complement if x > f), f)
 
 
 def canonical_path(r, grid):

@@ -411,6 +411,16 @@ def test_reverse_insert_rows_refuses_bad_input_under_python_O(tmp_path):
     assert (proc.returncode, proc.stdout) == (0, "refused\n" * 3), proc.stderr
 
 
+@pytest.mark.parametrize("command", ["brsk", "canonicalize"])
+@pytest.mark.parametrize("token", ["1,2,3", "1", "1,x", "1.5,2"])
+def test_a_malformed_pair_is_named(capsys, command, token):
+    assert main([command, "--pairs", "2,4 " + token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--pairs" in captured.err and repr(token) in captured.err
+
+
 def test_diagonal_pair_exits_two(capsys):
     assert main(["brsk", "--pairs", "1,1"]) == 2
     capsys.readouterr()

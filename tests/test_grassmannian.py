@@ -11,12 +11,19 @@ from grassmult.grassmannian import (
     length,
     negative_region,
     richardson,
+    sides,
     theta_to_rs,
     triples,
     validate_index,
 )
-from grassmult.groebner import dimension_and_degree
-from grassmult.multiplicity import multiplicity
+from grassmult.groebner import (
+    bounded_multisets_of_degree,
+    count_monomials_outside_initial,
+    count_standard_monomials,
+    dimension_and_degree,
+    verify_groebner,
+)
+from grassmult.multiplicity import count_families, maximal_bounded_subsets, multiplicity
 from oracles import positive_region, rs_to_theta
 
 
@@ -146,3 +153,34 @@ def test_triples():
     for n, d in ((4, 0), (4, -1), (4, 4), (3, 5), (1, 1)):
         with pytest.raises(ValueError):
             triples(n, d)
+
+
+TTIL5, WTIL5, GRID5 = richardson((1, 3), (2, 4), (4, 5), 5, 2)
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(WTIL5, TTIL5), (TTIL5 + ((4, 4),), WTIL5), (TTIL5, WTIL5 + ((2, 2),))],
+    ids=["swapped", "diagonal-lower", "diagonal-upper"],
+)
+@pytest.mark.parametrize(
+    "call, extra",
+    [
+        pytest.param(call, extra, id=call.__name__)
+        for call, extra in (
+            (sides, ()),
+            (count_families, ()),
+            (maximal_bounded_subsets, ()),
+            (count_monomials_outside_initial, (3,)),
+            (count_standard_monomials, (3,)),
+            (verify_groebner, (3,)),
+            (bounded_multisets_of_degree, (2,)),
+        )
+    ],
+)
+def test_anchors_of_the_wrong_sign_are_refused(call, extra, lower, upper):
+    # grassmannian.sides checks the pair's signs for every entry point
+    # that splits it; at the parent the Groebner counts computed on
+    # swapped bounds, and verify_groebner reported equal counts
+    with pytest.raises(ValueError):
+        call(lower, upper, GRID5, *extra)

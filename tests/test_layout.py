@@ -69,3 +69,22 @@ def test_every_public_definition_has_a_caller():
         and not any((module, node.name) in found for top, found in tops if top is not node)
     ]
     assert not uncalled, "only the tests call " + ", ".join(uncalled)
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export; every other module imports only
+    # what it uses, so a removal leaves no stale import behind
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s imports %s" % (path.name, name) for name in sorted(imported - used)]
+    assert not unused, "; ".join(unused)

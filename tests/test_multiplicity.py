@@ -18,15 +18,14 @@ from grassmult.grassmannian import (
     triples,
 )
 from grassmult.multiplicity import (
+    _axes,
     _bareiss_det,
     _path_count_matrix,
     bounded_faces,
-    ceil_pt,
     count_families,
     enumerate_families,
     enumerate_paths,
     f_vector,
-    floor_pt,
     maximal_bounded_subsets,
     multiplicity,
     render_family,
@@ -34,7 +33,9 @@ from grassmult.multiplicity import (
 from grassmult.multisets import pairs
 from oracles import (
     canonical_path,
+    ceil_pt,
     decompose_bounded_subset,
+    floor_pt,
     joint_maximal_bounded_subsets,
     positive_region,
 )
@@ -104,6 +105,27 @@ def test_floor_and_ceil():
         floor_pt((5, 5), GRID9)
     with pytest.raises(ValueError):
         ceil_pt((2, 4), GRID9)  # 4 is not a column of the grid
+
+
+def test_axes_run_from_floor_to_ceil_exhaustive():
+    # the first and last corners of every region point's rectangle, on
+    # every grid with n <= 9, against the floor and ceiling oracles
+    checked = 0
+    for n in range(2, 10):
+        for d in range(1, n):
+            for beta in combinations(range(1, n + 1), d):
+                grid = beta_grid(beta, n)
+                for r in negative_region(grid) | positive_region(grid):
+                    rows, cols = _axes(r, grid)
+                    assert (rows[0], cols[0]) == floor_pt(r, grid)
+                    assert (rows[-1], cols[-1]) == ceil_pt(r, grid)
+                    checked += 1
+    assert checked == 14846
+    for r in ((5, 5), (2, 4)):  # on the diagonal; 4 is not a column of the grid
+        with pytest.raises(ValueError):
+            _axes(r, GRID9)
+        with pytest.raises(ValueError):
+            enumerate_paths(r, GRID9)
 
 
 def test_enumerate_paths_nine():
@@ -238,9 +260,11 @@ def test_count_families_with_a_zero_pivot():
     anchors = ((2, 8), (2, 8), (3, 6))
     assert _path_count_matrix(anchors, GRID9) == [[6, 6, 3], [6, 6, 3], [3, 3, 2]]
     assert count_families(anchors, ((9, 5),), GRID9) == 0 == backtrack_families(anchors, (), GRID9)
-    # the positive side: (7,1) and (7,5) share their floor (7,6)
+    # the positive side: (7,1) and (7,5) share their floor (7,6); its
+    # matrix is taken on the dual grid, the transpose of the one on GRID9
     anchors = ((7, 1), (7, 5), (9, 8))
-    assert _path_count_matrix(anchors, GRID9) == [[1, 1, 0], [1, 1, 0], [3, 2, 1]]
+    _, (swapped, dual) = sides((), anchors, GRID9)
+    assert _path_count_matrix(swapped, dual) == [[1, 1, 3], [1, 1, 2], [0, 0, 1]]
     assert count_families((), anchors, GRID9) == 0 == backtrack_families((), anchors, GRID9)
 
 
