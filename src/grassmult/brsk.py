@@ -7,7 +7,7 @@ lemma along an insertion is a test oracle in tests/oracles.py.
 from collections import namedtuple
 
 from .chains import chain_bounded, completely_disjointed
-from .multisets import iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
+from .multisets import check_bounds, iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
 from .tableaux import bounded_insert, insert_rows, iota_bitableau, reverse_insert_rows, split_parts
 
 BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
@@ -175,13 +175,11 @@ def multiset_bounded_by(U, T, W) -> bool:
     {(1, 3)} passes the chain condition against T = {(1, 2), (2, 3)}
     but not the depth order.  So a bound that is not completely
     disjointed (chains.completely_disjointed), as that T is not, is a
-    ValueError.  tests/test_brsk.py keeps the enumeration of every
+    ValueError, after multisets.check_bounds has refused bounds of the
+    wrong sign.  tests/test_brsk.py keeps the enumeration of every
     chain as its oracle.
     """
-    if any(sign(t) >= 0 for t in T):
-        raise ValueError("lower bound must be a negative multiset")
-    if any(sign(w) <= 0 for w in W):
-        raise ValueError("upper bound must be a positive multiset")
+    check_bounds(T, W)
     if not (completely_disjointed(T) and completely_disjointed(W)):
         raise ValueError("bounds must be completely disjointed")
     return chain_bounded(U, T, W)

@@ -1,7 +1,8 @@
 """Command-line front end: one binary with subcommands for the
 correspondence, multiplicities, path families, and the counting
 verification.  Exit code 2 flags invalid input, 1 a mismatch found by
-count or verify, 0 success.
+count or verify, 0 success, and 141 (128 + SIGPIPE) a reader that
+closed stdout early, as in `grassmult verify ... | head -1`.
 
 Each subcommand parses its arguments, makes one library call per
 result, and prints.  The rules for valid input live in the library,
@@ -13,6 +14,7 @@ line and exit 2.
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -276,7 +278,14 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
-    return run(_PARSER.parse_args(argv))
+    try:
+        status = run(_PARSER.parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .chains import canonicalize
-from .multisets import difference, iota, pairs, sign
+from .multisets import check_bounds, difference, iota, pairs
 
 BetaGrid = namedtuple("BetaGrid", ["beta", "complement", "n"])
 BetaGrid.__doc__ = "A fixed column set beta, its complement (the rows), and the ambient n."
@@ -126,10 +126,11 @@ def sides(Ttil, Wtil, grid: BetaGrid):
     """The two one-sided problems of the pair, each a lower bound on the
     negative points of a grid: the negative side, then the positive side
     swapped by iota onto the dual grid, where beta and its complement
-    trade places.  The one check of the pair's signs: raises ValueError
-    unless the lower anchors are negative and the upper ones positive."""
-    if any(sign(r) >= 0 for r in Ttil):
-        raise ValueError("lower anchors must be negative")
-    if any(sign(r) <= 0 for r in Wtil):
-        raise ValueError("upper anchors must be positive")
+    trade places.  The one check of the whole pair: raises ValueError
+    for an anchor off the caller's grid, named as given, then for one of
+    the wrong sign (multisets.check_bounds)."""
+    for r in (*Ttil, *Wtil):
+        if not in_grid(r, grid):
+            raise ValueError("point %r is not in the grid regions" % (r,))
+    check_bounds(Ttil, Wtil)
     return ((Ttil, grid), (iota(Wtil), BetaGrid(grid.complement, grid.beta, grid.n)))

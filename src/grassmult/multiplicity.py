@@ -14,18 +14,21 @@ tests/test_multiplicity.py.
 maximal_bounded_subsets reaches the same count without the paths, from
 the complex of chain-bounded subsets of the grid.  Negative points are
 bounded by Ttil alone and positive points by Wtil alone, so that
-complex is the join of two one-sided complexes, and f_vector counts the
-faces of one side, by size, with a depth-first search.  Its top entry
-and its length give the side's count and size; the degree and the
+complex is the join of two one-sided complexes, split by
+grassmannian.sides.  Two depth-first searches walk the faces of one
+side over one list of its points (_face_points), in brsk's insertion
+order, and differ only in how they test a candidate.  f_vector counts
+the faces by size, one chain_depth call per candidate; its top entry
+and its length give the side's count and size, and the degree and the
 dimension are the product of the two counts and the sum of the two
-sizes.  bounded_faces lists the same faces one by one, in brsk's
-insertion order, up to a size cap, with the depths of a face's points
-kept on its stack: groebner.count_monomials_outside_initial tallies
-them by size for the Hilbert function of the tangent cone, and
-groebner.verify_groebner walks them to list each side's bounded
-multisets.  tests/oracles.py keeps the joint search over both sides
-that f_vector replaced, and tests/test_multiplicity.py the
-size-descending scan over every subset before it.
+sizes.  bounded_faces yields the faces one by one, up to a size cap,
+from the depths of a face's points kept on its stack:
+groebner.count_monomials_outside_initial tallies them by size for the
+Hilbert function of the tangent cone, and groebner.verify_groebner
+walks them to list each side's bounded multisets.  tests/oracles.py
+keeps the joint search over both sides that f_vector replaced, and
+tests/test_multiplicity.py the size-descending scan over every subset
+before it.
 """
 
 from itertools import combinations
@@ -41,18 +44,14 @@ from .multisets import sign
 GRID_CAP = 24
 
 
-def _require_region(r, grid: BetaGrid):
-    if not in_grid(r, grid):
-        raise ValueError("point %r is not in the grid regions" % (r,))
-
-
 def _axes(r, grid: BetaGrid):
     """Rows and columns of the staircase rectangle of r, in walking order
     from its floor (rows[0], cols[0]) to its ceiling (rows[-1], cols[-1]):
     the complement and beta entries between min(r) and max(r), ascending
     for a negative point, descending for a positive one.  Refuses a point
-    off the grid."""
-    _require_region(r, grid)
+    off the grid, for enumerate_paths; grassmannian.sides checks a pair."""
+    if not in_grid(r, grid):
+        raise ValueError("point %r is not in the grid regions" % (r,))
     lo, hi, step = min(r), max(r), -sign(r)
     rows = [x for x in grid.complement if lo <= x <= hi]
     cols = [y for y in grid.beta if lo <= y <= hi]
@@ -156,9 +155,8 @@ def _side_count(anchors, grid: BetaGrid) -> int:
 def count_families(Ttil, Wtil, grid: BetaGrid) -> int:
     """Number of families of pairwise disjoint paths, one per anchor.
 
-    Refuses an anchor off the grid, named as given, and through
-    grassmannian.sides anchors of the wrong sign.  Each side of the
-    split is counted by the determinant det[N(floor r_i -> ceil r_j)] of
+    grassmannian.sides checks the pair and splits it.  Each side is
+    counted by the determinant det[N(floor r_i -> ceil r_j)] of
     single-path counts N, taken exactly by fraction-free elimination;
     the negative and positive anchors live on opposite sides of the
     staircase, so the two counts are multiplied.  With k anchors on a
@@ -166,8 +164,6 @@ def count_families(Ttil, Wtil, grid: BetaGrid) -> int:
     determinant.  The backtracking count over enumerate_paths that this
     replaced is the test oracle in tests/test_multiplicity.py.
     """
-    for r in (*Ttil, *Wtil):
-        _require_region(r, grid)
     return prod(_side_count(T, side) for T, side in sides(Ttil, Wtil, grid))
 
 
@@ -196,51 +192,52 @@ def multiplicity(alpha, beta, gamma, n: int, d: int) -> int:
     return count_families(*richardson(alpha, beta, gamma, n, d))
 
 
-def bounded_faces(T, grid: BetaGrid, max_size=None):
+def _face_points(T, grid: BetaGrid):
+    """The grid's negative points in brsk's insertion order (brsk.lex_key:
+    columns descending, rows descending within a column), each with T's
+    depth at it (chains.chain_depth): a list of (point, limit).  A point
+    of limit 0 is in no face and dropped.  T must be negative, as
+    grassmannian.sides checks; a positive side goes through it onto the
+    dual grid first.
+
+    bounded_faces and f_vector walk this list alike.  Chain-boundedness
+    is closed under taking subsets, so a face grows only by points after
+    its last one, and a candidate that fails is never extended.  A point
+    p is bounded within a face when the face's depth at p, the longest
+    chain of face points weakly above p, is at most its limit.  In this
+    order, adding p changes no earlier point's depth.  An earlier point
+    q with p weakly above it is in p's column, since a point of a larger
+    column than q would come before q.  So p, in the same column with a
+    smaller row, can only start a chain weakly above q, and q can take
+    its place there.  So a face's points keep the depths they had when
+    they were added, and a face with p added is bounded exactly when p
+    is.
+    """
+    limits = ((p, chain_depth(T, p)) for p in sorted(negative_region(grid), key=lex_key))
+    return [(p, limit) for p, limit in limits if limit]
+
+
+def bounded_faces(T, grid: BetaGrid, max_size):
     """The nonempty faces of the complex of subsets of the grid's
     negative points that are chain-bounded below by T, of at most
     max_size points: yields (size, last point) for each, in the preorder
-    of a depth-first search, so the face of a yielded (k, p) is the
-    face of size k - 1 yielded last, with p added.  T must be negative,
-    as grassmannian.sides checks; a positive problem goes through it
-    onto the dual grid first.
-
-    Chain-boundedness is closed under taking subsets, so a face grows
-    only by points after its last one, in one fixed order, a candidate
-    that fails is never extended, and a face of max_size points is not
-    extended either.  The order is brsk's insertion order (brsk.lex_key:
-    columns descending, rows descending within a column), so the points
-    of a face come in the order brsk inserts them.  A point p is
-    bounded within a face when the face's depth at p, the longest chain
-    of face points weakly above p, is at most T's depth at p; the
-    bound's depth at every point is computed once, and a point where it
-    is 0 is in no face and dropped.
+    of a depth-first search over _face_points(T, grid), so the face of a
+    yielded (k, p) is the face of size k - 1 yielded last, with p added.
+    A face's points come in the order brsk inserts them.
 
     Testing a candidate p = (e, f) takes the depths of the face's points,
-    kept on the stack: p is accepted when 1 + the largest depth of a
-    face point with row < e and column > f is at most T's depth at p.
-    Two facts make that exact.
-      - A longest chain weakly above p can be taken to start at p: p has
-        the smallest column and the largest row of the points weakly
-        above it, so it can take the place of a chain's first point.
-        The face's depth at p is then 1 + the largest depth at a face
-        point strictly above and to the right of it.
-      - Adding p changes no earlier point's depth.  An earlier point q
-        with p weakly above it is in p's column, since a point of a
-        larger column than q would come before q.  So p, in the same
-        column with a smaller row, can only start a chain weakly above
-        q, and q can take its place there.
-    So a face's points keep the depths they had when they were added,
-    and a face with p added is bounded exactly when p is.
+    kept on the stack (_face_points says why they stay right): p is
+    accepted when 1 + the largest depth of a face point with row < e
+    and column > f is at most its limit.  A longest chain weakly above p
+    can be taken to start at p, since p has the smallest column and the
+    largest row of the points weakly above it.
     """
-    limits = ((p, chain_depth(T, p)) for p in sorted(negative_region(grid), key=lex_key))
-    points = [(p, limit) for p, limit in limits if limit]
-    cap = len(points) if max_size is None else max_size
+    points = _face_points(T, grid)
     face = []  # (row, column, depth) of the face's points, in order
     chosen = []  # indices of the face's points, ascending
     i = 0
     while True:
-        if i < len(points) and len(face) < cap:
+        if i < len(points) and len(face) < max_size:
             (e, f), limit = points[i]
             depth = 1 + max((d for g, h, d in face if g < e and h > f), default=0)
             if depth <= limit:
@@ -255,39 +252,26 @@ def bounded_faces(T, grid: BetaGrid, max_size=None):
             return
 
 
-def _above_first(p):
-    """Sort key that puts each negative point after the points weakly
-    above it (row no larger, column no smaller)."""
-    return (-p[1], p[0])
-
-
 def f_vector(T, grid: BetaGrid):
     """The f-vector of the complex of subsets of the grid's negative
     points that are chain-bounded below by T: entry k counts its faces
-    of size k, for every k up to the largest face.  T must be negative,
-    as grassmannian.sides checks; a positive problem goes through it
-    onto the dual grid first.
+    of size k, for every k up to the largest face.
 
-    A depth-first face search.  Chain-boundedness is closed under
-    taking subsets, so a face grows only by points after its last one,
-    in one fixed order, and a candidate that fails is never extended.
-    The bound's depth at every point is computed once per call.  Every
-    point comes after the points weakly above it, so adding a point
-    changes the face's depth only at that point: testing a candidate is
-    one chain_depth call.  bounded_faces lists the same faces in brsk's insertion order;
-    tests/test_multiplicity.py checks that the two count alike, at
-    every cap of bounded_faces.
+    The search of bounded_faces, uncapped, over _face_points(T, grid),
+    which says why a candidate p is tested on its own: here by one
+    chain_depth call on the face with p added.  tests/test_multiplicity.py
+    checks that the two count alike, at every cap of bounded_faces.
     """
-    points = sorted(negative_region(grid), key=_above_first)
-    limit = [chain_depth(T, p) for p in points]
+    points = _face_points(T, grid)
     f = [1]
-    face = []
+    face = []  # the face's points, in order
     chosen = []  # indices of the face's points, ascending
     i = 0
     while True:
         if i < len(points):
-            face.append(points[i])
-            if chain_depth(face, points[i]) <= limit[i]:
+            p, limit = points[i]
+            face.append(p)
+            if chain_depth(face, p) <= limit:
                 chosen.append(i)
                 if len(face) == len(f):
                     f.append(0)
@@ -305,9 +289,8 @@ def f_vector(T, grid: BetaGrid):
 def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid):
     """The faces of maximal size of the complex of subsets of the grid
     that are chain-bounded by (Ttil, Wtil).  Returns (number of such
-    subsets, that maximal size).  Refuses anchors of the wrong sign,
-    through grassmannian.sides, and grids with more than GRID_CAP
-    points.
+    subsets, that maximal size).  Refuses, after grassmannian.sides has
+    checked the pair, grids with more than GRID_CAP points.
 
     The complex is the join of its negative side, bounded by Ttil, and
     its positive side, bounded by Wtil: a face is a face of each side.

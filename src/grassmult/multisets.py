@@ -26,6 +26,16 @@ def sign(point) -> int:
     return (e > f) - (e < f)
 
 
+def check_bounds(T, W):
+    """The one sign rule of a bound pair, for grassmannian.sides and both
+    bounded_by tests: raises ValueError unless every point of the lower
+    bound T is negative and every point of the upper bound W positive."""
+    if any(sign(t) >= 0 for t in T):
+        raise ValueError("lower bound must be a negative multiset")
+    if any(sign(w) <= 0 for w in W):
+        raise ValueError("upper bound must be a positive multiset")
+
+
 def negative_part(U):
     return pairs(u for u in U if sign(u) < 0)
 

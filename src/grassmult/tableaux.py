@@ -23,7 +23,7 @@ entry.
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
-from .multisets import formal_diff_leq, proj, sign, termwise_less
+from .multisets import check_bounds, formal_diff_leq, proj, termwise_less
 
 BumpingRecord = namedtuple("BumpingRecord", ["route", "new_box"])
 BumpingRecord.__doc__ = """Boxes bumped by an insertion, ending with the new box.
@@ -243,14 +243,11 @@ def bitableau_bounded_by(B, T, W) -> bool:
 
     An empty bitableau is bounded by anything; an empty T rules out a
     negative first row, an empty W a positive last row.  Refuses, as a
-    ValueError, bounds of the wrong sign and a bitableau that is not
-    semistandard.
+    ValueError, bounds of the wrong sign (multisets.check_bounds) and a
+    bitableau that is not semistandard.
     """
     P, Q = bitableau(*B)
-    if any(sign(t) >= 0 for t in T):
-        raise ValueError("lower bound must be a negative multiset")
-    if any(sign(w) <= 0 for w in W):
-        raise ValueError("upper bound must be a positive multiset")
+    check_bounds(T, W)
     if not _semistandard_pair(P, Q):
         raise ValueError("expected a semistandard bitableau")
     if not P:

@@ -331,13 +331,17 @@ def test_rbrsk_requires_input(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def interpreter_env():
+    """The environment of a fresh interpreter that imports the grassmult
+    package under test."""
+    src = str(Path(grassmult.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_interpreter(flags, args, cwd):
     """Run a fresh interpreter with the grassmult package under test."""
-    src = str(Path(grassmult.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *flags, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *flags, *args], cwd=cwd, env=interpreter_env(), capture_output=True, text=True, timeout=300
     )
 
 
@@ -381,6 +385,21 @@ def test_cli_under_python_O_matches_a_normal_run(tmp_path):
         assert runs[0] == runs[1], args
         codes.append(runs[0][0])
     assert codes == [0, 0, 2, 2, 2, 0]
+
+
+def test_a_reader_that_closes_the_pipe_early_reads_as_sigpipe(tmp_path):
+    """`verify ... | head -1`: a closed stdout exits 141 (128 + SIGPIPE),
+    as a shell reports any tool stopped that way, with no traceback,
+    not 1, which would read as a verification mismatch."""
+    args = ["verify", "--n", "7", "--d", "3", "--all-triples", "--mmax", "1"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "grassmult.cli", *args],
+        cwd=tmp_path, env=interpreter_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "alpha=1,2,3 beta=1,2,3 gamma=1,2,3 ok\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=300), "Traceback" in err) == (141, False), err
 
 
 def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):

@@ -160,8 +160,14 @@ TTIL5, WTIL5, GRID5 = richardson((1, 3), (2, 4), (4, 5), 5, 2)
 
 @pytest.mark.parametrize(
     "lower, upper",
-    [(WTIL5, TTIL5), (TTIL5 + ((4, 4),), WTIL5), (TTIL5, WTIL5 + ((2, 2),))],
-    ids=["swapped", "diagonal-lower", "diagonal-upper"],
+    [
+        (WTIL5, TTIL5),
+        (TTIL5 + ((4, 4),), WTIL5),
+        (TTIL5, WTIL5 + ((2, 2),)),
+        (TTIL5 + ((1, 5),), WTIL5),
+        (TTIL5, WTIL5 + ((5, 1),)),
+    ],
+    ids=["swapped", "diagonal-lower", "diagonal-upper", "off-grid-lower", "off-grid-upper"],
 )
 @pytest.mark.parametrize(
     "call, extra",
@@ -179,8 +185,8 @@ TTIL5, WTIL5, GRID5 = richardson((1, 3), (2, 4), (4, 5), 5, 2)
     ],
 )
 def test_anchors_of_the_wrong_sign_are_refused(call, extra, lower, upper):
-    # grassmannian.sides checks the pair's signs for every entry point
-    # that splits it; at the parent the Groebner counts computed on
-    # swapped bounds, and verify_groebner reported equal counts
+    # grassmannian.sides checks the pair's regions and signs for every
+    # entry point that splits it: 5 is a row of GRID5, not a column, so
+    # (1, 5) and (5, 1) are off the grid though of the right sign
     with pytest.raises(ValueError):
         call(lower, upper, GRID5, *extra)

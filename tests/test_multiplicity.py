@@ -335,23 +335,38 @@ def test_face_search_matches_the_scan_exhaustive():
 
 
 def test_face_search_matches_the_scan_on_any_anchors():
-    # bounds that no Richardson variety gives: at most two anchors a
-    # side, twisted chain or not, on the grid of six points or off it
+    # the 199 bounds on two small grids that no Richardson variety
+    # gives: at most two anchors a side, twisted chain or not
+    compared = 0
+    for beta, n in (((2, 4), 5), ((3, 5), 7)):
+        grid = beta_grid(beta, n)
+        given = {build_bound_multisets(a, c, grid) for a, b, c in triples(n, len(beta)) if b == grid.beta}
+        neg, pos = sorted(negative_region(grid)), sorted(positive_region(grid))
+        for Ttil in (A for k in (0, 1, 2) for A in combinations(neg, k)):
+            for Wtil in (A for k in (0, 1, 2) for A in combinations(pos, k)):
+                if (Ttil, Wtil) in given:
+                    continue
+                got = maximal_bounded_subsets(Ttil, Wtil, grid)
+                assert got == joint_maximal_bounded_subsets(Ttil, Wtil, grid), (Ttil, Wtil)
+                assert got == scan_maximal_bounded_subsets(Ttil, Wtil, grid), (Ttil, Wtil)
+                compared += 1
+    assert compared == 199
+    # and every such bound with an anchor off the first grid is refused:
+    # 5 is one of its rows, not a column
     grid = beta_grid((2, 4), 5)
     neg, pos = sorted(negative_region(grid)), sorted(positive_region(grid))
     lowers = [A for k in (0, 1, 2) for A in combinations(neg + [(1, 5), (3, 5)], k)]
     uppers = [A for k in (0, 1, 2) for A in combinations(pos + [(5, 1)], k)]
-    assert len(lowers) * len(uppers) == 176
-    for Ttil in lowers:
-        for Wtil in uppers:
-            got = maximal_bounded_subsets(Ttil, Wtil, grid)
-            assert got == joint_maximal_bounded_subsets(Ttil, Wtil, grid), (Ttil, Wtil)
-            assert got == scan_maximal_bounded_subsets(Ttil, Wtil, grid), (Ttil, Wtil)
+    off_grid = [(T, W) for T in lowers for W in uppers if not all(in_grid(r, grid) for r in T + W)]
+    for Ttil, Wtil in off_grid:
+        with pytest.raises(ValueError, match="is not in the grid regions"):
+            maximal_bounded_subsets(Ttil, Wtil, grid)
+    assert len(off_grid) == 127
 
 
-def faces_by_size(T, grid, max_size=None):
+def faces_by_size(T, grid, max_size):
     """The sizes of the faces that bounded_faces yields, counted, the
-    empty face included."""
+    empty face included.  A cap of the side's point count is no cap."""
     f = [1]
     for k, _ in bounded_faces(T, grid, max_size):
         if k == len(f):
@@ -391,7 +406,7 @@ def test_bounded_faces_counts_the_faces_f_vector_counts_exhaustive():
                 grid = beta_grid(beta, n)
                 for T, side in sides(*build_bound_multisets(alpha, gamma, grid), grid):
                     f = f_vector(T, side)
-                    assert faces_by_size(T, side) == f, (alpha, beta, gamma)
+                    assert faces_by_size(T, side, len(negative_region(side))) == f, (alpha, beta, gamma)
                     for cap in (1, 2, 3):
                         assert faces_by_size(T, side, cap) == f[: cap + 1], (alpha, beta, gamma, cap)
                     checked += 1
