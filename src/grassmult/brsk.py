@@ -134,7 +134,10 @@ def rbrsk(B):
     asserts; the returned multiset is canonical.  Not every bitableau
     that split_parts accepts is an image of brsk (P = ((1, 2), (1,)),
     Q = ((2, 3), (3,)) is not); a step that cannot be undone is a
-    ValueError saying so.
+    ValueError saying so.  On one beta grid, P's entries in the
+    complement and Q's in beta, acceptance by split_parts is exact on
+    the sweep of tests/test_brsk.py: every refused bitableau there has
+    an entry in both P and Q.  Off a grid the rule is an open question.
     """
     negative, positive = split_parts(B)
     try:

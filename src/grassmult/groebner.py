@@ -355,8 +355,9 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
 def dimension_and_degree(alpha, beta, gamma, n: int, d: int):
     """Dimension and degree of the Richardson variety: the maximal size
     of a square-free bounded monomial and the number attaining it: the
-    largest face size and the top entry of the f-vector of the complex
-    of bounded subsets, read from the two sides' f-vectors by
+    largest face size of the complex of bounded subsets and its number
+    of faces, read from one search of each side's faces
+    (multiplicity.bounded_faces) by
     multiplicity.maximal_bounded_subsets.  grassmannian.richardson
     checks the triple and builds its bounds.  Refuses grids above
     multiplicity.GRID_CAP points."""

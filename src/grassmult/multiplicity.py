@@ -15,20 +15,19 @@ maximal_bounded_subsets reaches the same count without the paths, from
 the complex of chain-bounded subsets of the grid.  Negative points are
 bounded by Ttil alone and positive points by Wtil alone, so that
 complex is the join of two one-sided complexes, split by
-grassmannian.sides.  Two depth-first searches walk the faces of one
-side over one list of its points (_face_points), in brsk's insertion
-order, and differ only in how they test a candidate.  f_vector counts
-the faces by size, one chain_depth call per candidate; its top entry
-and its length give the side's count and size, and the degree and the
-dimension are the product of the two counts and the sum of the two
-sizes.  bounded_faces yields the faces one by one, up to a size cap,
-from the depths of a face's points kept on its stack:
-groebner.count_monomials_outside_initial tallies them by size for the
-Hilbert function of the tangent cone, and groebner.verify_groebner
-walks them to list each side's bounded multisets.  tests/oracles.py
-keeps the joint search over both sides that f_vector replaced, and
-tests/test_multiplicity.py the size-descending scan over every subset
-before it.
+grassmannian.sides.  One depth-first search, bounded_faces, walks the
+faces of a side over one list of its points (_face_points), in brsk's
+insertion order, up to a size cap, from the depths of a face's points
+kept on its stack.  maximal_bounded_subsets runs it uncapped and keeps
+each side's largest face size and its number of faces: the dimension
+and the degree are the sum of the two sizes and the product of the two
+counts.  groebner.count_monomials_outside_initial tallies its faces by
+size for the Hilbert function of the tangent cone, and
+groebner.verify_groebner walks them to list each side's bounded
+multisets.  tests/oracles.py keeps f_vector, the same search with one
+chain_depth call per candidate, and the joint search over both sides
+before it; tests/test_multiplicity.py keeps the size-descending scan
+over every subset before that.
 """
 
 from itertools import combinations
@@ -200,18 +199,17 @@ def _face_points(T, grid: BetaGrid):
     grassmannian.sides checks; a positive side goes through it onto the
     dual grid first.
 
-    bounded_faces and f_vector walk this list alike.  Chain-boundedness
-    is closed under taking subsets, so a face grows only by points after
-    its last one, and a candidate that fails is never extended.  A point
-    p is bounded within a face when the face's depth at p, the longest
-    chain of face points weakly above p, is at most its limit.  In this
-    order, adding p changes no earlier point's depth.  An earlier point
-    q with p weakly above it is in p's column, since a point of a larger
-    column than q would come before q.  So p, in the same column with a
-    smaller row, can only start a chain weakly above q, and q can take
-    its place there.  So a face's points keep the depths they had when
-    they were added, and a face with p added is bounded exactly when p
-    is.
+    bounded_faces walks this list.  Chain-boundedness is closed under
+    taking subsets, so a face grows only by points after its last one,
+    and a candidate that fails is never extended.  A point p is bounded
+    within a face when the face's depth at p, the longest chain of face
+    points weakly above p, is at most its limit.  In this order, adding
+    p changes no earlier point's depth.  An earlier point q with p
+    weakly above it is in p's column, since a point of a larger column
+    than q would come before q.  So p, in the same column with a smaller
+    row, can only start a chain weakly above q, and q can take its
+    place there.  So a face's points keep the depths they had when they
+    were added, and a face with p added is bounded exactly when p is.
     """
     limits = ((p, chain_depth(T, p)) for p in sorted(negative_region(grid), key=lex_key))
     return [(p, limit) for p, limit in limits if limit]
@@ -252,40 +250,6 @@ def bounded_faces(T, grid: BetaGrid, max_size):
             return
 
 
-def f_vector(T, grid: BetaGrid):
-    """The f-vector of the complex of subsets of the grid's negative
-    points that are chain-bounded below by T: entry k counts its faces
-    of size k, for every k up to the largest face.
-
-    The search of bounded_faces, uncapped, over _face_points(T, grid),
-    which says why a candidate p is tested on its own: here by one
-    chain_depth call on the face with p added.  tests/test_multiplicity.py
-    checks that the two count alike, at every cap of bounded_faces.
-    """
-    points = _face_points(T, grid)
-    f = [1]
-    face = []  # the face's points, in order
-    chosen = []  # indices of the face's points, ascending
-    i = 0
-    while True:
-        if i < len(points):
-            p, limit = points[i]
-            face.append(p)
-            if chain_depth(face, p) <= limit:
-                chosen.append(i)
-                if len(face) == len(f):
-                    f.append(0)
-                f[len(face)] += 1
-            else:
-                face.pop()
-            i += 1
-        elif chosen:
-            i = chosen.pop() + 1
-            face.pop()
-        else:
-            return f
-
-
 def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid):
     """The faces of maximal size of the complex of subsets of the grid
     that are chain-bounded by (Ttil, Wtil).  Returns (number of such
@@ -294,10 +258,11 @@ def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid):
 
     The complex is the join of its negative side, bounded by Ttil, and
     its positive side, bounded by Wtil: a face is a face of each side.
-    So each side's f-vector is searched once, and its top entry and its
-    length give that side's count and size of maximal faces; the count
-    is their product and the size their sum.  The search costs the sum
-    of the two sides' face counts, not their product.
+    So bounded_faces searches each side once, uncapped, and the side's
+    largest face size and number of faces of that size are kept; the
+    count is the product of the two numbers and the size the sum of the
+    two sizes.  The search costs the sum of the two sides' face counts,
+    not their product.
     """
     halves = sides(Ttil, Wtil, grid)
     size = len(grid.beta) * len(grid.complement)
@@ -305,9 +270,13 @@ def maximal_bounded_subsets(Ttil, Wtil, grid: BetaGrid):
         raise ValueError("grid has %d points, above the cap %d" % (size, GRID_CAP))
     count, best = 1, 0
     for T, side in halves:
-        f = f_vector(T, side)
-        count *= f[-1]
-        best += len(f) - 1
+        top, faces = 0, 1  # the largest face size so far, and its faces
+        for k, _ in bounded_faces(T, side, size):
+            if k > top:
+                top, faces = k, 0
+            faces += k == top
+        count *= faces
+        best += top
     return count, best
 
 

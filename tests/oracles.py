@@ -2,13 +2,14 @@
 
 Second algorithms for what the library computes once, the point
 relations behind twisted chains, the positive region of a grid, the
-floor and the ceiling of an anchor, the joint face search over both
-signs, the truncation of a tableau at a bound, the classification of
-bitableaux, a checker for the boundedness lemma of bounded RSK, the
-Groebner verification of every mixed multiset, the table of standard
-monomials on row tuples, and the twisted chains the test files sweep
-over.  No CLI subcommand, demo or benchmark workload reaches any of
-it, so it lives with the tests and not in src/grassmult.
+floor and the ceiling of an anchor, the f-vector of one side and the
+joint face search over both signs, the truncation of a tableau at a
+bound, the classification of bitableaux, a checker for the
+boundedness lemma of bounded RSK, the Groebner verification of every
+mixed multiset, the table of standard monomials on row tuples, and the
+twisted chains the test files sweep over.  No CLI subcommand, demo or
+benchmark workload reaches any of it, so it lives with the tests and
+not in src/grassmult.
 """
 
 from itertools import combinations, permutations
@@ -17,6 +18,7 @@ from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
 from grassmult.grassmannian import in_grid, negative_region, validate_index
 from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, count_standard_monomials
+from grassmult.multiplicity import _face_points
 from grassmult.multisets import (
     formal_diff_leq,
     iota,
@@ -178,13 +180,50 @@ def decompose_bounded_subset(U, R):
     }
 
 
+def f_vector(T, grid):
+    """The f-vector of the complex of subsets of the grid's negative
+    points that are chain-bounded below by T: entry k counts its faces
+    of size k, for every k up to the largest face.
+
+    The search of multiplicity.bounded_faces, uncapped, over
+    multiplicity._face_points(T, grid), which says why a candidate p is
+    tested on its own: here by one chain_depth call on the face with p
+    added, where bounded_faces keeps the face's depths on its stack.
+    maximal_bounded_subsets ran it for each side's top entry before it
+    tallied bounded_faces.
+    """
+    points = _face_points(T, grid)
+    f = [1]
+    face = []  # the face's points, in order
+    chosen = []  # indices of the face's points, ascending
+    i = 0
+    while True:
+        if i < len(points):
+            p, limit = points[i]
+            face.append(p)
+            if chain_depth(face, p) <= limit:
+                chosen.append(i)
+                if len(face) == len(f):
+                    f.append(0)
+                f[len(face)] += 1
+            else:
+                face.pop()
+            i += 1
+        elif chosen:
+            i = chosen.pop() + 1
+            face.pop()
+        else:
+            return f
+
+
 def joint_maximal_bounded_subsets(Ttil, Wtil, grid):
     """The face search that multiplicity.maximal_bounded_subsets ran
-    before it searched each sign side on its own: one depth-first search
-    over the faces of the whole grid, each point tagged with its side,
-    counting the faces of maximal size.  Within a side every point comes
-    after the points weakly above it, so a candidate is one chain_depth
-    test at that point.  Returns (number of such faces, their size)."""
+    before it searched each sign side on its own (f_vector): one
+    depth-first search over the faces of the whole grid, each point
+    tagged with its side, counting the faces of maximal size.  Within a
+    side every point comes after the points weakly above it, so a
+    candidate is one chain_depth test at that point.  Returns (number of
+    such faces, their size)."""
 
     def above_first(p):
         return (-p[1], p[0])

@@ -360,7 +360,10 @@ def test_rbrsk_matches_per_step_oracle_on_every_small_negative_bitableau():
     """Every bitableau that split_parts accepts as negative, with entries
     <= 5, at most 3 rows, at most 3 boxes per row and at most 5 boxes:
     rbrsk gives the oracle's pairs or, like the oracle, refuses a
-    bitableau that is not an image of brsk."""
+    bitableau that is not an image of brsk.  Every refused one has an
+    entry in both P and Q, so it fits on no beta grid (P's entries in
+    the complement, Q's in beta); every accepted one whose P and Q
+    entries are disjoint is an image."""
     rows = [
         (p, q)
         for m in range(1, 4)
@@ -368,7 +371,7 @@ def test_rbrsk_matches_per_step_oracle_on_every_small_negative_bitableau():
         for q in itertools.combinations(range(1, 6), m)
         if termwise_less(p, q)
     ]
-    count = refused = 0
+    count = refused = on_grid = 0
     for r in range(1, 4):
         for chosen in itertools.product(rows, repeat=r):
             if sum(len(p) for p, _ in chosen) > 5:
@@ -381,16 +384,19 @@ def test_rbrsk_matches_per_step_oracle_on_every_small_negative_bitableau():
             if positive[0]:
                 continue
             count += 1
+            shared = {x for row in B[0] for x in row} & {x for row in B[1] for x in row}
             try:
                 expected = pairs(reverse_negative_by_steps(*B))
             except ValueError:
                 with pytest.raises(ValueError, match="not an image of brsk"):
                     rbrsk(B)
+                assert shared, B
                 refused += 1
                 continue
             assert rbrsk(B) == expected, B
             assert brsk(expected) == B
-    assert (count, refused) == (2569, 794)
+            on_grid += not shared
+    assert (count, refused, on_grid) == (2569, 794, 453)
 
 
 def chains_of(points):

@@ -1,6 +1,7 @@
 """Path families on the beta grid and the multiplicity count."""
 
 import gc
+import importlib
 import math
 import random
 from itertools import combinations, combinations_with_replacement, permutations
@@ -25,7 +26,6 @@ from grassmult.multiplicity import (
     count_families,
     enumerate_families,
     enumerate_paths,
-    f_vector,
     maximal_bounded_subsets,
     multiplicity,
     render_family,
@@ -35,11 +35,13 @@ from oracles import (
     canonical_path,
     ceil_pt,
     decompose_bounded_subset,
+    f_vector,
     floor_pt,
     joint_maximal_bounded_subsets,
     positive_region,
 )
 
+MULTIPLICITY_MODULE = importlib.import_module("grassmult.multiplicity")
 GRID9 = beta_grid((1, 5, 6, 8), 9)
 ALPHA9, GAMMA9 = (1, 2, 3, 5), (3, 6, 8, 9)
 
@@ -378,7 +380,7 @@ def faces_by_size(T, grid, max_size):
 def test_size_cap_truncates_the_f_vector_exhaustive():
     # a cap on the size of the faces bounded_faces lists drops the larger
     # faces and changes no count of the smaller ones, at every cap, on
-    # both sides of every triple
+    # both sides of every triple, against the f_vector oracle
     checked = 0
     for n in range(2, 7):
         for d in range(1, n):
@@ -396,9 +398,11 @@ def test_size_cap_truncates_the_f_vector_exhaustive():
 def test_bounded_faces_counts_the_faces_f_vector_counts_exhaustive():
     """Every side of every triple with n <= 7 and every d, uncapped and
     capped at 1, 2 and 3 points: the search on the depths kept on its
-    stack, in insertion order, yields as many faces of each size as
-    f_vector, with one chain_depth test per candidate in its own order,
-    counts; a cap keeps the sizes up to it."""
+    stack, in insertion order, yields as many faces of each size as the
+    f_vector oracle, with one chain_depth test per candidate, counts; a
+    cap keeps the sizes up to it.  maximal_bounded_subsets, given the
+    side alone, reads the oracle's top entry and size off the same
+    search."""
     checked = 0
     for n in range(2, 8):
         for d in range(1, n):
@@ -409,6 +413,7 @@ def test_bounded_faces_counts_the_faces_f_vector_counts_exhaustive():
                     assert faces_by_size(T, side, len(negative_region(side))) == f, (alpha, beta, gamma)
                     for cap in (1, 2, 3):
                         assert faces_by_size(T, side, cap) == f[: cap + 1], (alpha, beta, gamma, cap)
+                    assert maximal_bounded_subsets(T, (), side) == (f[-1], len(f) - 1), (alpha, beta, gamma)
                     checked += 1
     assert checked == 26716
 
@@ -421,9 +426,36 @@ def test_f_vector_of_a_side_its_bound_cuts_nothing_is_binomial():
     Ttil, Wtil = build_bound_multisets((1, 2, 3), (4, 5, 6), grid)
     assert (sorted(Ttil), Wtil) == ([(1, 6), (2, 5), (3, 4)], ())
     assert len(negative_region(grid)) == 9
-    assert f_vector(Ttil, grid) == [math.comb(9, k) for k in range(10)]
+    binomial = [math.comb(9, k) for k in range(10)]
+    assert faces_by_size(Ttil, grid, 9) == f_vector(Ttil, grid) == binomial
     assert faces_by_size(Ttil, grid, 3) == [1, 9, 36, 84]
-    assert f_vector((), grid) == [1]
+    assert maximal_bounded_subsets(Ttil, Wtil, grid) == (1, 9)
+    assert faces_by_size((), grid, 9) == f_vector((), grid) == [1]
+    assert maximal_bounded_subsets((), (), grid) == (1, 0)
+
+
+def test_maximal_bounded_subsets_calls_chain_depth_once_per_point(monkeypatch):
+    # one chain_depth call per negative point of each side, for the
+    # point's limit, and none per candidate: bounded_faces keeps the
+    # depths of a face's points on its stack
+    calls = []
+    real = MULTIPLICITY_MODULE.chain_depth
+
+    def counted(R, x):
+        calls.append(x)
+        return real(R, x)
+
+    monkeypatch.setattr(MULTIPLICITY_MODULE, "chain_depth", counted)
+    checked = 0
+    for alpha, beta, gamma in triples(7, 3):
+        grid = beta_grid(beta, 7)
+        Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
+        calls.clear()
+        maximal_bounded_subsets(Ttil, Wtil, grid)
+        points = sum(len(negative_region(side)) for _, side in sides(Ttil, Wtil, grid))
+        assert len(calls) == points, (alpha, beta, gamma)
+        checked += 1
+    assert checked == 4116
 
 
 def test_maximal_bounded_subsets_validates_anchor_signs():
