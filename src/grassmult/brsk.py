@@ -125,8 +125,9 @@ def rbrsk(B):
     """Invert brsk on its image: the multiset U with brsk(U) == B, for a
     bitableau B that is negative, positive or mixed.
 
-    split_parts validates B once and cuts it into its negative rows and
-    its positive rows.  The negative half is undone directly; the
+    split_parts validates B in one walk over its row pairs (every pair
+    strict, of one sign and in order with the pair above) and cuts it
+    at its first positive row.  The negative half is undone directly; the
     positive half, as brsk built it, through the component swap:
     iota_bitableau makes it negative, and iota swaps the pairs undone
     from it back.  Each half's pairs come out in the reverse of

@@ -1,6 +1,6 @@
 """Multisets on N and N^2, and the comparison orders built on them.
 
-A multiset on N is stored as a sorted tuple of positive integers; a
+A multiset on N is stored as a sorted tuple of integers, of any sign; a
 multiset on N^2 as a sorted tuple of (e, f) pairs.  Both carry
 repetitions.  Infinite multisets (formal differences A - B) are never
 materialized: comparisons against them reduce to counting inequalities.
@@ -82,15 +82,6 @@ def termwise_leq(A, B) -> bool:
     return all(a <= b for a, b in zip(sorted(A), sorted(B)))
 
 
-def termwise_less(A, B) -> bool:
-    """Strict termwise order: a_i < b_i for all i.  False on empty multisets."""
-    if len(A) != len(B):
-        raise ValueError("termwise comparison requires equal degrees")
-    if not A:
-        return False
-    return all(a < b for a, b in zip(sorted(A), sorted(B)))
-
-
 def formal_diff_leq(A, B, C, D) -> bool:
     """Order on formal differences: A - B <= C - D.
 
@@ -114,8 +105,8 @@ def diff_profile(A, B, n: int) -> tuple[int, ...]:
     exactly when diff_profile(A, B, n) dominates diff_profile(C, D, n)
     at every t (dominates): the counts agree below 1, and above n when
     the degrees match.  For disjoint sets p and q of one size, the
-    profile of (p, q) is >= 0 everywhere exactly when
-    termwise_less(p, q): disjoint entries never tie.
+    profile of (p, q) is >= 0 everywhere exactly when p < q termwise:
+    disjoint entries never tie.
     """
     delta = [0] * (n + 1)
     for a in A:

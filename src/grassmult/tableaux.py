@@ -1,7 +1,7 @@
 """Notched tableaux, bounded insertion, and semistandard notched bitableaux.
 
 A notched tableau is a sequence of rows, each a strictly increasing list
-of positive integers; rows may be empty, and row lengths need not
+of integers of any sign; rows may be empty, and row lengths need not
 decrease.  Rows and columns are 1-indexed everywhere.  Column entries
 weakly increase downward in a semistandard Young tableau (the transpose
 of the more common convention, so insertion bumps along rows).
@@ -17,13 +17,16 @@ rightmost entry below the bound out of a row and bumps a value out:
 reverse_bounded_insert validates, copies and runs it once, and
 brsk.rbrsk runs it on its own rows for every pair it takes back.
 Schensted insertion is bounded insertion with a bound above every
-entry.
+entry.  A bitableau's one semistandard rule is _row_signs, which
+split_parts and bitableau_bounded_by both run.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from itertools import chain
+from operator import gt, le, lt
 
-from .multisets import check_bounds, formal_diff_leq, proj, termwise_less
+from .multisets import check_bounds, formal_diff_leq, proj
 
 BumpingRecord = namedtuple("BumpingRecord", ["route", "new_box"])
 BumpingRecord.__doc__ = """Boxes bumped by an insertion, ending with the new box.
@@ -38,8 +41,8 @@ def tableau(rows) -> tuple[tuple[int, ...], ...]:
     """Normalize rows to a tuple of integer tuples.  Entries are not
     coerced: one whose type is not int (a float, a string, True or
     False) is a ValueError."""
-    P = tuple(tuple(row) for row in rows)
-    if any(type(x) is not int for row in P for x in row):
+    P = tuple(map(tuple, rows))
+    if any(type(x) is not int for x in chain.from_iterable(P)):
         raise ValueError("tableau entries must be integers")
     return P
 
@@ -197,35 +200,37 @@ def bitableau(P, Q):
     return (P, Q)
 
 
-def _semistandard_pair(P, Q) -> bool:
-    if not (row_strict(P) and row_strict(Q)):
-        return False
-    for i in range(len(P) - 1):
-        if not formal_diff_leq(P[i], Q[i], P[i + 1], Q[i + 1]):
-            return False
-    return True
-
-
-def classify_row(p_row, q_row) -> int:
-    """-1 for a negative row, +1 for positive, 0 for neither."""
-    if termwise_less(p_row, q_row):
-        return -1
-    if termwise_less(q_row, p_row):
-        return 1
-    return 0
+def _row_signs(P, Q):
+    """The sign of each row pair (p, q) of a bitableau of one shape: -1 if
+    p < q termwise, +1 if p > q, 0 if neither or empty.  None if it is
+    not semistandard: a row does not strictly increase, or a pair is out
+    of order with the one above, P_{i-1} - Q_{i-1} <= P_i - Q_i failing
+    (formal_diff_leq's rule on the sorted rows).  The one such rule."""
+    signs = []
+    above = None
+    for p, q in zip(P, Q):
+        if not (all(map(lt, p, p[1:])) and all(map(lt, q, q[1:]))):
+            return None
+        if above and not all(map(le, sorted(above[0] + q), sorted(p + above[1]))):
+            return None
+        signs.append(-1 if p and all(map(lt, p, q)) else 1 if p and all(map(gt, p, q)) else 0)
+        above = p, q
+    return signs
 
 
 def split_parts(B):
-    """Split a nonvanishing semistandard bitableau into negative and positive parts."""
+    """Cut a nonvanishing semistandard bitableau (no row of sign 0 in
+    _row_signs) at its first positive row; anything else is one
+    ValueError.  The negative rows come first with no test of their own:
+    a positive pair (p', q') directly above a negative pair (p, q) is
+    never in order, which needs p' + q <= p + q' termwise, as sum(p') >
+    sum(q') and sum(q) > sum(p).  tests/oracles.py keeps the row-by-row
+    split_parts_by_rows as its oracle."""
     P, Q = bitableau(*B)
-    labels = [classify_row(p, q) for p, q in zip(P, Q)]
-    if any(s == 0 for s in labels) or not _semistandard_pair(P, Q):
+    signs = _row_signs(P, Q)
+    if signs is None or 0 in signs:
         raise ValueError("expected a nonvanishing semistandard bitableau")
-    i = 0
-    while i < len(labels) and labels[i] == -1:
-        i += 1
-    if any(s == -1 for s in labels[i:]):
-        raise ValueError("negative rows must precede positive rows")
+    i = signs.count(-1)
     return (P[:i], Q[:i]), (P[i:], Q[i:])
 
 
@@ -248,7 +253,7 @@ def bitableau_bounded_by(B, T, W) -> bool:
     """
     P, Q = bitableau(*B)
     check_bounds(T, W)
-    if not _semistandard_pair(P, Q):
+    if _row_signs(P, Q) is None:
         raise ValueError("expected a semistandard bitableau")
     if not P:
         return True

@@ -4,12 +4,13 @@ Second algorithms for what the library computes once, the point
 relations behind twisted chains, the positive region of a grid, the
 floor and the ceiling of an anchor, the f-vector of one side and the
 joint face search over both signs, the truncation of a tableau at a
-bound, the classification of bitableaux, a checker for the
-boundedness lemma of bounded RSK, the Groebner verification of every
-mixed multiset, the table of standard monomials on row tuples, and the
-twisted chains the test files sweep over.  No CLI subcommand, demo or
-benchmark workload reaches any of it, so it lives with the tests and
-not in src/grassmult.
+bound, the classification of bitableaux and their row-by-row split
+into signed parts, a checker for the boundedness lemma of bounded RSK,
+the Groebner verification of every mixed multiset, the table of
+standard monomials on row tuples, and the twisted chains the test
+files sweep over.  No CLI subcommand, demo or benchmark workload
+reaches any of it, so it lives with the tests and not in
+src/grassmult.
 """
 
 from itertools import combinations, permutations
@@ -28,9 +29,8 @@ from grassmult.multisets import (
     positive_part,
     proj,
     sign,
-    termwise_less,
 )
-from grassmult.tableaux import bitableau, bitableau_bounded_by, classify_row, row_strict, tableau
+from grassmult.tableaux import bitableau, bitableau_bounded_by, row_strict, tableau
 
 # Twisted chains: the point relations and the chain predicates.
 
@@ -286,8 +286,26 @@ def truncate_below(P, b: int):
     return tableau(tuple(x for x in row if x < b) for row in P)
 
 
-# Bitableaux: the predicates behind tableaux.split_parts, one bitableau
-# at a time.
+# Bitableaux: the predicates behind tableaux.split_parts, one row or
+# one bitableau at a time.
+
+
+def termwise_less(A, B) -> bool:
+    """Strict termwise order: a_i < b_i for all i.  False on empty multisets."""
+    if len(A) != len(B):
+        raise ValueError("termwise comparison requires equal degrees")
+    if not A:
+        return False
+    return all(a < b for a, b in zip(sorted(A), sorted(B)))
+
+
+def classify_row(p_row, q_row) -> int:
+    """-1 for a negative row, +1 for positive, 0 for neither."""
+    if termwise_less(p_row, q_row):
+        return -1
+    if termwise_less(q_row, p_row):
+        return 1
+    return 0
 
 
 def size(P) -> int:
@@ -323,6 +341,23 @@ def classify_bitableau(B) -> str:
     if labels and all(s == 1 for s in labels):
         return "positive"
     return "nonvanishing"
+
+
+def split_parts_by_rows(B):
+    """The row-by-row form of tableaux.split_parts, its oracle: label
+    every row, check the pairs through formal_diff_leq, then check
+    separately that the negative rows precede the positive ones (a test
+    the one-pass split_parts proves redundant)."""
+    P, Q = bitableau(*B)
+    labels = [classify_row(p, q) for p, q in zip(P, Q)]
+    if any(s == 0 for s in labels) or not is_semistandard_bitableau((P, Q)):
+        raise ValueError("expected a nonvanishing semistandard bitableau")
+    i = 0
+    while i < len(labels) and labels[i] == -1:
+        i += 1
+    if any(s == -1 for s in labels[i:]):
+        raise ValueError("negative rows must precede positive rows")
+    return (P[:i], Q[:i]), (P[i:], Q[i:])
 
 
 # The boundedness lemma of bounded RSK.

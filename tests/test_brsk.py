@@ -21,14 +21,15 @@ from grassmult.brsk import (
     rbrsk,
 )
 from grassmult.chains import chain_bounded
+from grassmult.cli import main
 from grassmult.grassmannian import beta_grid, build_bound_multisets, negative_region, triples
 from grassmult.multisets import (
     iota,
     multiset_order_leq,
     negative_part,
     pairs,
+    pairs_from_json,
     positive_part,
-    termwise_less,
 )
 from grassmult.tableaux import (
     BumpingRecord,
@@ -45,6 +46,7 @@ from oracles import (
     is_young_semistandard,
     negative_twisted_chains,
     positive_region,
+    termwise_less,
     truncate_below,
     verify_boundedness_preservation,
 )
@@ -132,6 +134,19 @@ def test_roundtrip_random_nonvanishing(raw):
     U = pairs((e, f) for e, f in raw if e != f)
     B = brsk(U)
     assert rbrsk(B) == U
+
+
+def test_entries_may_be_zero_or_negative(capsys):
+    """The entries are any integers: tableau(), --pairs and
+    pairs_from_json refuse none below 1, and rbrsk undoes brsk on them
+    as on positive ones."""
+    U = pairs(((0, 1), (-3, 2), (2, -1), (5, 0)))
+    B = brsk(U)
+    assert B == (((-3, 0), (2,), (5,)), ((1, 2), (0,), (-1,)))
+    assert rbrsk(B) == U
+    assert pairs_from_json([[0, 1], [-3, 2]]) == ((-3, 2), (0, 1))
+    assert main(["brsk", "--pairs", "0,1 -3,2"]) == 0
+    assert capsys.readouterr().out == "P:\n-3 0\nQ:\n1 2\n"
 
 
 def test_multiset_bounded_by():

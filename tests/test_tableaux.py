@@ -2,17 +2,16 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassmult.brsk import rbrsk
-from grassmult.multisets import nmul, union
+from grassmult.brsk import brsk, rbrsk
+from grassmult.multisets import nmul, pairs, union
 from grassmult.tableaux import (
     BumpingRecord,
     bitableau,
     bitableau_bounded_by,
     bounded_insert,
-    classify_row,
     insert_rows,
     iota_bitableau,
     is_semistandard_on,
@@ -27,9 +26,11 @@ from grassmult.tableaux import (
 from oracles import (
     bidegree,
     classify_bitableau,
+    classify_row,
     is_semistandard_bitableau,
     is_young_semistandard,
     size,
+    split_parts_by_rows,
     truncate_below,
 )
 
@@ -250,6 +251,79 @@ def test_split_parts():
     assert classify_bitableau(pos) == "positive"
     with pytest.raises(ValueError):
         split_parts((((1, 9),), ((2, 5),)))  # a row that is neither
+
+
+def split_outcome(split, B):
+    """What split does with B: its parts, or the message of its ValueError."""
+    try:
+        return split(B)
+    except ValueError as err:
+        return str(err)
+
+
+def test_split_parts_matches_the_row_by_row_oracle_exhaustive():
+    """Every bitableau with entries in 1..4 and at most 2 boxes a row:
+    of at most 2 rows whose rows are any tuples of one length, in any
+    order and with repeats, and of 3 strictly increasing rows.  The one
+    pass gives the oracle's parts or its message.  Where every row is
+    strict and has a sign and a positive row sits directly above a
+    negative one, the semistandard check alone refuses: that is why
+    split_parts needs no test that the negative rows come first."""
+    rows = [
+        (p, q)
+        for k in range(3)
+        for p in itertools.product(range(1, 5), repeat=k)
+        for q in itertools.product(range(1, 5), repeat=k)
+    ]
+    strict = [(p, q) for p, q in rows if row_strict((p, q))]
+    label = {row: classify_row(*row) if row in strict else 0 for row in rows}
+    chosen_rows = itertools.chain(
+        *(itertools.product(rows, repeat=r) for r in range(3)), itertools.product(strict, repeat=3)
+    )
+    count = accepted = flipped = 0
+    for chosen in chosen_rows:
+        B = tuple(p for p, _ in chosen), tuple(q for _, q in chosen)
+        outcome = split_outcome(split_parts, B)
+        assert outcome == split_outcome(split_parts_by_rows, B), B
+        count += 1
+        accepted += not isinstance(outcome, str)
+        labels = [label[row] for row in chosen]
+        if 0 not in labels and (1, -1) in zip(labels, labels[1:]):
+            assert outcome == "expected a nonvanishing semistandard bitableau", B
+            flipped += 1
+    assert (count, accepted, flipped) == (223680, 2471, 7056)
+
+
+def perturbations(B):
+    """B, each B with two row pairs swapped, and each B with one entry
+    moved by 1."""
+    P, Q = B
+    yield B
+    for i, j in itertools.combinations(range(len(P)), 2):
+        order = list(range(len(P)))
+        order[i], order[j] = j, i
+        yield tuple(P[k] for k in order), tuple(Q[k] for k in order)
+    for h, half in enumerate(B):
+        for i, row in enumerate(half):
+            for k, step in itertools.product(range(len(row)), (-1, 1)):
+                moved = list(half)
+                moved[i] = row[:k] + (row[k] + step,) + row[k + 1 :]
+                yield (tuple(moved), Q) if h == 0 else (P, tuple(moved))
+
+
+mixed_points = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12)),
+    max_size=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_points)
+def test_split_parts_matches_the_row_by_row_oracle_on_perturbed_images(raw):
+    """Every perturbation of a brsk image of a mixed multiset of up to 20
+    points on the 12 x 12 grid: the one pass agrees with the oracle."""
+    for B in perturbations(brsk(pairs((e, f) for e, f in raw if e != f))):
+        assert split_outcome(split_parts, B) == split_outcome(split_parts_by_rows, B), B
 
 
 def test_classify_edge_cases():
