@@ -169,7 +169,7 @@ def _cmd_verify(ns, out):
     if ns.all_triples or ns.sample:
         if ns.alpha or ns.beta or ns.gamma:
             raise ValueError("--all-triples and --sample take no --alpha, --beta or --gamma")
-        checked = list(triples(ns.n, ns.d))
+        checked = triples(ns.n, ns.d)
         if ns.sample:
             rng = random.Random(ns.seed or 0)
             checked = rng.sample(checked, min(ns.sample, len(checked)))

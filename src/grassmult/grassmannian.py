@@ -8,8 +8,10 @@ subcommand and library entry point that takes (alpha, beta, gamma, n, d)
 goes through it, and triples lists every triple that it accepts.
 """
 
+from bisect import bisect_right
 from collections import namedtuple
-from itertools import combinations
+from collections.abc import Sequence
+from itertools import accumulate, combinations
 
 from .chains import canonicalize
 from .multisets import check_bounds, difference, iota, pairs
@@ -106,20 +108,45 @@ def richardson(alpha, beta, gamma, n: int, d: int):
     return Ttil, Wtil, grid
 
 
+class _Triples(Sequence):
+    """The triples of triples(n, d), in its order, indexed from 0
+    without listing them, so that random.sample, which reads only len
+    and such indices, draws from them directly.  Per beta it keeps the
+    alphas below and the gammas above, and the running count of the
+    triples up to that beta: index i finds its beta by bisect on the
+    counts, then its alpha and gamma by divmod."""
+
+    def __init__(self, indices):
+        self.blocks = [
+            (beta, [a for a in indices if index_leq(a, beta)], [g for g in indices if index_leq(beta, g)])
+            for beta in indices
+        ]
+        self.ends = list(accumulate(len(alphas) * len(gammas) for _, alphas, gammas in self.blocks))
+
+    def __len__(self):
+        return self.ends[-1]
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError("triple index out of range")
+        b = bisect_right(self.ends, i)
+        beta, alphas, gammas = self.blocks[b]
+        a, g = divmod(i - (self.ends[b - 1] if b else 0), len(gammas))
+        return alphas[a], beta, gammas[g]
+
+    def __iter__(self):
+        for beta, alphas, gammas in self.blocks:
+            for alpha in alphas:
+                for gamma in gammas:
+                    yield alpha, beta, gamma
+
+
 def triples(n: int, d: int):
     """Every Richardson triple alpha <= beta <= gamma of d-subsets of
-    1..n, beta outermost, each index in lexicographic order.  Raises
-    ValueError unless 0 < d < n."""
+    1..n, beta outermost, each index in lexicographic order, as a
+    sequence (_Triples).  Raises ValueError unless 0 < d < n."""
     _check_dimensions(n, d)
-    indices = list(combinations(range(1, n + 1), d))
-    return (
-        (alpha, beta, gamma)
-        for beta in indices
-        for alpha in indices
-        if index_leq(alpha, beta)
-        for gamma in indices
-        if index_leq(beta, gamma)
-    )
+    return _Triples(list(combinations(range(1, n + 1), d)))
 
 
 def sides(Ttil, Wtil, grid: BetaGrid):

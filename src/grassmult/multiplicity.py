@@ -17,20 +17,22 @@ bounded by Ttil alone and positive points by Wtil alone, so that
 complex is the join of two one-sided complexes, split by
 grassmannian.sides.  One depth-first search, bounded_faces, walks the
 faces of a side over one list of its points (_face_points), in brsk's
-insertion order, up to a size cap, from the depths of a face's points
-kept on its stack.  maximal_bounded_subsets runs it uncapped and keeps
+insertion order, up to a size cap, from the prefix maxima of a face's
+depths over the rows, kept on its stack.  maximal_bounded_subsets runs it uncapped and keeps
 each side's largest face size and its number of faces: the dimension
 and the degree are the sum of the two sizes and the product of the two
 counts.  groebner.count_monomials_outside_initial tallies its faces by
 size for the Hilbert function of the tangent cone, and
 groebner.verify_groebner walks them to list each side's bounded
-multisets.  tests/oracles.py keeps f_vector, the same search with one
-chain_depth call per candidate, and the joint search over both sides
-before it; tests/test_multiplicity.py keeps the size-descending scan
-over every subset before that.
+multisets.  tests/oracles.py keeps scanning_bounded_faces, the same
+search with a scan of the face per candidate, f_vector, the same search
+with one chain_depth call per candidate, and the joint search over both
+sides before it; tests/test_multiplicity.py keeps the size-descending
+scan over every subset before that.
 """
 
-from itertools import combinations
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, combinations
 from math import prod
 
 from .brsk import lex_key
@@ -83,30 +85,38 @@ def enumerate_paths(r, grid: BetaGrid):
 def _path_count_matrix(anchors, grid: BetaGrid):
     """Entry (i, j) counts the monotone staircases from the floor of r_i
     to the ceiling of r_j in the negative region, for negative anchors
-    in sorted order.  One grid table per source, up to the farthest
-    ceiling.  A positive side's matrix on the dual grid is the transpose
-    of its matrix on the caller's grid, with the same determinant."""
-    row_at = {x: i for i, x in enumerate(grid.complement)}
-    col_at = {y: j for j, y in enumerate(grid.beta)}
-    sources, sinks = [], []
-    for r in sorted(anchors):
-        rows, cols = _axes(r, grid)
-        sources.append((row_at[rows[0]], col_at[cols[0]]))
-        sinks.append((row_at[rows[-1]], col_at[cols[-1]]))
-    last_row = max(i for i, _ in sinks)
-    span_end = max(j for _, j in sinks) + 1
+    in sorted order.  A positive side's matrix on the dual grid is the
+    transpose of its matrix on the caller's grid, with the same
+    determinant.
+
+    grassmannian.sides has refused anchors off the grid, so bisect finds
+    the corners: the floor of (e, f) is row e at the first column above
+    e, its ceiling the last row below f at column f.  Each source walks
+    one line of counts by grid column down the rows to the lowest
+    ceiling, adding along each row from the first column above it (the
+    cells left of that are positive, and no later row reads them), and
+    copies each sink's count into its matrix row as the sink's row
+    finishes.  A sink above the source is never reached and one left of
+    it reads a column the walk never writes, so both read 0."""
+    rows, cols = grid.complement, grid.beta
+    anchors = sorted(anchors)
+    sinks_at = [[] for _ in rows]  # per row: (matrix column, grid column) of its sinks
+    for s, (_, f) in enumerate(anchors):
+        sinks_at[bisect_left(rows, f) - 1].append((s, bisect_left(cols, f)))
+    last_row = max(i for i, sinks in enumerate(sinks_at) if sinks)
+    span_end = bisect_left(cols, max(f for _, f in anchors)) + 1
+    walk = [(bisect_right(cols, x), sinks) for x, sinks in zip(rows[: last_row + 1], sinks_at)]
     matrix = []
-    for i0, j0 in sources:
-        span = grid.beta[j0:span_end]
-        line = [1] + [0] * (len(span) - 1)  # a virtual row entering the floor
-        table = []
-        for x in grid.complement[i0 : last_row + 1]:
-            left = 0
-            for k, y in enumerate(span):
-                left = left + line[k] if x < y else 0
-                line[k] = left
-            table.append(line[:])
-        matrix.append([table[i - i0][j - j0] if i >= i0 and j >= j0 else 0 for i, j in sinks])
+    for e, _ in anchors:
+        i0 = bisect_left(rows, e)
+        line = [0] * span_end  # counts by grid column; none left of the floor
+        line[walk[i0][0]] = 1  # a virtual row entering the floor
+        counts = [0] * len(anchors)
+        for k, sinks in walk[i0:]:
+            line[k:] = accumulate(line[k:])
+            for s, j in sinks:
+                counts[s] = line[j]
+        matrix.append(counts)
     return matrix
 
 
@@ -159,9 +169,12 @@ def count_families(Ttil, Wtil, grid: BetaGrid) -> int:
     single-path counts N, taken exactly by fraction-free elimination;
     the negative and positive anchors live on opposite sides of the
     staircase, so the two counts are multiplied.  With k anchors on a
-    side that costs O(k n^2) for the path counts and O(k^3) for the
-    determinant.  The backtracking count over enumerate_paths that this
-    replaced is the test oracle in tests/test_multiplicity.py.
+    side the path counts take O(k n^2) time, with one line of n counts
+    per source (_path_count_matrix), and the determinant O(k^3).  The
+    backtracking count over enumerate_paths that this replaced is the
+    test oracle in tests/test_multiplicity.py; the matrix built from one
+    grid table per source before the one-line walk is
+    tests/oracles.table_path_count_matrix.
     """
     return prod(_side_count(T, side) for T, side in sides(Ttil, Wtil, grid))
 
@@ -210,6 +223,15 @@ def _face_points(T, grid: BetaGrid):
     row, can only start a chain weakly above q, and q can take its
     place there.  So a face's points keep the depths they had when they
     were added, and a face with p added is bounded exactly when p is.
+
+    The depth at p = (e, f) is 1 + the largest depth of a face point
+    with row < e and column > f: a longest chain weakly above p can be
+    taken to start at p, since p has the smallest column and the largest
+    row of the points weakly above it.  In this order the column test
+    follows from the row test.  An earlier point in p's column has a
+    larger row than e, so an earlier point with row < e is in a column
+    right of f.  So the depth at p is 1 + the largest depth of the
+    face's points in rows above e.
     """
     limits = ((p, chain_depth(T, p)) for p in sorted(negative_region(grid), key=lex_key))
     return [(p, limit) for p, limit in limits if limit]
@@ -223,29 +245,35 @@ def bounded_faces(T, grid: BetaGrid, max_size):
     yielded (k, p) is the face of size k - 1 yielded last, with p added.
     A face's points come in the order brsk inserts them.
 
-    Testing a candidate p = (e, f) takes the depths of the face's points,
-    kept on the stack (_face_points says why they stay right): p is
-    accepted when 1 + the largest depth of a face point with row < e
-    and column > f is at most its limit.  A longest chain weakly above p
-    can be taken to start at p, since p has the smallest column and the
-    largest row of the points weakly above it.
+    A candidate p = (e, f) is accepted when 1 + the largest depth of a
+    face point in a row above e is at most its limit (_face_points says
+    why that depth is p's and why it stays right).  A face keeps the
+    prefix maxima of its points' depths over the row ranks: entry r is
+    the largest depth of its points in the r topmost rows, 0 if none.
+    So a candidate of row rank r costs one lookup, entry r, and
+    accepting it copies the maxima with the entries after r that are
+    below the new depth raised to it, a run that bisect finds since the
+    maxima ascend.  The stack keeps each face point's index with the
+    maxima of the face before it, for the way back.
     """
-    points = _face_points(T, grid)
-    face = []  # (row, column, depth) of the face's points, in order
-    chosen = []  # indices of the face's points, ascending
+    rank = {x: r for r, x in enumerate(grid.complement)}
+    points = [(rank[p[0]], limit, p) for p, limit in _face_points(T, grid)]
+    maxima = [0] * (len(rank) + 1)  # the prefix maxima of the face
+    stack = []  # (index, the maxima of the face before it) per face point, in order
     i = 0
     while True:
-        if i < len(points) and len(face) < max_size:
-            (e, f), limit = points[i]
-            depth = 1 + max((d for g, h, d in face if g < e and h > f), default=0)
-            if depth <= limit:
-                face.append((e, f, depth))
-                chosen.append(i)
-                yield len(face), (e, f)
+        if i < len(points) and len(stack) < max_size:
+            r, limit, p = points[i]
+            below = maxima[r]
+            if below < limit:
+                end = bisect_right(maxima, below, r + 1)
+                stack.append((i, maxima))
+                maxima = maxima[: r + 1] + [below + 1] * (end - r - 1) + maxima[end:]
+                yield len(stack), p
             i += 1
-        elif chosen:
-            i = chosen.pop() + 1
-            face.pop()
+        elif stack:
+            i, maxima = stack.pop()
+            i += 1
         else:
             return
 

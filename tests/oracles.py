@@ -2,10 +2,12 @@
 
 Second algorithms for what the library computes once, the point
 relations behind twisted chains, the positive region of a grid, the
-floor and the ceiling of an anchor, the f-vector of one side and the
-joint face search over both signs, the truncation of a tableau at a
-bound, the classification of bitableaux and their row-by-row split
-into signed parts, a checker for the boundedness lemma of bounded RSK,
+floor and the ceiling of an anchor, the path-count matrix from one
+grid table per source, the face search that scans a face for each
+candidate, the f-vector of one side and the joint face search over
+both signs, the truncation of a tableau at a bound, the
+classification of bitableaux and their row-by-row split into signed
+parts, a checker for the boundedness lemma of bounded RSK,
 the Groebner verification of every mixed multiset, the table of
 standard monomials on row tuples, and the twisted chains the test
 files sweep over.  No CLI subcommand, demo or benchmark workload
@@ -19,7 +21,7 @@ from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
 from grassmult.grassmannian import in_grid, negative_region, validate_index
 from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, count_standard_monomials
-from grassmult.multiplicity import _face_points
+from grassmult.multiplicity import _axes, _face_points
 from grassmult.multisets import (
     formal_diff_leq,
     iota,
@@ -159,6 +161,35 @@ def canonical_path(r, grid):
     return tuple((e, y) for y in cols) + tuple((x, f) for x in rows[1:])
 
 
+def table_path_count_matrix(anchors, grid):
+    """multiplicity._path_count_matrix as it was before the one-line
+    walk, its oracle: each anchor's corners from multiplicity._axes, and
+    one grid table per source, a copy of the line of counts after every
+    row, up to the farthest ceiling, from which each sink is read."""
+    row_at = {x: i for i, x in enumerate(grid.complement)}
+    col_at = {y: j for j, y in enumerate(grid.beta)}
+    sources, sinks = [], []
+    for r in sorted(anchors):
+        rows, cols = _axes(r, grid)
+        sources.append((row_at[rows[0]], col_at[cols[0]]))
+        sinks.append((row_at[rows[-1]], col_at[cols[-1]]))
+    last_row = max(i for i, _ in sinks)
+    span_end = max(j for _, j in sinks) + 1
+    matrix = []
+    for i0, j0 in sources:
+        span = grid.beta[j0:span_end]
+        line = [1] + [0] * (len(span) - 1)  # a virtual row entering the floor
+        table = []
+        for x in grid.complement[i0 : last_row + 1]:
+            left = 0
+            for k, y in enumerate(span):
+                left = left + line[k] if x < y else 0
+                line[k] = left
+            table.append(line[:])
+        matrix.append([table[i - i0][j - j0] if i >= i0 and j >= j0 else 0 for i, j in sinks])
+    return matrix
+
+
 def decompose_bounded_subset(U, R):
     """Partition a subset U lying above the twisted chain R: the part
     of an anchor r collects the points of U weakly below r whose depth
@@ -214,6 +245,32 @@ def f_vector(T, grid):
             face.pop()
         else:
             return f
+
+
+def scanning_bounded_faces(T, grid, max_size):
+    """multiplicity.bounded_faces as it was before the prefix maxima,
+    its oracle: the same search, yielding (size, last point) in the same
+    preorder, with the depths of the face's points kept on the stack and
+    each candidate p = (e, f) tested by a scan of every face point for
+    the largest depth with row < e and column > f."""
+    points = _face_points(T, grid)
+    face = []  # (row, column, depth) of the face's points, in order
+    chosen = []  # indices of the face's points, ascending
+    i = 0
+    while True:
+        if i < len(points) and len(face) < max_size:
+            (e, f), limit = points[i]
+            depth = 1 + max((d for g, h, d in face if g < e and h > f), default=0)
+            if depth <= limit:
+                face.append((e, f, depth))
+                chosen.append(i)
+                yield len(face), (e, f)
+            i += 1
+        elif chosen:
+            i = chosen.pop() + 1
+            face.pop()
+        else:
+            return
 
 
 def joint_maximal_bounded_subsets(Ttil, Wtil, grid):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -153,6 +154,36 @@ def test_triples():
     for n, d in ((4, 0), (4, -1), (4, 4), (3, 5), (1, 1)):
         with pytest.raises(ValueError):
             triples(n, d)
+
+
+def test_triples_index_in_order_and_sample_as_their_list():
+    # the sequence against the nested filter that listed the triples
+    # before it, and its indices against its list: random.sample draws
+    # the same triples from either, so verify --sample keeps its picks
+    checked = 0
+    for n in range(2, 8):
+        for d in range(1, n):
+            indices = list(itertools.combinations(range(1, n + 1), d))
+            listed = [
+                (alpha, beta, gamma)
+                for beta in indices
+                for alpha in indices
+                if index_leq(alpha, beta)
+                for gamma in indices
+                if index_leq(beta, gamma)
+            ]
+            sequence = triples(n, d)
+            assert list(sequence) == listed and len(sequence) == len(listed)
+            assert [sequence[i] for i in range(len(sequence))] == listed
+            for i in (-1, len(listed)):
+                with pytest.raises(IndexError):
+                    sequence[i]
+            for seed in range(5):
+                for k in (1, 3, 50):
+                    k = min(k, len(listed))
+                    assert random.Random(seed).sample(sequence, k) == random.Random(seed).sample(listed, k)
+                    checked += 1
+    assert checked == 21 * 5 * 3
 
 
 TTIL5, WTIL5, GRID5 = richardson((1, 3), (2, 4), (4, 5), 5, 2)

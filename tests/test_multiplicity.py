@@ -39,6 +39,8 @@ from oracles import (
     floor_pt,
     joint_maximal_bounded_subsets,
     positive_region,
+    scanning_bounded_faces,
+    table_path_count_matrix,
 )
 
 MULTIPLICITY_MODULE = importlib.import_module("grassmult.multiplicity")
@@ -270,6 +272,33 @@ def test_count_families_with_a_zero_pivot():
     assert count_families((), anchors, GRID9) == 0 == backtrack_families((), anchors, GRID9)
 
 
+def test_path_count_matrix_matches_the_tables_exhaustive():
+    # the one-line walk against the grid table per source it replaced, on
+    # both sides of every triple with n <= 8, then on every multiset of
+    # at most three anchors of one sign on GRID9: repeated anchors,
+    # shared floors and crossings included
+    checked = 0
+    for n in range(2, 9):
+        for d in range(1, n):
+            for alpha, beta, gamma in triples(n, d):
+                grid = beta_grid(beta, n)
+                for T, side in sides(*build_bound_multisets(alpha, gamma, grid), grid):
+                    if T:
+                        got = _path_count_matrix(T, side)
+                        assert got == table_path_count_matrix(T, side), (alpha, beta, gamma)
+                        checked += 1
+    assert checked == 129316
+    checked = 0
+    for region in (negative_region(GRID9), positive_region(GRID9)):
+        for k in (1, 2, 3):
+            for A in combinations_with_replacement(sorted(region), k):
+                for T, side in sides(*((A, ()) if A[0][0] < A[0][1] else ((), A)), GRID9):
+                    if T:
+                        assert _path_count_matrix(T, side) == table_path_count_matrix(T, side), A
+                        checked += 1
+    assert checked == 2 * (10 + 55 + 220)
+
+
 def test_bareiss_matches_leibniz():
     def leibniz(m):
         k = len(m)
@@ -414,6 +443,24 @@ def test_bounded_faces_counts_the_faces_f_vector_counts_exhaustive():
                     for cap in (1, 2, 3):
                         assert faces_by_size(T, side, cap) == f[: cap + 1], (alpha, beta, gamma, cap)
                     assert maximal_bounded_subsets(T, (), side) == (f[-1], len(f) - 1), (alpha, beta, gamma)
+                    checked += 1
+    assert checked == 26716
+
+
+def test_bounded_faces_matches_the_scan_exhaustive():
+    # the search on prefix maxima against the scan of the face it
+    # replaced: the same (size, last point) sequence, in order, on both
+    # sides of every triple with n <= 7, capped at 1 to 4 points and
+    # uncapped
+    checked = 0
+    for n in range(2, 8):
+        for d in range(1, n):
+            for alpha, beta, gamma in triples(n, d):
+                grid = beta_grid(beta, n)
+                for T, side in sides(*build_bound_multisets(alpha, gamma, grid), grid):
+                    for cap in (1, 2, 3, 4, len(negative_region(side))):
+                        got = list(bounded_faces(T, side, cap))
+                        assert got == list(scanning_bounded_faces(T, side, cap)), (alpha, beta, gamma, cap)
                     checked += 1
     assert checked == 26716
 
