@@ -92,17 +92,31 @@ def _place_left(Q, row: int, b: int):
 
 def _reverse_negative(P, Q):
     """The pairs that brsk_negative inserted to build the negative
-    bitableau (P, Q) of normalized tableaux, in the reverse of
+    bitableau (P, Q), one that split_parts accepts, in the reverse of
     lex_sort's insertion order.
 
     Each step takes the minimum entry b of Q off the left end of the
     lowest row of Q that it heads, and runs tableaux.reverse_insert_rows
-    from that row of P, which refuses a P that is not semistandard on b
-    or a box that cannot come out.  Both tableaux are copied to mutable
-    rows once; an emptied trailing row pair is dropped, an emptied row
-    above others is kept and skipped.  tests/test_brsk.py checks this
-    loop against the per-step oracle, which rebuilds both tableaux at
-    every step.
+    from that row of P, which refuses a box that cannot come out.  Both
+    tableaux are copied to mutable rows once; an emptied trailing row
+    pair is dropped, an emptied row above others is kept and skipped.
+    tests/test_brsk.py checks this loop against the per-step oracle,
+    which rebuilds both tableaux at every step.
+
+    The kernel does not check that P is semistandard on b; split_parts'
+    test implies it before every step.  (1) On sorted rows of one size,
+    the test that a pair is in order with the pair above says: for every
+    t, #(P_{k-1} <= t) + #(Q_k <= t) >= #(P_k <= t) + #(Q_{k-1} <= t).
+    (2) With b = min Q, no entry of Q is <= t for t < b, so for those t
+    it says that P's rows below b weakly shorten and their columns
+    weakly rise: P is semistandard on b.  (3) A step takes b off row i of
+    Q and x < b off row i of P, and swaps entries below b in the rows
+    above.  For t < b, reverse-bumping a corner keeps P semistandard
+    below b; for t >= b, only row i of P and row i of Q lose one count
+    each, so every inequality still holds.  (4) By induction the test
+    holds before every step.  The swap that rbrsk applies to the positive
+    half keeps the test as it is, so that half is covered too;
+    tests/test_brsk.py asserts the check before every kernel call.
     """
     P = [list(row) for row in P]
     Q = [list(row) for row in Q]
@@ -129,21 +143,22 @@ def rbrsk(B):
     strict, of one sign and in order with the pair above) and cuts it
     at its first positive row.  The negative half is undone directly; the
     positive half, as brsk built it, through the component swap:
-    iota_bitableau makes it negative, and iota swaps the pairs undone
-    from it back.  Each half's pairs come out in the reverse of
-    lex_sort's insertion order, a proved property that tests/test_brsk.py
-    asserts; the returned multiset is canonical.  Not every bitableau
-    that split_parts accepts is an image of brsk (P = ((1, 2), (1,)),
-    Q = ((2, 3), (3,)) is not); a step that cannot be undone is a
-    ValueError saying so.  On one beta grid, P's entries in the
-    complement and Q's in beta, acceptance by split_parts is exact on
-    the sweep of tests/test_brsk.py: every refused bitableau there has
-    an entry in both P and Q.  Off a grid the rule is an open question.
+    reversing its rows and trading P and Q makes it negative, and iota
+    swaps the pairs undone from it back.  Each half's pairs come out in
+    the reverse of lex_sort's insertion order, a proved property that
+    tests/test_brsk.py asserts; the returned multiset is canonical.
+    Not every bitableau that split_parts accepts is an image of brsk
+    (P = ((1, 2), (1,)), Q = ((2, 3), (3,)) is not); a step that cannot
+    be undone is a ValueError saying so.  On one beta grid, P's entries
+    in the complement and Q's in beta, acceptance by split_parts is
+    exact on the sweep of tests/test_brsk.py: every refused bitableau
+    there has an entry in both P and Q.  Off a grid the rule is an open
+    question.
     """
-    negative, positive = split_parts(B)
+    negative, (P, Q) = split_parts(B)
     try:
         from_negative = _reverse_negative(*negative)
-        from_positive = _reverse_negative(*iota_bitableau(positive))
+        from_positive = _reverse_negative(reversed(Q), reversed(P))
     except ValueError:
         raise ValueError("the bitableau is not an image of brsk") from None
     return union(pairs(from_negative), iota(from_positive))

@@ -134,12 +134,6 @@ class _Triples(Sequence):
         a, g = divmod(i - (self.ends[b - 1] if b else 0), len(gammas))
         return alphas[a], beta, gammas[g]
 
-    def __iter__(self):
-        for beta, alphas, gammas in self.blocks:
-            for alpha in alphas:
-                for gamma in gammas:
-                    yield alpha, beta, gamma
-
 
 def triples(n: int, d: int):
     """Every Richardson triple alpha <= beta <= gamma of d-subsets of

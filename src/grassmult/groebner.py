@@ -30,17 +30,17 @@ its rows and compares them by their prefix-count profiles
 differences is pointwise dominance; verify reads each image's rows as
 ids through one lookup each.
 bounded_multisets_of_degree lists the mixed multisets of one degree by
-its own walk with one brsk.multiset_bounded_by test per candidate
-(_walk); the tests check the face search against it.
+testing each with brsk.multiset_bounded_by; tests/oracles.py keeps a
+walk over each side's bounded supports, joined, as its oracle.
 """
 
 from collections import Counter, namedtuple
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 from .brsk import insert_pair, multiset_bounded_by
-from .grassmannian import BetaGrid, negative_region, richardson, sides, theta_to_rs, validate_index
-from .multisets import diff_profile, dominates, iota, pairs, proj, union
+from .grassmannian import BetaGrid, richardson, sides, theta_to_rs, validate_index
+from .multisets import diff_profile, dominates, pairs, proj
 from .multiplicity import bounded_faces, maximal_bounded_subsets
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
@@ -131,48 +131,6 @@ def initial_term(f: SignedMinor):
     return best
 
 
-def _walk(T, grid: BetaGrid, m_max: int):
-    """The multisets on the negative points of the grid bounded below
-    by T, as one list per degree 0..m_max, each a sorted tuple.
-
-    A multiset is bounded exactly when its support is, so the walk is a
-    depth-first search over the bounded supports, in the shape of
-    multiplicity.bounded_faces: a support grows only by points after its
-    last one in sorted order, up to m_max points, each candidate is one
-    multiset_bounded_by test, and a candidate that fails is never
-    extended.  A support of k points gives its multisets of every degree
-    m from k to m_max, the support plus m - k more of its points: those
-    of S + (p,) are those of S followed by j >= 1 copies of p, which
-    stay sorted since p comes after every point of S.
-    """
-    if m_max < 0:
-        raise ValueError("degree bound must be nonnegative")
-    points = sorted(negative_region(grid))
-    by_degree = [[()]] + [[] for _ in range(m_max)]
-    support = ()
-    chosen = []  # indices of the support's points, ascending
-    exact = [[()]]  # per support on the stack, the multisets it is the support of
-    i = 0
-    while True:
-        if i < len(points) and len(support) < m_max:
-            candidate = support + (points[i],)
-            if multiset_bounded_by(candidate, T, ()):
-                support = candidate
-                chosen.append(i)
-                exact.append(
-                    [U + (points[i],) * j for U in exact[-1] for j in range(1, m_max - len(U) + 1)]
-                )
-                for U in exact[-1]:
-                    by_degree[len(U)].append(U)
-            i += 1
-        elif chosen:
-            i = chosen.pop() + 1
-            support = support[:-1]
-            exact.pop()
-        else:
-            return by_degree
-
-
 def bounded_images(T, grid: BetaGrid, m_max: int):
     """Every nonempty multiset on the negative points of the grid
     bounded below by T, of degree at most m_max, with its
@@ -213,16 +171,14 @@ def _convolve(negative, positive):
 
 
 def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
-    """All degree-m multisets on the grid bounded by the pair, in
-    combinations_with_replacement order over the sorted grid points:
-    each bounded negative side joined to each bounded positive side."""
-    negative, positive = (_walk(T, side, m) for T, side in sides(Ttil, Wtil, grid))
-    return sorted(
-        union(neg, iota(pos))
-        for i in range(m + 1)
-        for neg in negative[i]
-        for pos in positive[m - i]
-    )
+    """All degree-m multisets on the grid that brsk.multiset_bounded_by
+    accepts as bounded by the pair (grassmannian.sides checks it), in
+    combinations_with_replacement order over the sorted grid points."""
+    sides(Ttil, Wtil, grid)
+    if m < 0:
+        raise ValueError("degree bound must be nonnegative")
+    points = sorted(product(grid.complement, grid.beta))
+    return [U for U in combinations_with_replacement(points, m) if multiset_bounded_by(U, Ttil, Wtil)]
 
 
 def count_monomials_outside_initial(Ttil, Wtil, grid: BetaGrid, m_max: int):

@@ -16,9 +16,12 @@ groebner.bounded_images).  Backward, reverse_insert_rows takes the
 rightmost entry below the bound out of a row and bumps a value out:
 reverse_bounded_insert validates, copies and runs it once, and
 brsk.rbrsk runs it on its own rows for every pair it takes back.
-Schensted insertion is bounded insertion with a bound above every
-entry.  A bitableau's one semistandard rule is _row_signs, which
-split_parts and bitableau_bounded_by both run.
+Neither kernel checks that its rows are semistandard on the bound;
+the order of brsk's pairs keeps them so, and split_parts' test those
+of rbrsk (brsk._reverse_negative).  Schensted insertion is bounded
+insertion with a bound above every entry.  A bitableau's one
+semistandard rule is _row_signs, which split_parts and
+bitableau_bounded_by both run.
 """
 
 from bisect import bisect_left, bisect_right
@@ -146,14 +149,13 @@ def reverse_insert_rows(rows, b: int, i: int) -> int:
 
     Each row above gives up its greatest entry below b that is at most
     the value coming up and takes that value in its place.  An emptied
-    row stays in the list.  Refuses, as a ValueError and before it
-    changes a row, rows that are not semistandard on b, an empty new
-    box, and a removal that breaks the truncated shape; a reverse bump
-    with no entry to take it, which rows semistandard on b never give,
-    is a ValueError too.
+    row stays in the list.  Like insert_rows it leaves the check that
+    the rows are semistandard on b to its callers.  It refuses, as a
+    ValueError and before it changes a row, an empty new box and a
+    removal that breaks the truncated shape; a reverse bump with no
+    entry to take it, which such rows never give, is one too, raised
+    after rows have changed.
     """
-    if not semistandard_below(rows, b):
-        raise ValueError("tableau must be semistandard on the bound")
     row = rows[i - 1]
     hi = bisect_left(row, b)
     if not hi:
@@ -175,8 +177,9 @@ def reverse_bounded_insert(Pp, b: int, new_box):
 
     The new box must name the rightmost entry below b in its row.  A
     trailing row emptied by the removal is dropped (it was created by the
-    forward insertion).  Returns (P, a) with bounded_insert(P, a, b)
-    reproducing the input (reverse_insert_rows on a copy of Pp).
+    forward insertion).  Checks Pp once, as bounded_insert checks P.
+    Returns (P, a) with bounded_insert(P, a, b) reproducing the input
+    (reverse_insert_rows on a copy of Pp).
     """
     if not row_strict(Pp):
         raise ValueError("tableau must be row strict")
@@ -185,6 +188,8 @@ def reverse_bounded_insert(Pp, b: int, new_box):
         raise ValueError("new box outside the tableau")
     if j != bisect_left(Pp[i - 1], b):
         raise ValueError("new box must be the rightmost entry below the bound in its row")
+    if not semistandard_below(Pp, b):
+        raise ValueError("tableau must be semistandard on the bound")
     rows = [list(row) for row in Pp]
     a = reverse_insert_rows(rows, b, i)
     if i == len(rows) and not rows[-1]:

@@ -7,20 +7,21 @@ grid table per source, the face search that scans a face for each
 candidate, the f-vector of one side and the joint face search over
 both signs, the truncation of a tableau at a bound, the
 classification of bitableaux and their row-by-row split into signed
-parts, a checker for the boundedness lemma of bounded RSK,
+parts, a checker for the boundedness lemma of bounded RSK, the walk
+over one side's bounded supports and its join across the two sides,
 the Groebner verification of every mixed multiset, the table of
-standard monomials on row tuples, and the twisted chains the test
-files sweep over.  No CLI subcommand, demo or benchmark workload
-reaches any of it, so it lives with the tests and not in
-src/grassmult.
+standard monomials on row tuples, and the twisted chains and perturbed
+bitableaux the test files sweep over.  No CLI subcommand, demo or
+benchmark workload reaches any of it, so it lives with the tests and
+not in src/grassmult.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
-from grassmult.grassmannian import in_grid, negative_region, validate_index
-from grassmult.groebner import GroebnerReport, bounded_multisets_of_degree, count_standard_monomials
+from grassmult.grassmannian import BetaGrid, in_grid, negative_region, sides, validate_index
+from grassmult.groebner import GroebnerReport, count_standard_monomials
 from grassmult.multiplicity import _axes, _face_points
 from grassmult.multisets import (
     formal_diff_leq,
@@ -31,6 +32,7 @@ from grassmult.multisets import (
     positive_part,
     proj,
     sign,
+    union,
 )
 from grassmult.tableaux import bitableau, bitableau_bounded_by, row_strict, tableau
 
@@ -505,13 +507,70 @@ def expand_theta_minor_all_permutations(theta, grid):
     return expansion
 
 
+def side_walk(T, grid: BetaGrid, m_max: int):
+    """The multisets on the negative points of the grid bounded below
+    by T, as one list per degree 0..m_max, each a sorted tuple.
+
+    A multiset is bounded exactly when its support is, so the walk is a
+    depth-first search over the bounded supports, in the shape of
+    multiplicity.bounded_faces: a support grows only by points after its
+    last one in sorted order, up to m_max points, each candidate is one
+    multiset_bounded_by test, and a candidate that fails is never
+    extended.  A support of k points gives its multisets of every degree
+    m from k to m_max, the support plus m - k more of its points: those
+    of S + (p,) are those of S followed by j >= 1 copies of p, which
+    stay sorted since p comes after every point of S.
+    """
+    if m_max < 0:
+        raise ValueError("degree bound must be nonnegative")
+    points = sorted(negative_region(grid))
+    by_degree = [[()]] + [[] for _ in range(m_max)]
+    support = ()
+    chosen = []  # indices of the support's points, ascending
+    exact = [[()]]  # per support on the stack, the multisets it is the support of
+    i = 0
+    while True:
+        if i < len(points) and len(support) < m_max:
+            candidate = support + (points[i],)
+            if multiset_bounded_by(candidate, T, ()):
+                support = candidate
+                chosen.append(i)
+                exact.append(
+                    [U + (points[i],) * j for U in exact[-1] for j in range(1, m_max - len(U) + 1)]
+                )
+                for U in exact[-1]:
+                    by_degree[len(U)].append(U)
+            i += 1
+        elif chosen:
+            i = chosen.pop() + 1
+            support = support[:-1]
+            exact.pop()
+        else:
+            return by_degree
+
+
+def bounded_multisets_by_walk(Ttil, Wtil, grid, m):
+    """All degree-m multisets on the grid bounded by the pair, sorted:
+    each multiset of one side's walk joined to each of the other side's,
+    swapped back by iota.  The oracle for
+    groebner.bounded_multisets_of_degree, which tests every multiset of
+    the degree."""
+    negative, positive = (side_walk(T, side, m) for T, side in sides(Ttil, Wtil, grid))
+    return sorted(
+        union(neg, iota(pos))
+        for i in range(m + 1)
+        for neg in negative[i]
+        for pos in positive[m - i]
+    )
+
+
 def verify_groebner_per_multiset(Ttil, Wtil, grid, m_max):
     """The counting verification run on every bounded multiset, mixed
     ones included: count each degree's list, and put each multiset
     through brsk and the full bound check.  The oracle for
     groebner.verify_groebner, which solves the two one-sided problems
     and convolves their counts."""
-    bounded = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
+    bounded = [bounded_multisets_by_walk(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
     standard = count_standard_monomials(Ttil, Wtil, grid, m_max)
     per_degree = []
     witness = None
@@ -569,3 +628,19 @@ def negative_twisted_chains(bound):
     chains = (c for m in range(1, bound // 2 + 1) for c in combinations(pts, m))
     return [()] + [pairs(c) for c in chains if is_negative_twisted_chain(c)]
 
+
+def perturbations(B):
+    """B, each B with two row pairs swapped, and each B with one entry
+    moved by 1."""
+    P, Q = B
+    yield B
+    for i, j in combinations(range(len(P)), 2):
+        order = list(range(len(P)))
+        order[i], order[j] = j, i
+        yield tuple(P[k] for k in order), tuple(Q[k] for k in order)
+    for h, half in enumerate(B):
+        for i, row in enumerate(half):
+            for k, step in product(range(len(row)), (-1, 1)):
+                moved = list(half)
+                moved[i] = row[:k] + (row[k] + step,) + row[k + 1 :]
+                yield (tuple(moved), Q) if h == 0 else (P, tuple(moved))

@@ -36,6 +36,7 @@ from grassmult.tableaux import (
     bitableau_bounded_by,
     iota_bitableau,
     row_strict,
+    semistandard_below,
     split_parts,
     tableau,
 )
@@ -45,6 +46,7 @@ from oracles import (
     is_semistandard_bitableau,
     is_young_semistandard,
     negative_twisted_chains,
+    perturbations,
     positive_region,
     termwise_less,
     truncate_below,
@@ -320,6 +322,27 @@ def recorded_emissions():
         BRSK_MODULE.reverse_insert_rows = original
 
 
+@contextmanager
+def checked_kernel_inputs():
+    """The bounds of the reverse kernel's calls that rbrsk makes, in
+    order.  Before each call it asserts that the rows are semistandard
+    on the bound, the check that the kernel leaves to its callers and
+    that split_parts' test implies (brsk._reverse_negative proves it)."""
+    calls = []
+    original = BRSK_MODULE.reverse_insert_rows
+
+    def checked(rows, b, i):
+        assert semistandard_below(rows, b), (rows, b)
+        calls.append(b)
+        return original(rows, b, i)
+
+    BRSK_MODULE.reverse_insert_rows = checked
+    try:
+        yield calls
+    finally:
+        BRSK_MODULE.reverse_insert_rows = original
+
+
 def check_against_steps(U):
     """The kernel against the per-step oracle, the traced steps against
     insert_pair at every pair, the postconditions that brsk,
@@ -387,31 +410,61 @@ def test_rbrsk_matches_per_step_oracle_on_every_small_negative_bitableau():
         if termwise_less(p, q)
     ]
     count = refused = on_grid = 0
-    for r in range(1, 4):
-        for chosen in itertools.product(rows, repeat=r):
-            if sum(len(p) for p, _ in chosen) > 5:
-                continue
-            B = tuple(p for p, _ in chosen), tuple(q for _, q in chosen)
+    with checked_kernel_inputs() as calls:
+        for r in range(1, 4):
+            for chosen in itertools.product(rows, repeat=r):
+                if sum(len(p) for p, _ in chosen) > 5:
+                    continue
+                B = tuple(p for p, _ in chosen), tuple(q for _, q in chosen)
+                try:
+                    negative, positive = split_parts(B)
+                except ValueError:
+                    continue
+                if positive[0]:
+                    continue
+                count += 1
+                shared = {x for row in B[0] for x in row} & {x for row in B[1] for x in row}
+                try:
+                    expected = pairs(reverse_negative_by_steps(*B))
+                except ValueError:
+                    with pytest.raises(ValueError, match="not an image of brsk"):
+                        rbrsk(B)
+                    assert shared, B
+                    refused += 1
+                    continue
+                assert rbrsk(B) == expected, B
+                assert brsk(expected) == B
+                on_grid += not shared
+    assert (count, refused, on_grid, len(calls)) == (2569, 794, 453, 8850)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12)),
+        max_size=20,
+    )
+)
+def test_rbrsk_matches_per_step_oracle_on_perturbed_images(raw):
+    """Every perturbation of a brsk image of a mixed multiset of up to 20
+    points on the 12 x 12 grid that split_parts accepts: rbrsk gives
+    the per-step oracle's multiset, one kernel call per box, or, like
+    the oracle, refuses a bitableau that is not an image of brsk.
+    Every kernel call gets rows semistandard on its bound."""
+    for B in perturbations(brsk(pairs((e, f) for e, f in raw if e != f))):
+        try:
+            negative, positive = split_parts(B)
+        except ValueError:
+            continue
+        with checked_kernel_inputs() as calls:
             try:
-                negative, positive = split_parts(B)
-            except ValueError:
-                continue
-            if positive[0]:
-                continue
-            count += 1
-            shared = {x for row in B[0] for x in row} & {x for row in B[1] for x in row}
-            try:
-                expected = pairs(reverse_negative_by_steps(*B))
+                neg, pos = (reverse_negative_by_steps(*half) for half in (negative, iota_bitableau(positive)))
             except ValueError:
                 with pytest.raises(ValueError, match="not an image of brsk"):
                     rbrsk(B)
-                assert shared, B
-                refused += 1
                 continue
-            assert rbrsk(B) == expected, B
-            assert brsk(expected) == B
-            on_grid += not shared
-    assert (count, refused, on_grid) == (2569, 794, 453)
+            assert rbrsk(B) == pairs(neg + list(iota(pos))), B
+        assert len(calls) == sum(map(len, B[0]))
 
 
 def chains_of(points):

@@ -38,9 +38,11 @@ from grassmult.multisets import (
 )
 from grassmult.tableaux import bitableau_bounded_by
 from oracles import (
+    bounded_multisets_by_walk,
     expand_theta_minor_all_permutations,
     positive_region,
     rs_to_theta,
+    side_walk,
     standard_table_by_rows,
     verify_groebner_per_multiset,
 )
@@ -220,20 +222,8 @@ def test_sieve_matches_bounded_multisets():
     assert checked == 235
 
 
-# The filter of every multiset and the mixed-sign per-degree count of
-# standard monomials.  They share no code with the side walks or the
-# side tables they check.
-
-
-def bounded_multisets_by_filter(Ttil, Wtil, grid, m):
-    """Every degree-m multiset on the grid, in combinations_with_replacement
-    order over the sorted points, kept when it is bounded by the pair."""
-    points = sorted(negative_region(grid) | positive_region(grid))
-    return [
-        U
-        for U in itertools.combinations_with_replacement(points, m)
-        if multiset_bounded_by(U, Ttil, Wtil)
-    ]
+# The mixed-sign per-degree count of standard monomials.  It shares no
+# code with the side tables it checks.
 
 
 def signed_rows(grid):
@@ -308,10 +298,11 @@ def test_rows_of_opposite_signs_and_the_bounds_are_ordered_exhaustive():
 
 def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
     """Every triple with n <= 6 and every d, degrees m <= 4 (m <= 3 at
-    n = 6): the join of the two side walks lists exactly the filter's
-    multisets in the same order, the convolution of their counts counts
-    them, and the convolution of the two side tables gives the mixed
-    per-degree count of standard monomials."""
+    n = 6): the join of the two side walks of tests/oracles.py lists
+    exactly the library filter's multisets in the same order, the
+    convolution of the face counts counts them, and the convolution of
+    the two side tables gives the mixed per-degree count of standard
+    monomials."""
     cases = 0
     for n in range(2, 7):
         m_max = 3 if n == 6 else 4
@@ -319,14 +310,13 @@ def test_one_pass_matches_the_filter_and_per_degree_counts_exhaustive():
             for alpha, beta, gamma in triples(n, d):
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
-                walk = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(m_max + 1)]
                 joined = count_monomials_outside_initial(Ttil, Wtil, grid, m_max)
                 counts = count_standard_monomials(Ttil, Wtil, grid, m_max)
-                assert len(walk) == len(joined) == len(counts) == m_max + 1
+                assert len(joined) == len(counts) == m_max + 1
                 for m in range(m_max + 1):
                     case = (alpha, beta, gamma, m)
-                    filtered = bounded_multisets_by_filter(Ttil, Wtil, grid, m)
-                    assert walk[m] == filtered, case
+                    filtered = bounded_multisets_of_degree(Ttil, Wtil, grid, m)
+                    assert bounded_multisets_by_walk(Ttil, Wtil, grid, m) == filtered, case
                     assert joined[m] == len(filtered), case
                     assert counts[m] == standard_monomials_of_degree(Ttil, Wtil, grid, m), case
                     cases += 1
@@ -345,7 +335,7 @@ def test_f_vector_counts_match_the_side_walks_exhaustive():
                 grid = beta_grid(beta, n)
                 Ttil, Wtil = build_bound_multisets(alpha, gamma, grid)
                 neg, pos = (
-                    [len(ms) for ms in groebner._walk(T, side, 4)] for T, side in sides(Ttil, Wtil, grid)
+                    [len(ms) for ms in side_walk(T, side, 4)] for T, side in sides(Ttil, Wtil, grid)
                 )
                 walked = [sum(neg[i] * pos[m - i] for i in range(m + 1)) for m in range(5)]
                 counted = count_monomials_outside_initial(Ttil, Wtil, grid, 4)
@@ -412,7 +402,7 @@ def test_side_images_match_the_walk_and_brsk_negative_exhaustive():
                         assert image == brsk_negative(U), (T, side, U)
                         by_degree[len(U)].append(tuple(sorted(U)))
                         listed += 1
-                    walk = groebner._walk(T, side, 4)
+                    walk = side_walk(T, side, 4)
                     assert [sorted(ms) for ms in by_degree] == [sorted(ms) for ms in walk], (T, side)
                 checked += 1
     assert (checked, listed) == (2606, 162386)
@@ -573,9 +563,9 @@ def test_verify_reports_an_image_off_the_side_grid(monkeypatch, side, U, row):
 def test_one_pass_on_the_nine_grid():
     grid = beta_grid((1, 5, 6, 8), 9)
     Ttil, Wtil = build_bound_multisets((1, 2, 3, 5), (3, 6, 8, 9), grid)
-    walk = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(4)]
-    assert [len(ms) for ms in walk] == [1, 17, 152, 951]
-    assert walk[3] == bounded_multisets_by_filter(Ttil, Wtil, grid, 3)
+    filtered = [bounded_multisets_of_degree(Ttil, Wtil, grid, m) for m in range(4)]
+    assert [len(ms) for ms in filtered] == [1, 17, 152, 951]
+    assert filtered[3] == bounded_multisets_by_walk(Ttil, Wtil, grid, 3)
     assert count_monomials_outside_initial(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
     assert count_standard_monomials(Ttil, Wtil, grid, 3) == [1, 17, 152, 951]
 

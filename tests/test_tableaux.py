@@ -29,6 +29,7 @@ from oracles import (
     classify_row,
     is_semistandard_bitableau,
     is_young_semistandard,
+    perturbations,
     size,
     split_parts_by_rows,
     truncate_below,
@@ -140,7 +141,6 @@ def test_reverse_insert_rows_bumps_in_place_below_the_bound():
 @pytest.mark.parametrize(
     "rows, b, i",
     [
-        ([[2, 3], [1]], 5, 2),  # not semistandard on the bound: 2 above 1
         ([[1, 2], [6]], 5, 2),  # no entry below the bound in the row
         ([[1, 2], [1, 3]], 5, 1),  # the row below is as long below the bound
     ],
@@ -159,6 +159,17 @@ def test_bounded_insert_preconditions():
     bad = tableau([[1, 2, 4, 6], [2, 3, 6], [2, 4, 5, 7, 8], [3], [4, 5]])
     with pytest.raises(ValueError):
         bounded_insert(bad, 1, 6)  # truncation at 6 is not a Young tableau
+
+
+def test_reverse_bounded_insert_refuses_rows_not_semistandard_on_the_bound():
+    # 2 above 1: the kernel leaves this check to its callers, and
+    # reverse_bounded_insert makes it before it copies a row
+    rows = [[2, 3], [1]]
+    with pytest.raises(ValueError, match="tableau must be semistandard on the bound"):
+        reverse_bounded_insert(rows, 5, (2, 1))
+    assert rows == [[2, 3], [1]]
+    with pytest.raises(ValueError, match="tableau must be row strict"):
+        reverse_bounded_insert([[3, 2]], 5, (1, 0))
 
 
 def test_reverse_bounded_insert_rejects_wrong_box():
@@ -292,23 +303,6 @@ def test_split_parts_matches_the_row_by_row_oracle_exhaustive():
             assert outcome == "expected a nonvanishing semistandard bitableau", B
             flipped += 1
     assert (count, accepted, flipped) == (223680, 2471, 7056)
-
-
-def perturbations(B):
-    """B, each B with two row pairs swapped, and each B with one entry
-    moved by 1."""
-    P, Q = B
-    yield B
-    for i, j in itertools.combinations(range(len(P)), 2):
-        order = list(range(len(P)))
-        order[i], order[j] = j, i
-        yield tuple(P[k] for k in order), tuple(Q[k] for k in order)
-    for h, half in enumerate(B):
-        for i, row in enumerate(half):
-            for k, step in itertools.product(range(len(row)), (-1, 1)):
-                moved = list(half)
-                moved[i] = row[:k] + (row[k] + step,) + row[k + 1 :]
-                yield (tuple(moved), Q) if h == 0 else (P, tuple(moved))
 
 
 mixed_points = st.lists(
