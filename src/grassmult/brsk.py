@@ -8,7 +8,7 @@ from collections import namedtuple
 
 from .chains import chain_bounded, completely_disjointed
 from .multisets import check_bounds, iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
-from .tableaux import bounded_insert, insert_rows, iota_bitableau, reverse_insert_rows, split_parts
+from .tableaux import bounded_insert, insert_rows, reverse_insert_rows, split_parts
 
 BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
 BrskStep.__doc__ = "One insertion: the pair fed in, its BumpingRecord, and the snapshot after."
@@ -22,8 +22,11 @@ def lex_key(p):
 
 
 def lex_sort(U):
-    """Pairs of a negative multiset in insertion order (lex_key).  The
-    sort is stable."""
+    """Pairs of a negative multiset in lex_key order, by a stable sort.
+    Forward insertion's one input check: it refuses a coordinate that is
+    not an int (a float, str or bool), then a point with e >= f."""
+    if any(type(x) is not int for u in U for x in u):
+        raise ValueError("pair entries must be integers")
     if any(sign(u) >= 0 for u in U):
         raise ValueError("expected a negative multiset")
     return tuple(sorted(U, key=lex_key))
@@ -54,12 +57,11 @@ def brsk_negative(U):
 def brsk_trace(U):
     """The steps of brsk_negative(U), one BrskStep per pair.
 
-    Each pair is replayed through tableaux.bounded_insert, which
-    validates P, runs the kernel of insert_pair on a copy of it and
-    reports the bumping record, and b is placed in Q as insert_pair
-    places it.  brsk --trace and demos/insertion_walkthrough.py read
-    it; tests/test_brsk.py runs insert_pair beside it and compares the
-    tableaux after every pair.
+    lex_sort checks U.  Each pair goes through tableaux.bounded_insert,
+    which checks P, runs insert_pair's kernel on a copy and reports the
+    bumping record; b goes into Q as insert_pair puts it.  brsk --trace
+    and demos/insertion_walkthrough.py read it; tests/test_brsk.py runs
+    insert_pair beside it and compares the tableaux after every pair.
     """
     P, Q = (), []
     for a, b in lex_sort(U):
@@ -167,18 +169,17 @@ def rbrsk(B):
 def brsk(U):
     """Bounded RSK of a nonvanishing multiset.
 
-    The negative part is inserted directly; the positive part goes
-    through the component swap (insert the swapped multiset, swap the
-    bitableau back); the results are stacked, negative rows on top.
-    An empty part inserts to ((), ()), which the swap keeps empty.
-    The result is a nonvanishing semistandard bitableau, a proved
-    property that tests/test_brsk.py asserts instead of every call.
+    The negative part is inserted directly, the positive part through
+    the component swap: insert the swapped multiset, then reverse the
+    rows and trade P and Q, as rbrsk undoes it.  Negative rows go on
+    top; lex_sort checks each part.  The result is proved a nonvanishing
+    semistandard bitableau; tests/test_brsk.py asserts it, no call does.
     """
     if not is_nonvanishing(U):
         raise ValueError("multiset has vanishing points")
     Pn, Qn = brsk_negative(negative_part(U))
-    Pp, Qp = iota_bitableau(brsk_negative(iota(positive_part(U))))
-    return (Pn + Pp, Qn + Qp)
+    P, Q = brsk_negative(iota(positive_part(U)))
+    return (Pn + Q[::-1], Qn + P[::-1])
 
 
 def multiset_bounded_by(U, T, W) -> bool:

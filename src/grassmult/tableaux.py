@@ -8,19 +8,19 @@ of the more common convention, so insertion bumps along rows).
 
 Each direction of insertion runs one kernel that works in place on a
 list of mutable rows.  Forward, insert_rows bumps a value in:
-bounded_insert validates its input, copies it, runs it once and
-reports the bumping record (brsk.brsk_trace replays a multiset through
-it), and brsk.insert_pair runs it for one more pair on rows its caller
-keeps, taking the row of the new box alone (brsk.brsk_negative and
+bounded_insert checks its input, runs it once on a copy, freezes the
+result unchecked and reports the bumping record (brsk.brsk_trace), and
+brsk.insert_pair runs it on rows its caller keeps, taking the row of the
+new box alone (brsk.brsk_negative, whose input brsk.lex_sort checks, and
 groebner.bounded_images).  Backward, reverse_insert_rows takes the
 rightmost entry below the bound out of a row and bumps a value out:
-reverse_bounded_insert validates, copies and runs it once, and
-brsk.rbrsk runs it on its own rows for every pair it takes back.
-Neither kernel checks that its rows are semistandard on the bound;
-the order of brsk's pairs keeps them so, and split_parts' test those
-of rbrsk (brsk._reverse_negative).  Schensted insertion is bounded
-insertion with a bound above every entry.  A bitableau's one
-semistandard rule is _row_signs, which split_parts and
+reverse_bounded_insert runs it as bounded_insert runs insert_rows, and
+brsk.rbrsk on its own rows for each pair it takes back, after
+split_parts has checked the bitableau.  Neither kernel checks that its
+rows are semistandard on the bound; the order of brsk's pairs keeps them
+so, and split_parts' test those of rbrsk (brsk._reverse_negative).
+Schensted insertion is bounded insertion with a bound above every entry.
+A bitableau's one semistandard rule is _row_signs, which split_parts and
 bitableau_bounded_by both run.
 """
 
@@ -52,14 +52,6 @@ def tableau(rows) -> tuple[tuple[int, ...], ...]:
 
 def row_strict(P) -> bool:
     return all(all(row[j] < row[j + 1] for j in range(len(row) - 1)) for row in P)
-
-
-def is_semistandard_on(P, b: int) -> bool:
-    """True iff P is row strict (else a ValueError) and its entries below
-    b form a semistandard Young tableau (semistandard_below)."""
-    if not row_strict(P):
-        raise ValueError("tableau must be row strict")
-    return semistandard_below(P, b)
 
 
 def semistandard_below(rows, b: int) -> bool:
@@ -126,19 +118,24 @@ def bounded_insert(P, a: int, b: int):
 
     Entries >= b stay where they are, a is Schensted-inserted into the
     Young tableau of the entries below b, and each row keeps its entries
-    >= b to the right (insert_rows on a copy of P).  Requires a < b and
-    P semistandard on b.  brsk.brsk_trace replays a multiset through it;
-    brsk.insert_pair runs the kernel directly on its caller's rows.
-    tests/test_brsk.py keeps the split-insert-reassemble form of this
-    function as the per-step oracle for both.
+    >= b to the right (insert_rows on a copy of P, frozen unchecked).
+    Checks its input once: integer entries and a, a < b, P row strict
+    and semistandard on b.  brsk.brsk_trace replays a multiset through
+    it; tests/test_brsk.py keeps its split-insert-reassemble form as the
+    per-step oracle of it and of brsk.insert_pair.
     """
+    P = tableau(P)
+    if type(a) is not int:
+        raise ValueError("tableau entries must be integers")
     if a >= b:
         raise ValueError("inserted value must be below the bound")
-    if not is_semistandard_on(P, b):
+    if not row_strict(P):
+        raise ValueError("tableau must be row strict")
+    if not semistandard_below(P, b):
         raise ValueError("tableau must be semistandard on the bound")
     rows = [list(row) for row in P]
     record = insert_rows(rows, a, b)
-    return tableau(rows), record
+    return tuple(map(tuple, rows)), record
 
 
 def reverse_insert_rows(rows, b: int, i: int) -> int:
@@ -175,12 +172,13 @@ def reverse_insert_rows(rows, b: int, i: int) -> int:
 def reverse_bounded_insert(Pp, b: int, new_box):
     """Invert bounded insertion given the bound and the new box.
 
-    The new box must name the rightmost entry below b in its row.  A
-    trailing row emptied by the removal is dropped (it was created by the
-    forward insertion).  Checks Pp once, as bounded_insert checks P.
-    Returns (P, a) with bounded_insert(P, a, b) reproducing the input
-    (reverse_insert_rows on a copy of Pp).
+    The new box must name the rightmost entry below b in its row; a
+    trailing row that the removal empties is dropped (the forward
+    insertion made it).  Checks Pp and freezes the result as
+    bounded_insert does.  Returns (P, a) with bounded_insert(P, a, b)
+    reproducing the input (reverse_insert_rows on a copy of Pp).
     """
+    Pp = tableau(Pp)
     if not row_strict(Pp):
         raise ValueError("tableau must be row strict")
     i, j = new_box
@@ -194,7 +192,7 @@ def reverse_bounded_insert(Pp, b: int, new_box):
     a = reverse_insert_rows(rows, b, i)
     if i == len(rows) and not rows[-1]:
         rows.pop()
-    return tableau(rows), a
+    return tuple(map(tuple, rows)), a
 
 
 def bitableau(P, Q):
@@ -240,7 +238,8 @@ def split_parts(B):
 
 
 def iota_bitableau(B):
-    """Reverse the rows of (Q, P); exchanges negative and positive parts."""
+    """Reverse the rows of (Q, P) of a checked bitableau; exchanges
+    negative and positive parts.  Only tests and the benchmark call it."""
     P, Q = bitableau(*B)
     return (tuple(reversed(Q)), tuple(reversed(P)))
 

@@ -404,16 +404,24 @@ def test_a_reader_that_closes_the_pipe_early_reads_as_sigpipe(tmp_path):
 
 def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
     code = (
-        "from grassmult.tableaux import bounded_insert\n"
+        "from grassmult.brsk import brsk_negative\n"
+        "from grassmult.tableaux import bounded_insert, reverse_bounded_insert\n"
         "assert False, 'asserts are on'\n"
-        "for P, a, b in [((), 7, 6), (((1, 2, 4, 6), (2, 3, 6), (2, 4, 5, 7, 8)), 1, 6)]:\n"
+        "for call, args in [\n"
+        "    (bounded_insert, ((), 7, 6)),\n"
+        "    (bounded_insert, (((1, 2, 4, 6), (2, 3, 6), (2, 4, 5, 7, 8)), 1, 6)),\n"
+        "    (bounded_insert, ((('a',),), 1, 5)),\n"
+        "    (bounded_insert, (((1, 3),), '2', 5)),\n"
+        "    (reverse_bounded_insert, (((1.5,),), 5, (1, 1))),\n"
+        "    (brsk_negative, (((1.5, 3),),)),\n"
+        "]:\n"
         "    try:\n"
-        "        bounded_insert(P, a, b)\n"
+        "        call(*args)\n"
         "    except ValueError:\n"
         "        print('refused')\n"
     )
     proc = run_interpreter(["-O"], ["-c", code], tmp_path)
-    assert (proc.returncode, proc.stdout) == (0, "refused\nrefused\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "refused\n" * 6), proc.stderr
 
 
 def test_reverse_insert_rows_refuses_bad_input_under_python_O(tmp_path):

@@ -14,11 +14,11 @@ from grassmult.tableaux import (
     bounded_insert,
     insert_rows,
     iota_bitableau,
-    is_semistandard_on,
     render,
     reverse_bounded_insert,
     reverse_insert_rows,
     row_strict,
+    semistandard_below,
     split_parts,
     tableau,
     tableau_from_json,
@@ -64,8 +64,8 @@ def test_truncation():
     P = tableau([[1, 2, 4, 6], [2, 3, 6], [2, 4, 5, 7, 8], [3], [4, 5]])
     assert truncate_below(P, 5) == tableau([[1, 2, 4], [2, 3], [2, 4], [3], [4]])
     assert truncate_below(P, 6) == tableau([[1, 2, 4], [2, 3], [2, 4, 5], [3], [4, 5]])
-    assert is_semistandard_on(P, 5)
-    assert not is_semistandard_on(P, 6)
+    assert semistandard_below(P, 5)
+    assert not semistandard_below(P, 6)
     with pytest.raises(ValueError):
         truncate_below([[1, 1]], 5)
 
@@ -118,11 +118,12 @@ def test_semistandard_on_matches_truncation_oracle():
     for r in range(4):
         for P in itertools.product(rows, repeat=r):
             for b in range(1, 7):
-                assert is_semistandard_on(P, b) == is_young_semistandard(truncate_below(P, b)), (P, b)
+                assert semistandard_below(P, b) == is_young_semistandard(truncate_below(P, b)), (P, b)
                 count += 1
     assert count == 6 * (1 + 32 + 32**2 + 32**3)
-    with pytest.raises(ValueError):
-        is_semistandard_on([[2, 1]], 5)
+    # semistandard_below reads row-strict rows; bounded_insert checks that first
+    with pytest.raises(ValueError, match="^tableau must be row strict$"):
+        bounded_insert(((2, 1),), 1, 5)
 
 
 def test_reverse_insert_rows_bumps_in_place_below_the_bound():
@@ -159,6 +160,22 @@ def test_bounded_insert_preconditions():
     bad = tableau([[1, 2, 4, 6], [2, 3, 6], [2, 4, 5, 7, 8], [3], [4, 5]])
     with pytest.raises(ValueError):
         bounded_insert(bad, 1, 6)  # truncation at 6 is not a Young tableau
+
+
+@pytest.mark.parametrize(
+    "wrapper, args",
+    [
+        (bounded_insert, ([["a"]], 1, 5)),  # a bad entry in P
+        (bounded_insert, ([[1, 3]], "2", 5)),  # a bad inserted value
+        (reverse_bounded_insert, ([[1.5]], 5, (1, 1))),
+        (reverse_bounded_insert, ([[True]], 5, (1, 1))),
+    ],
+)
+def test_one_step_wrappers_refuse_entries_that_are_not_integers(wrapper, args):
+    before = json.dumps(args)
+    with pytest.raises(ValueError, match="^tableau entries must be integers$"):
+        wrapper(*args)
+    assert json.dumps(args) == before
 
 
 def test_reverse_bounded_insert_refuses_rows_not_semistandard_on_the_bound():
@@ -204,7 +221,7 @@ def test_bounded_insert_reverse_roundtrip(run):
     P = ()
     for a in values:
         nxt, record = bounded_insert(P, a, b)
-        assert is_semistandard_on(nxt, b)
+        assert row_strict(nxt) and semistandard_below(nxt, b)
         assert entries(nxt) == union(entries(P), (a,))
         assert reverse_bounded_insert(nxt, b, record.new_box) == (P, a)
         P = nxt
