@@ -1,17 +1,38 @@
-"""Twisted chains, the canonical arrangement, and the depth order on
-negative (and, via the component swap, positive) subsets of N^2.
+"""Twisted chains and their ballot match (arrange), and the depth order
+on negative (and, via the component swap, positive) subsets of N^2.
 
 The point relations, the twisted-chain predicates and the diagonal
 criterion for the depth order are test oracles in tests/oracles.py.
 """
 
-from .multisets import iota, negative_part, pairs, positive_part, sign
+from .multisets import iota, negative_part, positive_part, sign
 
 
 def completely_disjointed(T) -> bool:
     """All 2m coordinates across both components are distinct."""
     coords = [c for p in T for c in p]
     return len(coords) == len(set(coords))
+
+
+def arrange(lows, highs):
+    """The ballot match of two sorted, disjoint lists: in ascending order
+    each high takes the largest still-free low below it.  Returns the
+    sorted tuple of (low, high) pairs, or None if some high finds no free
+    low.  The highs below h took one low below h each, so h finds one
+    exactly when more lows than highs lie below it: the match succeeds iff
+    every prefix holds at least as many lows as highs.  For d-subsets,
+    a <= b termwise iff every prefix holds at least as many entries of a
+    as of b; the common entries count on both sides, so a <= b iff
+    arrange(a minus b, b minus a) is not None."""
+    free, arranged, i = [], [], 0
+    for h in highs:
+        while i < len(lows) and lows[i] < h:
+            free.append(lows[i])
+            i += 1
+        if not free:
+            return None
+        arranged.append((free.pop(), h))
+    return tuple(sorted(arranged))
 
 
 def canonicalize(T):
@@ -21,30 +42,20 @@ def canonicalize(T):
     components that keep every point strictly below the diagonal (or
     strictly above, for positive T), returns the lex-least one: listed
     with second components ascending, first components are compared
-    largest-first.  A positive T gives iota(canonicalize(iota(T))).
-    Raises ValueError if T is not completely disjointed or not a
-    uniform-sign set of nonvanishing points.
-    """
+    largest-first.  That is arrange of the smaller coordinates against
+    the larger, which never fails here; a positive T is swapped back.
+    Raises ValueError for a coordinate that is not an int, then unless T
+    is a completely disjointed, uniform-sign set of nonvanishing points."""
     pts = list(T)
-    if not pts:
-        return ()
+    if any(type(x) is not int for p in pts for x in p):
+        raise ValueError("pair entries must be integers")
     if not completely_disjointed(pts):
         raise ValueError("multiset is not completely disjointed")
     signs = {sign(p) for p in pts}
-    if signs != {-1} and signs != {1}:
+    if len(signs) > 1:
         raise ValueError("expected a uniform-sign set of nonvanishing points")
-    # Read in increasing order, each point's larger coordinate closes and
-    # takes the latest open smaller one: the largest free one below it.
-    # Every closing coordinate up to c has its own point's smaller one
-    # below it, so one is always free.
-    closing = {max(p) for p in pts}
-    free, arranged = [], []
-    for c in sorted([c for p in pts for c in p]):
-        if c in closing:
-            arranged.append((free.pop(), c))
-        else:
-            free.append(c)
-    return pairs(arranged) if signs == {-1} else iota(arranged)
+    chain = arrange(sorted(map(min, pts)), sorted(map(max, pts)))
+    return iota(chain) if 1 in signs else chain
 
 
 def chain_depth(R, x) -> int:

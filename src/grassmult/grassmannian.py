@@ -1,7 +1,7 @@
 """Index combinatorics for the Grassmannian of d-planes in n-space:
 d-subsets, lengths, the grid attached to a fixed subset beta, the
-bound multisets of a Richardson variety at the fixed point of beta, and
-the two one-sided problems they split into.
+bound chains of a Richardson variety at beta (one chains.arrange
+each), and the two one-sided problems they split into.
 
 richardson is the one place that checks a Richardson triple: every
 subcommand and library entry point that takes (alpha, beta, gamma, n, d)
@@ -13,8 +13,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, combinations
 
-from .chains import canonicalize
-from .multisets import check_bounds, difference, iota, pairs
+from .chains import arrange
+from .multisets import check_bounds, difference, iota
 
 BetaGrid = namedtuple("BetaGrid", ["beta", "complement", "n"])
 BetaGrid.__doc__ = "A fixed column set beta, its complement (the rows), and the ambient n."
@@ -67,23 +67,22 @@ def theta_to_rs(theta, beta):
 
 def build_bound_multisets(alpha, gamma, grid: BetaGrid):
     """The canonical twisted chains bounding the Richardson variety of
-    (alpha, gamma) at the fixed point of beta.
-
-    The lower chain pairs alpha minus beta against beta minus alpha
-    below the diagonal; the upper chain pairs gamma minus beta against
-    beta minus gamma above it.  Raises ValueError unless
-    alpha <= beta <= gamma, the nonemptiness condition.
-    """
+    (alpha, gamma) at the fixed point of beta: chains.arrange of alpha
+    minus beta against beta minus alpha, and of beta minus gamma against
+    gamma minus beta, swapped above the diagonal.  Each match is its
+    pair's order test.  Raises ValueError for a bad index, alpha then
+    gamma; then unless each has beta's size and alpha <= beta <= gamma."""
     beta, n = grid.beta, grid.n
-    alpha = validate_index(alpha, n)
-    gamma = validate_index(gamma, n)
-    if not (index_leq(alpha, beta) and index_leq(beta, gamma)):
-        raise ValueError("empty Richardson data: need alpha <= beta <= gamma")
-    Ra, Sa = theta_to_rs(alpha, beta)
-    Rg, Sg = theta_to_rs(gamma, beta)
-    Ttil = canonicalize(pairs(zip(Ra, Sa)))
-    Wtil = canonicalize(pairs(zip(Rg, Sg)))
-    return Ttil, Wtil
+    alpha, gamma = validate_index(alpha, n), validate_index(gamma, n)
+    chains = []
+    for low, high in ((alpha, beta), (beta, gamma)):
+        if len(low) != len(high):
+            raise ValueError("indices have different sizes")
+        chain = arrange([x for x in low if x not in high], [x for x in high if x not in low])
+        if chain is None:
+            raise ValueError("empty Richardson data: need alpha <= beta <= gamma")
+        chains.append(chain)
+    return chains[0], iota(chains[1])
 
 
 def _check_dimensions(n: int, d: int):
@@ -96,8 +95,8 @@ def richardson(alpha, beta, gamma, n: int, d: int):
     gamma) at the fixed point of beta: (Ttil, Wtil, grid).
 
     Raises ValueError unless 0 < d < n, each index is a d-subset of
-    1..n, and alpha <= beta <= gamma.  beta_grid validates beta and
-    build_bound_multisets validates alpha and gamma, once each.
+    1..n, and alpha <= beta <= gamma.  beta_grid validates beta, and
+    build_bound_multisets alpha, gamma and, by its two matches, the order.
     """
     _check_dimensions(n, d)
     for name, index in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):

@@ -2,6 +2,7 @@
 
 Second algorithms for what the library computes once, the point
 relations behind twisted chains, the positive region of a grid, the
+bounds of a Richardson point by the greedy arrangement of each chain, the
 floor and the ceiling of an anchor, the path-count matrix from one
 grid table per source, the face search that scans a face for each
 candidate, the f-vector of one side and the joint face search over
@@ -20,7 +21,7 @@ from itertools import combinations, permutations, product
 
 from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
-from grassmult.grassmannian import BetaGrid, in_grid, negative_region, sides, validate_index
+from grassmult.grassmannian import BetaGrid, in_grid, index_leq, negative_region, sides, theta_to_rs, validate_index
 from grassmult.groebner import GroebnerReport, count_standard_monomials
 from grassmult.multiplicity import _axes, _face_points
 from grassmult.multisets import (
@@ -123,6 +124,31 @@ def rs_to_theta(R, S, beta):
     if not S <= beta or R & beta or len(R) != len(S):
         raise ValueError("expected R disjoint from beta and S inside beta, equal sizes")
     return tuple(sorted((beta - S) | R))
+
+
+def bound_multisets_by_canonicalize(alpha, gamma, grid):
+    """grassmannian.build_bound_multisets as it was before chains.arrange:
+    two index_leq tests, then the greedy arrangement of the zipped
+    theta_to_rs points of each index, in which each point's larger
+    coordinate, read in increasing order, takes the largest free smaller
+    one below it.  Shares no code with chains.arrange."""
+    beta, n = grid.beta, grid.n
+    alpha = validate_index(alpha, n)
+    gamma = validate_index(gamma, n)
+    if not (index_leq(alpha, beta) and index_leq(beta, gamma)):
+        raise ValueError("empty Richardson data: need alpha <= beta <= gamma")
+    chains = []
+    for theta in (alpha, gamma):
+        pts = pairs(zip(*theta_to_rs(theta, beta)))
+        closing = {max(p) for p in pts}
+        free, arranged = [], []
+        for c in sorted([c for p in pts for c in p]):
+            if c in closing:
+                arranged.append((free.pop(), c))
+            else:
+                free.append(c)
+        chains.append(iota(arranged) if pts and sign(pts[0]) > 0 else pairs(arranged))
+    return tuple(chains)
 
 
 def _require_region(r, grid):

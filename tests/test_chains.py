@@ -81,6 +81,18 @@ def test_canonicalize_errors():
         canonicalize(((1, 2), (1, 3)))  # repeated coordinate
     with pytest.raises(ValueError):
         canonicalize(((1, 2), (4, 3)))  # mixed signs
+    with pytest.raises(ValueError, match="pair entries must be integers"):
+        canonicalize(((1.5, 3), (1.5, 4)))  # checked before disjointness
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("point", [(0, 2), (2, 0)], ids=["negative", "positive"])
+@pytest.mark.parametrize("slot", [0, 1], ids=["e", "f"])
+def test_canonicalize_refuses_a_non_integer_coordinate(bad, point, slot):
+    p = list(point)
+    p[slot] = bad
+    with pytest.raises(ValueError, match="pair entries must be integers"):
+        canonicalize((tuple(p),))
 
 
 def rand_negative_disjointed(rng, m):

@@ -405,6 +405,7 @@ def test_a_reader_that_closes_the_pipe_early_reads_as_sigpipe(tmp_path):
 def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
     code = (
         "from grassmult.brsk import brsk_negative\n"
+        "from grassmult.chains import canonicalize\n"
         "from grassmult.tableaux import bounded_insert, reverse_bounded_insert\n"
         "assert False, 'asserts are on'\n"
         "for call, args in [\n"
@@ -414,6 +415,7 @@ def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
         "    (bounded_insert, (((1, 3),), '2', 5)),\n"
         "    (reverse_bounded_insert, (((1.5,),), 5, (1, 1))),\n"
         "    (brsk_negative, (((1.5, 3),),)),\n"
+        "    (canonicalize, (((1.5, 3),),)),\n"
         "]:\n"
         "    try:\n"
         "        call(*args)\n"
@@ -421,7 +423,7 @@ def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
         "        print('refused')\n"
     )
     proc = run_interpreter(["-O"], ["-c", code], tmp_path)
-    assert (proc.returncode, proc.stdout) == (0, "refused\n" * 6), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "refused\n" * 7), proc.stderr
 
 
 def test_reverse_insert_rows_refuses_bad_input_under_python_O(tmp_path):

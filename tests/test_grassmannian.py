@@ -25,7 +25,7 @@ from grassmult.groebner import (
     verify_groebner,
 )
 from grassmult.multiplicity import count_families, maximal_bounded_subsets, multiplicity
-from oracles import positive_region, rs_to_theta
+from oracles import bound_multisets_by_canonicalize, positive_region, rs_to_theta
 
 
 def test_validate_index():
@@ -103,6 +103,88 @@ def test_bound_multisets_rejects_empty_richardson():
     grid = beta_grid((1, 5, 6, 8), 9)
     with pytest.raises(ValueError):
         build_bound_multisets((3, 6, 8, 9), (1, 2, 3, 5), grid)
+
+
+def outcome(*args):
+    """The bounds that build_bound_multisets and its greedy oracle build
+    from args, or the message of the ValueError that each raises."""
+    found = []
+    for build in (build_bound_multisets, bound_multisets_by_canonicalize):
+        try:
+            found.append(build(*args))
+        except ValueError as e:
+            found.append("ValueError: %s" % e)
+    return found
+
+
+def test_bound_multisets_match_the_greedy_oracle_exhaustive():
+    # every (alpha, beta, gamma) of d-subsets with n <= 7, ordered or not
+    checked = refused = 0
+    for n in range(2, 8):
+        for d in range(1, n):
+            indices = list(itertools.combinations(range(1, n + 1), d))
+            for beta in indices:
+                grid = beta_grid(beta, n)
+                for alpha in indices:
+                    for gamma in indices:
+                        new, old = outcome(alpha, gamma, grid)
+                        assert new == old, (alpha, beta, gamma)
+                        refused += isinstance(new, str)
+                        checked += 1
+    assert (checked, refused) == (122796, 109438)
+
+
+def test_bound_multisets_of_other_sizes_match_the_greedy_oracle_exhaustive():
+    # alpha or gamma with d - 1 or d + 1 entries, n <= 6, every one
+    # refused: the size error of alpha comes before its order error, and
+    # both before gamma's
+    checked = 0
+    messages = set()
+    for n in range(2, 7):
+        for d in range(1, n):
+            sized = {k: list(itertools.combinations(range(1, n + 1), k)) for k in (d - 1, d, d + 1)}
+            for beta in sized[d]:
+                grid = beta_grid(beta, n)
+                for ka, kg in itertools.product(sized, repeat=2):
+                    if ka == kg == d:
+                        continue
+                    for alpha in sized[ka]:
+                        for gamma in sized[kg]:
+                            new, old = outcome(alpha, gamma, grid)
+                            assert new == old, (alpha, beta, gamma)
+                            messages.add(new.split(" in ")[0])
+                            checked += 1
+    assert checked == 105930
+    assert messages == {
+        "ValueError: expected distinct integers",
+        "ValueError: indices have different sizes",
+        "ValueError: empty Richardson data: need alpha <= beta <= gamma",
+    }
+
+
+def draw_index(rng, n, d):
+    return tuple(sorted(rng.sample(range(1, n + 1), d)))
+
+
+def test_bound_multisets_match_the_greedy_oracle_on_large_triples():
+    # 20,000 seeded triples at n = 10..20: even draws in order (the
+    # termwise minimum, median and maximum of three d-subsets), odd ones
+    # redrawn until they are out of order
+    rng = random.Random(26)
+    refused = 0
+    for i in range(20000):
+        n = rng.randint(10, 20)
+        d = rng.randint(1, n - 1)
+        triple = [draw_index(rng, n, d) for _ in range(3)]
+        if i % 2 == 0:
+            triple = list(zip(*map(sorted, zip(*triple))))
+        while i % 2 and index_leq(triple[0], triple[1]) and index_leq(triple[1], triple[2]):
+            triple = [draw_index(rng, n, d) for _ in range(3)]
+        alpha, beta, gamma = triple
+        new, old = outcome(alpha, gamma, beta_grid(beta, n))
+        assert new == old, triple
+        refused += isinstance(new, str)
+    assert refused == 10000
 
 
 def test_richardson_builds_the_grid_and_bounds():
