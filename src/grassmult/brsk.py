@@ -7,7 +7,9 @@ lemma along an insertion is a test oracle in tests/oracles.py.
 from collections import namedtuple
 
 from .chains import chain_bounded, completely_disjointed
-from .multisets import check_bounds, iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
+from .multisets import (
+    check_bounds, check_integers, iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
+)
 from .tableaux import bounded_insert, insert_rows, reverse_insert_rows, split_parts
 
 BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
@@ -24,9 +26,8 @@ def lex_key(p):
 def lex_sort(U):
     """Pairs of a negative multiset in lex_key order, by a stable sort.
     Forward insertion's one input check: it refuses a coordinate that is
-    not an int (a float, str or bool), then a point with e >= f."""
-    if any(type(x) is not int for u in U for x in u):
-        raise ValueError("pair entries must be integers")
+    not an int (multisets.check_integers), then a point with e >= f."""
+    check_integers(U)
     if any(sign(u) >= 0 for u in U):
         raise ValueError("expected a negative multiset")
     return tuple(sorted(U, key=lex_key))
@@ -172,9 +173,12 @@ def brsk(U):
     The negative part is inserted directly, the positive part through
     the component swap: insert the swapped multiset, then reverse the
     rows and trade P and Q, as rbrsk undoes it.  Negative rows go on
-    top; lex_sort checks each part.  The result is proved a nonvanishing
-    semistandard bitableau; tests/test_brsk.py asserts it, no call does.
+    top.  U is checked for int coordinates (multisets.check_integers),
+    then for diagonal points, and lex_sort checks each part.  The result
+    is proved a nonvanishing semistandard bitableau; tests/test_brsk.py
+    asserts it, no call does.
     """
+    check_integers(U)
     if not is_nonvanishing(U):
         raise ValueError("multiset has vanishing points")
     Pn, Qn = brsk_negative(negative_part(U))

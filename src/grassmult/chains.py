@@ -5,7 +5,7 @@ The point relations, the twisted-chain predicates and the diagonal
 criterion for the depth order are test oracles in tests/oracles.py.
 """
 
-from .multisets import iota, negative_part, positive_part, sign
+from .multisets import check_integers, iota, negative_part, positive_part, sign
 
 
 def completely_disjointed(T) -> bool:
@@ -44,11 +44,11 @@ def canonicalize(T):
     with second components ascending, first components are compared
     largest-first.  That is arrange of the smaller coordinates against
     the larger, which never fails here; a positive T is swapped back.
-    Raises ValueError for a coordinate that is not an int, then unless T
-    is a completely disjointed, uniform-sign set of nonvanishing points."""
+    Raises ValueError for a coordinate that is not an int
+    (multisets.check_integers), then unless T is a completely
+    disjointed, uniform-sign set of nonvanishing points."""
     pts = list(T)
-    if any(type(x) is not int for p in pts for x in p):
-        raise ValueError("pair entries must be integers")
+    check_integers(pts)
     if not completely_disjointed(pts):
         raise ValueError("multiset is not completely disjointed")
     signs = {sign(p) for p in pts}

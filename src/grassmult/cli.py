@@ -5,11 +5,11 @@ count or verify, 0 success, and 141 (128 + SIGPIPE) a reader that
 closed stdout early, as in `grassmult verify ... | head -1`.
 
 Each subcommand parses its arguments, makes one library call per
-result, and prints.  The rules for valid input live in the library,
-which raises ValueError on a bad triple, dimension, degree bound,
-multiset or bitableau.  A subcommand raises it too on options that do
-not go together, rather than ignore one.  run turns it into one error
-line and exit 2.
+result, and prints.  argparse refuses options that are missing or do
+not go together; the library raises ValueError on a bad triple,
+dimension, degree bound, multiset or bitableau, and verify on the
+option rules that argparse cannot state.  run turns a ValueError into
+one error line and exit 2.
 """
 
 import argparse
@@ -43,25 +43,13 @@ def _parse_pairs(text):
     return pairs(out)
 
 
-def _integer_entries(data) -> bool:
-    """Whether every entry of a JSON document, through its lists and
-    objects, is an integer (true and false are not)."""
-    if isinstance(data, dict):
-        return all(_integer_entries(v) for v in data.values())
-    if isinstance(data, list):
-        return all(_integer_entries(v) for v in data)
-    return type(data) is int
-
-
 def _read_input(path, parse, expected):
-    """Parse the JSON file at path.  An unreadable file, a document of
-    the wrong shape, or an entry that is not an integer is invalid
-    input: a ValueError, hence exit 2."""
+    """Parse the JSON file at path.  An unreadable file, or a document
+    that parse refuses, by its shape or by an entry that is not an
+    integer, is invalid input: a ValueError, hence exit 2."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if not _integer_entries(data):
-            raise ValueError("an entry is not an integer")
         return parse(data)
     except OSError as err:
         raise ValueError("cannot read %s: %s" % (path, err.strerror)) from err
@@ -70,16 +58,15 @@ def _read_input(path, parse, expected):
 
 
 def _load_multiset(ns):
-    if ns.pairs is not None and ns.input is not None:
-        raise ValueError("give --pairs or --input, not both")
     if ns.pairs is not None:
         return _parse_pairs(ns.pairs)
-    if ns.input is not None:
-        return _read_input(ns.input, pairs_from_json, "a JSON list of integer [e, f] pairs")
-    raise ValueError("provide --pairs or --input")
+    return _read_input(ns.input, pairs_from_json, "a JSON list of integer [e, f] pairs")
 
 
 def _bitableau_from_json(data):
+    """A bitableau from a JSON object with keys P and Q alone: no entry goes unread."""
+    if set(data) != {"P", "Q"}:
+        raise ValueError("a bitableau document has the keys P and Q")
     return tableau_from_json(data["P"]), tableau_from_json(data["Q"])
 
 
@@ -116,8 +103,6 @@ def _cmd_brsk(ns, out):
 
 
 def _cmd_rbrsk(ns, out):
-    if ns.input is None:
-        raise ValueError("rbrsk reads a bitableau from --input (JSON with P and Q)")
     B = _read_input(ns.input, _bitableau_from_json, "a JSON object with integer tableaux P and Q")
     U = rbrsk(B)
     if ns.json:
@@ -133,8 +118,6 @@ def _cmd_mult(ns, out):
 
 
 def _cmd_paths(ns, out):
-    if ns.json and ns.render:
-        raise ValueError("--render draws text; it takes no --json")
     Ttil, Wtil, grid = richardson(ns.alpha, ns.beta, ns.gamma, ns.n, ns.d)
     families = enumerate_families(Ttil, Wtil, grid)
     if ns.json:
@@ -164,8 +147,6 @@ def _cmd_verify(ns, out):
         raise ValueError("--seed seeds --sample and is refused without it")
     if ns.sample is not None and ns.sample < 1:
         raise ValueError("--sample takes a positive number of triples")
-    if ns.sample is not None and ns.all_triples:
-        raise ValueError("--all-triples checks every triple; it takes no --sample")
     if ns.all_triples or ns.sample:
         if ns.alpha or ns.beta or ns.gamma:
             raise ValueError("--all-triples and --sample take no --alpha, --beta or --gamma")
@@ -233,14 +214,18 @@ def _build_parser():
         p.add_argument("--beta", type=index_set, default="")
         p.add_argument("--gamma", type=index_set, default="")
 
+    def multiset_source(p):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--pairs")
+        source.add_argument("--input")
+
     p = command("brsk", _cmd_brsk, "run the correspondence on a multiset")
-    p.add_argument("--pairs")
-    p.add_argument("--input")
+    multiset_source(p)
     p.add_argument("--trace", default="", help="write per-step JSONL trace here")
     p.add_argument("--json", action="store_true")
 
     p = command("rbrsk", _cmd_rbrsk, "invert the correspondence on a bitableau")
-    p.add_argument("--input")
+    p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
 
     p = command("mult", _cmd_mult, "multiplicity at the fixed point of beta")
@@ -248,8 +233,9 @@ def _build_parser():
 
     p = command("paths", _cmd_paths, "enumerate disjoint path families")
     common_triple(p)
-    p.add_argument("--render", action="store_true")
-    p.add_argument("--json", action="store_true")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--render", action="store_true")
+    form.add_argument("--json", action="store_true")
 
     p = command("count", _cmd_count, "tabulate both monomial counts per degree; exit 1 on mismatch")
     common_triple(p)
@@ -258,13 +244,13 @@ def _build_parser():
     p = command("verify", _cmd_verify, "check the counting identity; exit 1 on mismatch")
     common_triple(p)
     p.add_argument("--mmax", type=int, default=3)
-    p.add_argument("--all-triples", action="store_true")
-    p.add_argument("--sample", type=int)
+    sweep = p.add_mutually_exclusive_group()
+    sweep.add_argument("--all-triples", action="store_true")
+    sweep.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, help="seed of --sample (default 0)")
 
     p = command("canonicalize", _cmd_canonicalize, "canonical twisted chain of a multiset")
-    p.add_argument("--pairs")
-    p.add_argument("--input")
+    multiset_source(p)
     p.add_argument("--json", action="store_true")
     return parser
 

@@ -180,7 +180,9 @@ def count_families(Ttil, Wtil, grid: BetaGrid) -> int:
 
 
 def enumerate_families(Ttil, Wtil, grid: BetaGrid):
-    """All disjoint families, as maps anchor -> path."""
+    """All disjoint families, as maps anchor -> path, after grassmannian.sides
+    checks the pair as for count_families; one joint search fixes their order."""
+    sides(Ttil, Wtil, grid)
     anchors = sorted((*Ttil, *Wtil), key=lambda r: (min(r), max(r)))
     anchor_paths = [(r, enumerate_paths(r, grid)) for r in anchors]
     families = []

@@ -4,6 +4,7 @@ A multiset on N is stored as a sorted tuple of integers, of any sign; a
 multiset on N^2 as a sorted tuple of (e, f) pairs.  Both carry
 repetitions.  Infinite multisets (formal differences A - B) are never
 materialized: comparisons against them reduce to counting inequalities.
+check_integers and check_bounds: one function per shared point rule.
 """
 
 from itertools import accumulate
@@ -24,6 +25,13 @@ def sign(point) -> int:
     """-1 if e < f (negative), +1 if e > f (positive), 0 on the diagonal."""
     e, f = point
     return (e > f) - (e < f)
+
+
+def check_integers(U):
+    """The one integer rule for points, for every door that takes them:
+    raises ValueError for a coordinate that is not an int (or is a bool)."""
+    if any(type(c) is not int for u in U for c in u):
+        raise ValueError("pair entries must be integers")
 
 
 def check_bounds(T, W):
@@ -127,9 +135,8 @@ def multiset_order_leq(U, V) -> bool:
 
 
 def pairs_from_json(data):
-    """A multiset on N^2 from a JSON list of [e, f] pairs; any entry that
-    is not an integer (a float, a string, true or false) is a ValueError."""
+    """A multiset on N^2 from a JSON list of [e, f] pairs; check_integers
+    refuses an entry that is not an integer (a float, a string, a bool)."""
     points = [(e, f) for e, f in data]
-    if any(type(c) is not int for u in points for c in u):
-        raise ValueError("pair entries must be integers")
+    check_integers(points)
     return pairs(points)

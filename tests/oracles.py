@@ -23,7 +23,6 @@ from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
 from grassmult.grassmannian import BetaGrid, in_grid, index_leq, negative_region, sides, theta_to_rs, validate_index
 from grassmult.groebner import GroebnerReport, count_standard_monomials
-from grassmult.multiplicity import _axes, _face_points
 from grassmult.multisets import (
     formal_diff_leq,
     iota,
@@ -191,16 +190,16 @@ def canonical_path(r, grid):
 
 def table_path_count_matrix(anchors, grid):
     """multiplicity._path_count_matrix as it was before the one-line
-    walk, its oracle: each anchor's corners from multiplicity._axes, and
-    one grid table per source, a copy of the line of counts after every
-    row, up to the farthest ceiling, from which each sink is read."""
+    walk, its oracle: each anchor's corners from floor_pt and ceil_pt,
+    and one grid table per source, a copy of the line of counts after
+    every row, up to the farthest ceiling, from which each sink is read."""
     row_at = {x: i for i, x in enumerate(grid.complement)}
     col_at = {y: j for j, y in enumerate(grid.beta)}
     sources, sinks = [], []
     for r in sorted(anchors):
-        rows, cols = _axes(r, grid)
-        sources.append((row_at[rows[0]], col_at[cols[0]]))
-        sinks.append((row_at[rows[-1]], col_at[cols[-1]]))
+        (e0, f0), (e1, f1) = floor_pt(r, grid), ceil_pt(r, grid)
+        sources.append((row_at[e0], col_at[f0]))
+        sinks.append((row_at[e1], col_at[f1]))
     last_row = max(i for i, _ in sinks)
     span_end = max(j for _, j in sinks) + 1
     matrix = []
@@ -239,19 +238,28 @@ def decompose_bounded_subset(U, R):
     }
 
 
+def _face_candidates(T, grid):
+    """The candidates of the face searches below, built apart from
+    multiplicity._face_points, which says why they work: the grid's
+    negative points sorted by (-f, -e), each with T's depth at it as its
+    limit, without the points of limit 0."""
+    points = sorted(negative_region(grid), key=lambda p: (-p[1], -p[0]))
+    return [(p, limit) for p, limit in ((p, chain_depth(T, p)) for p in points) if limit]
+
+
 def f_vector(T, grid):
     """The f-vector of the complex of subsets of the grid's negative
     points that are chain-bounded below by T: entry k counts its faces
     of size k, for every k up to the largest face.
 
     The search of multiplicity.bounded_faces, uncapped, over
-    multiplicity._face_points(T, grid), which says why a candidate p is
-    tested on its own: here by one chain_depth call on the face with p
-    added, where bounded_faces keeps the face's depths on its stack.
+    _face_candidates(T, grid), each candidate p tested on its own: here
+    by one chain_depth call on the face with p added, where
+    bounded_faces keeps the face's depths on its stack.
     maximal_bounded_subsets ran it for each side's top entry before it
     tallied bounded_faces.
     """
-    points = _face_points(T, grid)
+    points = _face_candidates(T, grid)
     f = [1]
     face = []  # the face's points, in order
     chosen = []  # indices of the face's points, ascending
@@ -280,8 +288,9 @@ def scanning_bounded_faces(T, grid, max_size):
     its oracle: the same search, yielding (size, last point) in the same
     preorder, with the depths of the face's points kept on the stack and
     each candidate p = (e, f) tested by a scan of every face point for
-    the largest depth with row < e and column > f."""
-    points = _face_points(T, grid)
+    the largest depth with row < e and column > f, over
+    _face_candidates(T, grid)."""
+    points = _face_candidates(T, grid)
     face = []  # (row, column, depth) of the face's points, in order
     chosen = []  # indices of the face's points, ascending
     i = 0

@@ -298,14 +298,10 @@ FIVE = ["--n", "5", "--d", "2", "--alpha", "1,3", "--beta", "2,4", "--gamma", "4
         ["count", "--n", "5", "--d", "3"] + FIVE[4:],  # 2-subsets with d = 3
         ["verify", "--n", "5", "--d", "4"] + FIVE[4:],
         ["mult", "--n", "9", "--d", "4", "--alpha", "1,2,3"] + NINE[6:],
-        # options that do not go together, or that would be ignored
+        # option values that argparse cannot refuse, or that would be ignored
         ["verify", "--n", "4", "--d", "2", "--sample", "-2"],
         ["verify"] + FIVE + ["--sample", "0"],
         ["verify"] + FIVE + ["--seed", "3"],  # a seed without a sample
-        ["verify", "--n", "4", "--d", "2", "--all-triples", "--sample", "3"],
-        ["paths"] + NINE + ["--json", "--render"],
-        ["brsk", "--pairs", "1,2", "--input", "no/such/file.json"],
-        ["canonicalize", "--pairs", "1,4", "--input", "no/such/file.json"],
     ],
 )
 def test_out_of_range_dimensions_exit_two(capsys, argv):
@@ -326,9 +322,30 @@ def test_verify_sweep_takes_no_triple(capsys, sweep):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_rbrsk_requires_input(capsys):
-    assert main(["rbrsk"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["brsk", "--pairs", "1,2", "--input", "no/such/file.json"], "--pairs"),
+        (["brsk"], "--pairs --input"),
+        (["canonicalize", "--pairs", "1,4", "--input", "no/such/file.json"], "--pairs"),
+        (["canonicalize"], "--pairs --input"),
+        (["rbrsk"], "--input"),
+        (["rbrsk", "--json"], "--input"),
+        (["paths"] + NINE + ["--json", "--render"], "--json"),
+        (["verify", "--n", "4", "--d", "2", "--all-triples", "--sample", "3"], "--all-triples"),
+    ],
+)
+def test_argparse_refuses_missing_and_clashing_options(capsys, argv, option):
+    """The parser states which options are required and which exclude
+    each other: it prints its usage and an error line naming the option,
+    and exits 2 before any subcommand runs."""
+    with pytest.raises(SystemExit, match="^2$"):
+        main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: grassmult %s" % argv[0])
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("grassmult %s: error: " % argv[0]) and option in last, last
 
 
 def interpreter_env():
@@ -404,7 +421,7 @@ def test_a_reader_that_closes_the_pipe_early_reads_as_sigpipe(tmp_path):
 
 def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
     code = (
-        "from grassmult.brsk import brsk_negative\n"
+        "from grassmult.brsk import brsk, brsk_negative\n"
         "from grassmult.chains import canonicalize\n"
         "from grassmult.tableaux import bounded_insert, reverse_bounded_insert\n"
         "assert False, 'asserts are on'\n"
@@ -415,6 +432,7 @@ def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
         "    (bounded_insert, (((1, 3),), '2', 5)),\n"
         "    (reverse_bounded_insert, (((1.5,),), 5, (1, 1))),\n"
         "    (brsk_negative, (((1.5, 3),),)),\n"
+        "    (brsk, ((('1', 3),),)),\n"
         "    (canonicalize, (((1.5, 3),),)),\n"
         "]:\n"
         "    try:\n"
@@ -423,7 +441,7 @@ def test_bounded_insert_refuses_bad_input_under_python_O(tmp_path):
         "        print('refused')\n"
     )
     proc = run_interpreter(["-O"], ["-c", code], tmp_path)
-    assert (proc.returncode, proc.stdout) == (0, "refused\n" * 7), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "refused\n" * 8), proc.stderr
 
 
 def test_reverse_insert_rows_refuses_bad_input_under_python_O(tmp_path):
@@ -469,6 +487,8 @@ def test_diagonal_pair_exits_two(capsys):
         ("rbrsk", NO_PREIMAGE),  # not an image of brsk
         ("brsk", "[[1.5, 2]]"),
         ("brsk", '[["1", "2"]]'),
+        ("rbrsk", '{"P": [[1]], "Q": [[2]], "x": 1.5}'),  # no key beside P and Q
+        ("rbrsk", '{"P": [[1]], "Q": [[2]], "x": 1}'),
     ],
 )
 def test_unreadable_input_exits_two(tmp_path, capsys, command, content):

@@ -24,7 +24,7 @@ from grassmult.groebner import (
     dimension_and_degree,
     verify_groebner,
 )
-from grassmult.multiplicity import count_families, maximal_bounded_subsets, multiplicity
+from grassmult.multiplicity import count_families, enumerate_families, maximal_bounded_subsets, multiplicity
 from oracles import bound_multisets_by_canonicalize, positive_region, rs_to_theta
 
 
@@ -289,6 +289,7 @@ TTIL5, WTIL5, GRID5 = richardson((1, 3), (2, 4), (4, 5), 5, 2)
         for call, extra in (
             (sides, ()),
             (count_families, ()),
+            (enumerate_families, ()),
             (maximal_bounded_subsets, ()),
             (count_monomials_outside_initial, (3,)),
             (count_standard_monomials, (3,)),

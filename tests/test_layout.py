@@ -94,6 +94,13 @@ def test_bench_only_definitions_are_frozen():
     assert set(uncalled(sorted(REPO.glob("demos/*.py")))) == BENCH_ONLY
 
 
+def test_the_integer_rule_for_points_has_one_owner():
+    # multisets.check_integers is the one place that refuses a
+    # non-integer coordinate; every door calls it
+    sources = "".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    assert sources.count("pair entries must be integers") == 1
+
+
 def test_every_imported_name_is_used():
     # __init__.py imports to re-export; every other module imports only
     # what it uses, so a removal leaves no stale import behind
