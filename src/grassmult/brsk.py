@@ -7,10 +7,8 @@ lemma along an insertion is a test oracle in tests/oracles.py.
 from collections import namedtuple
 
 from .chains import chain_bounded, completely_disjointed
-from .multisets import (
-    check_bounds, check_integers, iota, is_nonvanishing, negative_part, pairs, positive_part, sign, union
-)
-from .tableaux import bounded_insert, insert_rows, reverse_insert_rows, split_parts
+from .multisets import check_bounds, check_integers, is_nonvanishing, pairs, sign
+from .tableaux import insert_rows, reverse_insert_rows, split_parts
 
 BrskStep = namedtuple("BrskStep", ["pair", "record", "P", "Q"])
 BrskStep.__doc__ = "One insertion: the pair fed in, its BumpingRecord, and the snapshot after."
@@ -58,17 +56,18 @@ def brsk_negative(U):
 def brsk_trace(U):
     """The steps of brsk_negative(U), one BrskStep per pair.
 
-    lex_sort checks U.  Each pair goes through tableaux.bounded_insert,
-    which checks P, runs insert_pair's kernel on a copy and reports the
-    bumping record; b goes into Q as insert_pair puts it.  brsk --trace
-    and demos/insertion_walkthrough.py read it; tests/test_brsk.py runs
-    insert_pair beside it and compares the tableaux after every pair.
+    lex_sort checks U once.  Like brsk_negative, it runs the kernel
+    tableaux.insert_rows on its own mutable rows, here with the bumping
+    record, places b in Q as insert_pair does, and yields frozen
+    snapshots.  brsk --trace and demos/insertion_walkthrough.py read it;
+    tests/test_brsk.py runs insert_pair beside it and compares the
+    tableaux after every pair.
     """
-    P, Q = (), []
+    P, Q = [], []
     for a, b in lex_sort(U):
-        P, record = bounded_insert(P, a, b)
+        record = insert_rows(P, a, b)
         _place_left(Q, record.new_box[0], b)
-        yield BrskStep((a, b), record, P, _frozen(Q))
+        yield BrskStep((a, b), record, _frozen(P), _frozen(Q))
 
 
 def insert_pair(P, Q, a: int, b: int):
@@ -146,10 +145,10 @@ def rbrsk(B):
     strict, of one sign and in order with the pair above) and cuts it
     at its first positive row.  The negative half is undone directly; the
     positive half, as brsk built it, through the component swap:
-    reversing its rows and trading P and Q makes it negative, and iota
-    swaps the pairs undone from it back.  Each half's pairs come out in
-    the reverse of lex_sort's insertion order, a proved property that
-    tests/test_brsk.py asserts; the returned multiset is canonical.
+    reversing its rows and trading P and Q makes it negative, and its
+    pairs are swapped back.  Each half's pairs come out in the reverse
+    of lex_sort's insertion order, a proved property that
+    tests/test_brsk.py asserts; one sort makes the multiset canonical.
     Not every bitableau that split_parts accepts is an image of brsk
     (P = ((1, 2), (1,)), Q = ((2, 3), (3,)) is not); a step that cannot
     be undone is a ValueError saying so.  On one beta grid, P's entries
@@ -164,7 +163,7 @@ def rbrsk(B):
         from_positive = _reverse_negative(reversed(Q), reversed(P))
     except ValueError:
         raise ValueError("the bitableau is not an image of brsk") from None
-    return union(pairs(from_negative), iota(from_positive))
+    return pairs(from_negative + [(f, e) for e, f in from_positive])
 
 
 def brsk(U):
@@ -174,15 +173,16 @@ def brsk(U):
     the component swap: insert the swapped multiset, then reverse the
     rows and trade P and Q, as rbrsk undoes it.  Negative rows go on
     top.  U is checked for int coordinates (multisets.check_integers),
-    then for diagonal points, and lex_sort checks each part.  The result
-    is proved a nonvanishing semistandard bitableau; tests/test_brsk.py
+    then for diagonal points; each half goes to brsk_negative as a
+    plain list, which lex_sort checks and sorts once.  The result is
+    proved a nonvanishing semistandard bitableau; tests/test_brsk.py
     asserts it, no call does.
     """
     check_integers(U)
     if not is_nonvanishing(U):
         raise ValueError("multiset has vanishing points")
-    Pn, Qn = brsk_negative(negative_part(U))
-    P, Q = brsk_negative(iota(positive_part(U)))
+    Pn, Qn = brsk_negative([u for u in U if u[0] < u[1]])
+    P, Q = brsk_negative([(f, e) for e, f in U if e > f])
     return (Pn + Q[::-1], Qn + P[::-1])
 
 

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from itertools import accumulate, combinations
 
 from .chains import arrange
-from .multisets import check_bounds, difference, iota
+from .multisets import check_bounds, difference, iota, termwise_leq
 
 BetaGrid = namedtuple("BetaGrid", ["beta", "complement", "n"])
 BetaGrid.__doc__ = "A fixed column set beta, its complement (the rows), and the ambient n."
@@ -34,13 +34,6 @@ def length(a) -> int:
     return sum(a) - d * (d + 1) // 2
 
 
-def index_leq(a, b) -> bool:
-    """Componentwise comparison of two sorted index sets."""
-    if len(a) != len(b):
-        raise ValueError("indices have different sizes")
-    return all(x <= y for x, y in zip(sorted(a), sorted(b)))
-
-
 def complement(beta, n: int):
     beta = set(beta)
     return tuple(x for x in range(1, n + 1) if x not in beta)
@@ -53,6 +46,14 @@ def beta_grid(beta, n: int) -> BetaGrid:
 
 def in_grid(p, grid: BetaGrid) -> bool:
     return p[0] in grid.complement and p[1] in grid.beta
+
+
+def check_in_grid(points, grid: BetaGrid):
+    """The one grid rule for points: raises ValueError for the first
+    point off the grid (in_grid), named as given."""
+    for p in points:
+        if not in_grid(p, grid):
+            raise ValueError("point %r is not in the grid regions" % (p,))
 
 
 def negative_region(grid: BetaGrid):
@@ -111,13 +112,13 @@ class _Triples(Sequence):
     """The triples of triples(n, d), in its order, indexed from 0
     without listing them, so that random.sample, which reads only len
     and such indices, draws from them directly.  Per beta it keeps the
-    alphas below and the gammas above, and the running count of the
-    triples up to that beta: index i finds its beta by bisect on the
-    counts, then its alpha and gamma by divmod."""
+    alphas below and the gammas above (multisets.termwise_leq), and the
+    running count of the triples up to that beta: index i finds its
+    beta by bisect on the counts, then its alpha and gamma by divmod."""
 
     def __init__(self, indices):
         self.blocks = [
-            (beta, [a for a in indices if index_leq(a, beta)], [g for g in indices if index_leq(beta, g)])
+            (beta, [a for a in indices if termwise_leq(a, beta)], [g for g in indices if termwise_leq(beta, g)])
             for beta in indices
         ]
         self.ends = list(accumulate(len(alphas) * len(gammas) for _, alphas, gammas in self.blocks))
@@ -147,10 +148,8 @@ def sides(Ttil, Wtil, grid: BetaGrid):
     negative points of a grid: the negative side, then the positive side
     swapped by iota onto the dual grid, where beta and its complement
     trade places.  The one check of the whole pair: raises ValueError
-    for an anchor off the caller's grid, named as given, then for one of
+    for an anchor off the caller's grid (check_in_grid), then for one of
     the wrong sign (multisets.check_bounds)."""
-    for r in (*Ttil, *Wtil):
-        if not in_grid(r, grid):
-            raise ValueError("point %r is not in the grid regions" % (r,))
+    check_in_grid((*Ttil, *Wtil), grid)
     check_bounds(Ttil, Wtil)
     return ((Ttil, grid), (iota(Wtil), BetaGrid(grid.complement, grid.beta, grid.n)))

@@ -54,14 +54,13 @@ GroebnerReport = namedtuple(
 )
 
 
-def monomial_less(m1, m2) -> bool:
-    """Lexicographic comparison, reading exponents from the largest
-    variable down.  x_{ij} < x_{i'j'} when i < i', or i = i' and j > j'."""
-    c1, c2 = Counter(pairs(m1)), Counter(pairs(m2))
-    for v in sorted(set(c1) | set(c2), key=lambda p: (-p[0], p[1])):
-        if c1[v] != c2[v]:
-            return c1[v] < c2[v]
-    return False
+def monomial_key(m):
+    """The lexicographic monomial order as a sort key: m's variables,
+    x_{ij} written (i, -j), sorted largest first, so that keys compare
+    exponents from the largest variable down.  x_{ij} < x_{i'j'} when
+    i < i', or i = i' and j > j'.  tests/oracles.py keeps monomial_less
+    as its oracle."""
+    return sorted(((i, -j) for i, j in m), reverse=True)
 
 
 def chain_monomial(R, S):
@@ -119,16 +118,12 @@ def signed_minor(theta, grid: BetaGrid) -> SignedMinor:
 
 
 def initial_term(f: SignedMinor):
-    """Largest monomial of the expansion; it is always the chain
-    monomial of (R, S), with coefficient +1.  tests/test_groebner.py
+    """Largest monomial of the expansion (monomial_key); it is always the
+    chain monomial of (R, S), with coefficient +1.  tests/test_groebner.py
     checks both over every theta of every small grid."""
     if not f.expansion:
         raise ValueError("zero minor has no initial term")
-    best = None
-    for mono in f.expansion:
-        if best is None or monomial_less(best, mono):
-            best = mono
-    return best
+    return max(f.expansion, key=monomial_key)
 
 
 def bounded_images(T, grid: BetaGrid, m_max: int):
@@ -146,8 +141,7 @@ def bounded_images(T, grid: BetaGrid, m_max: int):
     multiset, not one per pair, and no bumping record.  The images at
     each size of the current branch are kept on a stack.
     """
-    if m_max < 0:
-        raise ValueError("degree bound must be nonnegative")
+    _check_degree(m_max)
     stack = [[((), (), ())]]  # per face size: (U, P, Q) for the face's multisets of degree < m_max
     for k, p in bounded_faces(T, grid, m_max):
         del stack[k:]
@@ -165,6 +159,12 @@ def bounded_images(T, grid: BetaGrid, m_max: int):
         stack.append(grown)
 
 
+def _check_degree(m: int):
+    """The one rule of a degree bound: raises ValueError if m < 0."""
+    if m < 0:
+        raise ValueError("degree bound must be nonnegative")
+
+
 def _convolve(negative, positive):
     """a(m) = sum over i + j = m of N-(i) * N+(j), for every degree m."""
     return [sum(negative[i] * positive[m - i] for i in range(m + 1)) for m in range(len(negative))]
@@ -175,8 +175,7 @@ def bounded_multisets_of_degree(Ttil, Wtil, grid: BetaGrid, m: int):
     accepts as bounded by the pair (grassmannian.sides checks it), in
     combinations_with_replacement order over the sorted grid points."""
     sides(Ttil, Wtil, grid)
-    if m < 0:
-        raise ValueError("degree bound must be nonnegative")
+    _check_degree(m)
     points = sorted(product(grid.complement, grid.beta))
     return [U for U in combinations_with_replacement(points, m) if multiset_bounded_by(U, Ttil, Wtil)]
 
@@ -191,8 +190,7 @@ def count_monomials_outside_initial(Ttil, Wtil, grid: BetaGrid, m_max: int):
     m_max, since a larger face supports no multiset of degree m_max or
     less; the two sides' counts are convolved.  No multiset is built,
     so it runs on a grid of any size when m_max is small."""
-    if m_max < 0:
-        raise ValueError("degree bound must be nonnegative")
+    _check_degree(m_max)
     counts = []
     for T, side in sides(Ttil, Wtil, grid):
         f = Counter(k for k, _ in bounded_faces(T, side, m_max))
@@ -259,8 +257,7 @@ def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):
     Wtil, and the counts are the convolution of the chain counts of the
     two sides' tables (_standard_table).
     """
-    if m_max < 0:
-        raise ValueError("degree bound must be nonnegative")
+    _check_degree(m_max)
     return _convolve(*(_standard_table(T, side, m_max)[2] for T, side in sides(Ttil, Wtil, grid)))
 
 
@@ -288,9 +285,11 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     bitableaux.  tests/oracles.py keeps the check of every mixed
     multiset as the oracle.
     """
+    pair = sides(Ttil, Wtil, grid)
+    _check_degree(m_max)
     bounded, standard = [], []
     injective = True
-    for T, side in sides(Ttil, Wtil, grid):
+    for T, side in pair:
         index, follow, counts = _standard_table(T, side, m_max)
         standard.append(counts)
         found = [1] + [0] * m_max

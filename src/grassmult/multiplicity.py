@@ -37,7 +37,7 @@ from math import prod
 
 from .brsk import lex_key
 from .chains import chain_depth
-from .grassmannian import BetaGrid, in_grid, negative_region, richardson, sides
+from .grassmannian import BetaGrid, check_in_grid, negative_region, richardson, sides
 from .multisets import sign
 
 # An uncapped face search is exponential in the grid size; maximal_bounded_subsets
@@ -50,9 +50,8 @@ def _axes(r, grid: BetaGrid):
     from its floor (rows[0], cols[0]) to its ceiling (rows[-1], cols[-1]):
     the complement and beta entries between min(r) and max(r), ascending
     for a negative point, descending for a positive one.  Refuses a point
-    off the grid, for enumerate_paths; grassmannian.sides checks a pair."""
-    if not in_grid(r, grid):
-        raise ValueError("point %r is not in the grid regions" % (r,))
+    off the grid (grassmannian.check_in_grid, as sides does a pair)."""
+    check_in_grid((r,), grid)
     lo, hi, step = min(r), max(r), -sign(r)
     rows = [x for x in grid.complement if lo <= x <= hi]
     cols = [y for y in grid.beta if lo <= y <= hi]

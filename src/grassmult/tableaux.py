@@ -8,17 +8,18 @@ of the more common convention, so insertion bumps along rows).
 
 Each direction of insertion runs one kernel that works in place on a
 list of mutable rows.  Forward, insert_rows bumps a value in:
-bounded_insert checks its input, runs it once on a copy, freezes the
-result unchecked and reports the bumping record (brsk.brsk_trace), and
-brsk.insert_pair runs it on rows its caller keeps, taking the row of the
-new box alone (brsk.brsk_negative, whose input brsk.lex_sort checks, and
-groebner.bounded_images).  Backward, reverse_insert_rows takes the
-rightmost entry below the bound out of a row and bumps a value out:
-reverse_bounded_insert runs it as bounded_insert runs insert_rows, and
-brsk.rbrsk on its own rows for each pair it takes back, after
-split_parts has checked the bitableau.  Neither kernel checks that its
-rows are semistandard on the bound; the order of brsk's pairs keeps them
-so, and split_parts' test those of rbrsk (brsk._reverse_negative).
+brsk.brsk_trace runs it on its own rows for each bumping record, and
+brsk.insert_pair on rows its caller keeps for the row of the new box
+alone (brsk.brsk_negative, groebner.bounded_images), on input that
+brsk.lex_sort checks once; bounded_insert checks its input and runs it
+on a copy, the checked one-step door.  Backward, reverse_insert_rows
+takes the rightmost entry below the bound out of a row and bumps a value
+out: reverse_bounded_insert runs it as bounded_insert runs insert_rows,
+and brsk.rbrsk on its own rows for each pair it takes back, after
+split_parts has checked the bitableau.  Only the benchmark and the tests
+call the two doors.  Neither kernel checks that its rows are
+semistandard on the bound; the order of brsk's pairs keeps them so, and
+split_parts' test those of rbrsk (brsk._reverse_negative).
 Schensted insertion is bounded insertion with a bound above every entry.
 A bitableau's one semistandard rule is _row_signs, which split_parts and
 bitableau_bounded_by both run.
@@ -85,9 +86,9 @@ def insert_rows(rows, a: int, b: int, record: bool = True):
     callers validate once that a < b and that the rows are semistandard
     on b.
 
-    bounded_insert reports the whole record.  brsk.insert_pair needs
-    only the row of the new box (1-indexed), to place b in Q: with
-    record false the kernel builds no route and returns that row.
+    bounded_insert and brsk.brsk_trace report the whole record.
+    brsk.insert_pair needs only the new box's row (1-indexed), to place
+    b in Q: with record false the kernel builds no route and returns it.
     """
     route = [] if record else None
     cur = a
@@ -120,9 +121,9 @@ def bounded_insert(P, a: int, b: int):
     Young tableau of the entries below b, and each row keeps its entries
     >= b to the right (insert_rows on a copy of P, frozen unchecked).
     Checks its input once: integer entries and a, a < b, P row strict
-    and semistandard on b.  brsk.brsk_trace replays a multiset through
-    it; tests/test_brsk.py keeps its split-insert-reassemble form as the
-    per-step oracle of it and of brsk.insert_pair.
+    and semistandard on b.  tests/test_brsk.py keeps its
+    split-insert-reassemble form as the per-step oracle of it and of
+    brsk.insert_pair.
     """
     P = tableau(P)
     if type(a) is not int:

@@ -1,15 +1,16 @@
 """Reference code the tests check grassmult against.
 
 Second algorithms for what the library computes once, the point
-relations behind twisted chains, the positive region of a grid, the
-bounds of a Richardson point by the greedy arrangement of each chain, the
-floor and the ceiling of an anchor, the path-count matrix from one
-grid table per source, the face search that scans a face for each
-candidate, the f-vector of one side and the joint face search over
-both signs, the truncation of a tableau at a bound, the
-classification of bitableaux and their row-by-row split into signed
-parts, a checker for the boundedness lemma of bounded RSK, the walk
-over one side's bounded supports and its join across the two sides,
+relations behind twisted chains, the termwise order on index sets, the
+positive region of a grid, the bounds of a Richardson point by the
+greedy arrangement of each chain, the floor and the ceiling of an
+anchor, the path-count matrix from one grid table per source, the face
+search that scans a face for each candidate, the f-vector of one side
+and the joint face search over both signs, the truncation of a tableau
+at a bound, the classification of bitableaux and their row-by-row split
+into signed parts, a checker for the boundedness lemma of bounded RSK,
+the monomial order compared exponent by exponent, the walk over one
+side's bounded supports and its join across the two sides,
 the Groebner verification of every mixed multiset, the table of
 standard monomials on row tuples, and the twisted chains and perturbed
 bitableaux the test files sweep over.  No CLI subcommand, demo or
@@ -17,11 +18,12 @@ benchmark workload reaches any of it, so it lives with the tests and
 not in src/grassmult.
 """
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 from grassmult.brsk import brsk, brsk_negative, brsk_trace, multiset_bounded_by
 from grassmult.chains import chain_depth, chain_order_leq, completely_disjointed
-from grassmult.grassmannian import BetaGrid, in_grid, index_leq, negative_region, sides, theta_to_rs, validate_index
+from grassmult.grassmannian import BetaGrid, in_grid, negative_region, sides, theta_to_rs, validate_index
 from grassmult.groebner import GroebnerReport, count_standard_monomials
 from grassmult.multisets import (
     formal_diff_leq,
@@ -108,6 +110,13 @@ def chain_order_leq_diagonal(R, S) -> bool:
 
 
 # Index sets and path families.
+
+
+def index_leq(a, b) -> bool:
+    """Componentwise comparison of two sorted index sets."""
+    if len(a) != len(b):
+        raise ValueError("indices have different sizes")
+    return all(x <= y for x, y in zip(sorted(a), sorted(b)))
 
 
 def positive_region(grid):
@@ -515,6 +524,16 @@ def verify_boundedness_preservation(U, T, W) -> bool:
 
 
 # The Groebner side: minors and the counting verification.
+
+
+def monomial_less(m1, m2) -> bool:
+    """Lexicographic comparison, reading exponents from the largest
+    variable down.  x_{ij} < x_{i'j'} when i < i', or i = i' and j > j'."""
+    c1, c2 = Counter(pairs(m1)), Counter(pairs(m2))
+    for v in sorted(set(c1) | set(c2), key=lambda p: (-p[0], p[1])):
+        if c1[v] != c2[v]:
+            return c1[v] < c2[v]
+    return False
 
 
 def expand_theta_minor_all_permutations(theta, grid):

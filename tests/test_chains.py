@@ -6,11 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grassmult.chains import canonicalize, chain_bounded, chain_order_leq, completely_disjointed
-from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq
+from grassmult.grassmannian import beta_grid, build_bound_multisets
 from grassmult.multisets import iota, multiset_order_leq, pairs
 from oracles import (
     chain_order_leq_diagonal,
     depth,
+    index_leq,
     is_negative_twisted_chain,
     is_positive_twisted_chain,
     meet,

@@ -8,7 +8,6 @@ from grassmult.grassmannian import (
     build_bound_multisets,
     complement,
     in_grid,
-    index_leq,
     length,
     negative_region,
     richardson,
@@ -25,7 +24,7 @@ from grassmult.groebner import (
     verify_groebner,
 )
 from grassmult.multiplicity import count_families, enumerate_families, maximal_bounded_subsets, multiplicity
-from oracles import bound_multisets_by_canonicalize, positive_region, rs_to_theta
+from oracles import bound_multisets_by_canonicalize, index_leq, positive_region, rs_to_theta
 
 
 def test_validate_index():
@@ -40,14 +39,6 @@ def test_length():
     assert length((1, 2, 3, 5)) == 1
     assert length((3, 6, 8, 9)) == 16
     assert length((6, 7, 8, 9)) == 20
-
-
-def test_index_leq():
-    assert index_leq((1, 2, 3, 5), (1, 5, 6, 8))
-    assert index_leq((1, 5, 6, 8), (3, 6, 8, 9))
-    assert not index_leq((3, 6, 8, 9), (1, 5, 6, 8))
-    with pytest.raises(ValueError):
-        index_leq((1, 2), (1, 2, 3))
 
 
 def test_grid_regions():

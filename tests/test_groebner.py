@@ -9,7 +9,6 @@ from grassmult.brsk import brsk, brsk_negative, lex_key, lex_sort, multiset_boun
 from grassmult.grassmannian import (
     beta_grid,
     build_bound_multisets,
-    index_leq,
     negative_region,
     richardson,
     sides,
@@ -24,7 +23,7 @@ from grassmult.groebner import (
     dimension_and_degree,
     expand_theta_minor,
     initial_term,
-    monomial_less,
+    monomial_key,
     signed_minor,
     verify_groebner,
 )
@@ -40,6 +39,8 @@ from grassmult.tableaux import bitableau_bounded_by
 from oracles import (
     bounded_multisets_by_walk,
     expand_theta_minor_all_permutations,
+    index_leq,
+    monomial_less,
     positive_region,
     rs_to_theta,
     side_walk,
@@ -50,17 +51,34 @@ from oracles import (
 
 def test_variable_order():
     # one-variable monomials compare as their variables
-    assert monomial_less(((1, 2),), ((4, 7),))  # row dominates
-    assert monomial_less(((1, 7),), ((1, 2),))  # same row: larger column is smaller
-    assert not monomial_less(((1, 2),), ((1, 2),))
+    assert monomial_key(((1, 2),)) < monomial_key(((4, 7),))  # row dominates
+    assert monomial_key(((1, 7),)) < monomial_key(((1, 2),))  # same row: larger column is smaller
+    assert not monomial_key(((1, 2),)) < monomial_key(((1, 2),))
 
 
 def test_monomial_order_prefers_chain_pairings():
-    assert monomial_less(((1, 2), (4, 7)), ((1, 7), (4, 2)))
-    assert not monomial_less(((1, 7), (4, 2)), ((1, 2), (4, 7)))
-    assert not monomial_less(((1, 2),), ((1, 2),))
+    assert monomial_key(((1, 2), (4, 7))) < monomial_key(((1, 7), (4, 2)))
+    assert not monomial_key(((1, 7), (4, 2))) < monomial_key(((1, 2), (4, 7)))
+    assert not monomial_key(((1, 2),)) < monomial_key(((1, 2),))
     # a variable beats its absence
-    assert monomial_less((), ((1, 2),))
+    assert monomial_key(()) < monomial_key(((1, 2),))
+
+
+def test_monomial_key_matches_the_exponent_order_exhaustive():
+    # every ordered pair of the 220 monomials of degree <= 3 in the nine
+    # variables x_ij, 1 <= i, j <= 3; distinct monomials get distinct
+    # keys, and a key does not depend on the order the variables come in
+    variables = list(itertools.product(range(1, 4), repeat=2))
+    monomials = [m for k in range(4) for m in itertools.combinations_with_replacement(variables, k)]
+    keys = [monomial_key(m) for m in monomials]
+    assert len({tuple(key) for key in keys}) == len(monomials) == 220
+    assert all(monomial_key(m[::-1]) == key for m, key in zip(monomials, keys))
+    compared = 0
+    for m1, k1 in zip(monomials, keys):
+        for m2, k2 in zip(monomials, keys):
+            assert (k1 < k2) == monomial_less(m1, m2), (m1, m2)
+            compared += 1
+    assert compared == 48400
 
 
 def test_chain_monomial():

@@ -7,15 +7,16 @@ import itertools
 
 import pytest
 
-from grassmult.grassmannian import beta_grid, build_bound_multisets, index_leq, triples
+from grassmult.grassmannian import beta_grid, build_bound_multisets, triples
 from grassmult.groebner import count_monomials_outside_initial, count_standard_monomials
+from oracles import index_leq
 
 sympy = pytest.importorskip("sympy")
 
 
 def richardson_ideal(alpha, gamma, grid):
     """The variables of the grid, largest first in the order of
-    groebner.monomial_less (larger row first, then smaller column), and
+    groebner.monomial_key (larger row first, then smaller column), and
     the minors of the rows theta outside [alpha, gamma] of the n x d
     matrix whose beta rows are unit rows and whose other entries are
     the variables, each a determinant computed by sympy."""

@@ -90,6 +90,12 @@ def test_termwise_leq():
     assert termwise_leq((), ())
     with pytest.raises(ValueError):
         termwise_leq((1,), (1, 2))
+    # the termwise (Bruhat) order on d-subsets, as grassmannian.triples reads it
+    assert termwise_leq((1, 2, 3, 5), (1, 5, 6, 8))
+    assert termwise_leq((1, 5, 6, 8), (3, 6, 8, 9))
+    assert not termwise_leq((3, 6, 8, 9), (1, 5, 6, 8))
+    with pytest.raises(ValueError, match="termwise comparison requires equal degrees"):
+        termwise_leq((1, 2), (1, 2, 3))
 
 
 def test_termwise_less_is_strict_and_false_on_empty():
