@@ -24,7 +24,9 @@ def lex_key(p):
 def lex_sort(U):
     """Pairs of a negative multiset in lex_key order, by a stable sort.
     Forward insertion's one input check: it refuses a coordinate that is
-    not an int (multisets.check_integers), then a point with e >= f."""
+    not an int (multisets.check_integers), then a point with e >= f.
+    U is read once, so a one-shot iterable is sorted whole."""
+    U = tuple(U)
     check_integers(U)
     if any(sign(u) >= 0 for u in U):
         raise ValueError("expected a negative multiset")
@@ -173,17 +175,28 @@ def brsk(U):
     the component swap: insert the swapped multiset, then reverse the
     rows and trade P and Q, as rbrsk undoes it.  Negative rows go on
     top.  U is checked for int coordinates (multisets.check_integers),
-    then for diagonal points; each half goes to brsk_negative as a
-    plain list, which lex_sort checks and sorts once.  The result is
-    proved a nonvanishing semistandard bitableau; tests/test_brsk.py
-    asserts it, no call does.
+    then for diagonal points; each half (sign_halves) goes to
+    brsk_negative as a plain list, which lex_sort checks and sorts
+    once.  The result is proved a nonvanishing semistandard bitableau;
+    tests/test_brsk.py asserts it, no call does.  U is read into a tuple
+    once, so a one-shot iterable gives the bitableau of its list.
     """
+    U = tuple(U)
     check_integers(U)
     if not is_nonvanishing(U):
         raise ValueError("multiset has vanishing points")
-    Pn, Qn = brsk_negative([u for u in U if u[0] < u[1]])
-    P, Q = brsk_negative([(f, e) for e, f in U if e > f])
+    negative, swapped = sign_halves(U)
+    Pn, Qn = brsk_negative(negative)
+    P, Q = brsk_negative(swapped)
     return (Pn + Q[::-1], Qn + P[::-1])
+
+
+def sign_halves(U):
+    """The two negative multisets that brsk inserts for the nonvanishing
+    multiset U, as plain lists in U's order: its negative points, and
+    its positive points swapped (e, f) -> (f, e).  brsk --trace prints
+    their insertions."""
+    return [u for u in U if u[0] < u[1]], [(f, e) for e, f in U if e > f]
 
 
 def multiset_bounded_by(U, T, W) -> bool:

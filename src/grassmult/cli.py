@@ -18,12 +18,12 @@ import os
 import random
 import sys
 
-from .brsk import brsk, brsk_trace, rbrsk
+from .brsk import brsk, brsk_trace, rbrsk, sign_halves
 from .chains import canonicalize
 from .grassmannian import richardson, triples
 from .groebner import count_monomials_outside_initial, count_standard_monomials, verify_groebner
 from .multiplicity import enumerate_families, multiplicity, render_family
-from .multisets import iota, negative_part, pairs, pairs_from_json, positive_part
+from .multisets import pairs, pairs_from_json
 from .tableaux import render, tableau_from_json
 
 
@@ -84,7 +84,7 @@ def _write_trace(U, path):
     except OSError as err:
         raise ValueError("cannot write %s: %s" % (path, err.strerror)) from err
     with fh:
-        for sgn, half in ((-1, negative_part(U)), (1, iota(positive_part(U)))):
+        for sgn, half in zip((-1, 1), sign_halves(U)):
             for pair, (route, new_box), P, Q in brsk_trace(half):
                 step = {"sign": sgn, "pair": pair, "route": route, "new_box": new_box, "P": P, "Q": Q}
                 fh.write(json.dumps(step) + "\n")

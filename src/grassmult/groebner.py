@@ -24,18 +24,22 @@ cone (count_monomials_outside_initial).  verify lists the multisets
 themselves from the same faces: each multiset's brsk image is its
 predecessor's grown by one insertion (bounded_images).  A side's
 standard monomials are the chains of one table of rows shared by every
-degree (_standard_table): it counts them, and verify checks each brsk image as a chain of it.  The table numbers
-its rows and compares them by their prefix-count profiles
-(multisets.diff_profile), one per row, in which the order on formal
-differences is pointwise dominance; verify reads each image's rows as
-ids through one lookup each.
+degree (_standard_table): it counts them, and verify checks each brsk
+image as a chain of it.  The table numbers its rows and compares them
+by their prefix-count profiles (multisets.diff_profile), in which the
+order on formal differences is pointwise dominance.  It finds its rows
+by growing their profiles one value of t at a time and dropping every
+prefix that no row above the bound extends (_standard_rows), so the
+rows cost about n steps each, not one test per pair of subsets of the
+complement and of beta; verify reads each image's rows as ids through
+one lookup each.
 bounded_multisets_of_degree lists the mixed multisets of one degree by
 testing each with brsk.multiset_bounded_by; tests/oracles.py keeps a
 walk over each side's bounded supports, joined, as its oracle.
 """
 
 from collections import Counter, namedtuple
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
 from .brsk import insert_pair, multiset_bounded_by
@@ -214,25 +218,26 @@ def _standard_table(T, side: BetaGrid, m_max: int):
     r = 0..m_max, from one recursion on ids shared by every degree.
 
     The order on formal differences is read from one prefix-count
-    profile per row (multisets.diff_profile), computed once: p and q
-    are disjoint, so a row is negative exactly when its profile is >= 0
-    everywhere, and one row lies below another, or below the root,
-    exactly when its profile dominates.  tests/oracles.py keeps the
-    table built from formal_diff_leq on row tuples as the oracle.
+    profile per row (multisets.diff_profile): p and q are disjoint, so a
+    row is negative exactly when its profile is >= 0 everywhere, and one
+    row lies below another, or below the root, exactly when its profile
+    dominates.  So the rows need no candidate filter: _standard_rows
+    builds each row's profile one value at a time and drops a prefix as
+    soon as no row above the root can extend it, at a cost that grows
+    with the rows kept, not with the C(n-d, k) * C(d, k) pairs (p, q) of
+    each size k.  diff_profile runs for the root alone.  follow still
+    compares every pair of profiles.  tests/oracles.py keeps the table
+    built from formal_diff_leq on every candidate row tuple as the
+    oracle.
     """
-    n = side.n
-    profiles = [diff_profile(proj(T, 1), proj(T, 2), n)]
-    root = profiles[0]
+    root = diff_profile(proj(T, 1), proj(T, 2), side.n)
+    profiles = [root]
     sizes = [0]
     index = {}
-    for k in range(1, min(len(side.complement), len(side.beta), m_max) + 1):
-        for p in combinations(side.complement, k):
-            for q in combinations(side.beta, k):
-                h = diff_profile(p, q, n)
-                if min(h) >= 0 and dominates(root, h):
-                    index[p, q] = len(profiles)
-                    profiles.append(h)
-                    sizes.append(k)
+    for row, h in _standard_rows(root, side, m_max):
+        index[row] = len(profiles)
+        profiles.append(h)
+        sizes.append(len(row[0]))
     follow = {
         (i, j) for i, h in enumerate(profiles) for j, g in enumerate(profiles) if j and dominates(h, g)
     }
@@ -244,6 +249,43 @@ def _standard_table(T, side: BetaGrid, m_max: int):
                 layer[i] += ways[r - sizes[j]][j]
         ways.append(layer)
     return index, follow, [layer[0] for layer in ways]
+
+
+def _standard_rows(root, side: BetaGrid, m_max: int):
+    """The rows of _standard_table with their profiles: ((p, q), h) for
+    every nonempty row of at most m_max boxes whose profile h satisfies
+    0 <= h <= root.
+
+    One sweep over t = 1..n grows every live prefix of a row by t: into
+    p (t in the complement, h rises by 1), into q (t in beta, h falls by
+    1) or into neither.  A prefix dies as soon as h(t) < 0,
+    h(t) > root(t), |p| > m_max, or h(t) exceeds the beta entries after
+    t, since it could never return to 0; so every prefix alive at t = n
+    ends at h(n) = 0.  The root's profile rises only at complement
+    entries and falls only at beta entries, by one at each when the
+    bound's coordinates are distinct, as a twisted chain's are; then
+    every live prefix extends to a row or to the empty one, and the
+    sweep grows at most n (rows + 1) prefixes.
+    """
+    n = side.n
+    beta = set(side.beta)
+    left = [0] * (n + 1)  # left[t]: beta entries after t
+    for t in range(n - 1, -1, -1):
+        left[t] = left[t + 1] + (t + 1 in beta)
+    prefixes = [(0, (), (), ())]  # (h(t), p, q, h) per live prefix
+    for t in range(1, n + 1):
+        cap = min(root[t - 1], left[t])
+        grown = []
+        for level, p, q, h in prefixes:
+            if level <= cap:
+                grown.append((level, p, q, h + (level,)))
+            if t in beta:
+                if 0 < level <= cap + 1:
+                    grown.append((level - 1, p, q + (t,), h + (level - 1,)))
+            elif level < cap and len(p) < m_max:
+                grown.append((level + 1, p + (t,), q, h + (level + 1,)))
+        prefixes = grown
+    return [((p, q), h) for _, p, q, h in prefixes if p]
 
 
 def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):

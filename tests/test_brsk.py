@@ -87,6 +87,16 @@ def test_forward_doors_refuse_entries_that_are_not_integers(point, bad):
             door(U)
 
 
+def test_forward_doors_read_a_generator_as_its_list():
+    # each door reads U once, so a one-shot iterable is not used up by
+    # the input checks before the pairs are inserted
+    mixed = [(1, 2), (3, 1)]
+    assert brsk(p for p in mixed) == brsk(mixed) == (((1,), (3,)), ((2,), (1,)))
+    assert brsk_negative(p for p in SEVEN) == brsk_negative(SEVEN) == SEVEN_SNAPSHOTS[-1]
+    assert list(brsk_trace(p for p in SEVEN)) == list(brsk_trace(SEVEN))
+    assert lex_sort(p for p in SEVEN) == lex_sort(SEVEN)
+
+
 def test_seven_point_insertion_with_snapshots():
     B = brsk_negative(SEVEN)
     trace = list(brsk_trace(SEVEN))

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 
 import pytest
 
@@ -34,6 +35,7 @@ from grassmult.multisets import (
     pairs,
     positive_part,
     proj,
+    termwise_leq,
 )
 from grassmult.tableaux import bitableau_bounded_by
 from oracles import (
@@ -373,17 +375,54 @@ def test_standard_table_on_row_ids_matches_the_row_tuple_oracle_exhaustive():
         for alpha, beta, gamma in triples(n, d):
             for T, side in sides(*richardson(alpha, beta, gamma, n, d)):
                 for m_max in m_maxes:
-                    index, follow, counts = groebner._standard_table(T, side, m_max)
-                    root, by_rows, expected = standard_table_by_rows(T, side, m_max)
-                    case = (alpha, beta, gamma, T, m_max)
-                    assert set(index) == by_rows[root], case
-                    assert sorted(index.values()) == list(range(1, len(index) + 1)), case
-                    assert follow == {(0, index[r]) for r in by_rows[root]} | {
-                        (index[row], index[r]) for row in index for r in by_rows[row]
-                    }, case
-                    assert counts == expected, case
+                    _assert_table_matches_oracle(T, side, m_max, (alpha, beta, gamma))
                     checked += 1
     assert checked == 34292
+
+
+def test_standard_table_matches_the_row_tuple_oracle_on_random_larger_triples():
+    """Both sides of seeded random triples with 8 <= n <= 12, every d,
+    at every m_max <= 3: beyond the exhaustive range, where the rows'
+    profiles are longer and the bounds have more points."""
+    rng = random.Random(2029)
+    checked = 0
+    for n in range(8, 13):
+        for d in range(2, n - 1):
+            for _ in range(3):
+                alpha, beta, gamma = _random_triple(rng, n, d)
+                for T, side in sides(*richardson(alpha, beta, gamma, n, d)):
+                    for m_max in range(4):
+                        _assert_table_matches_oracle(T, side, m_max, (alpha, beta, gamma))
+                        checked += 1
+    assert checked == 840
+
+
+def _random_triple(rng, n, d):
+    """A random Richardson triple of d-subsets of 1..n, drawn without
+    listing triples(n, d): a random beta, then random d-subsets until
+    one lies below it and one above it, termwise."""
+    def draw(keep=lambda index: True):
+        while True:
+            index = tuple(sorted(rng.sample(range(1, n + 1), d)))
+            if keep(index):
+                return index
+
+    beta = draw()
+    return draw(lambda alpha: termwise_leq(alpha, beta)), beta, draw(lambda gamma: termwise_leq(beta, gamma))
+
+
+def _assert_table_matches_oracle(T, side, m_max, triple):
+    """The table on row ids has the oracle's rows, numbered 1 on, the
+    oracle's follow relation read through its index, and its counts."""
+    index, follow, counts = groebner._standard_table(T, side, m_max)
+    root, by_rows, expected = standard_table_by_rows(T, side, m_max)
+    case = (*triple, T, m_max)
+    assert set(index) == by_rows[root], case
+    assert sorted(index.values()) == list(range(1, len(index) + 1)), case
+    assert follow == {(0, index[r]) for r in by_rows[root]} | {
+        (index[row], index[r]) for row in index for r in by_rows[row]
+    }, case
+    assert counts == expected, case
 
 
 def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
@@ -402,6 +441,18 @@ def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
                 assert report.counts_equal and report.brsk_injective
                 checked += 1
     assert checked == 2606
+
+
+def test_verify_holds_on_a_30_15_triple_through_degree_4():
+    """A (30, 15) triple, far past the exhaustive sweeps, at m_max = 4:
+    the counts agree in every degree, at the values the all-pairs table
+    gave, and brsk is injective into the standard monomials."""
+    alpha = (1, 3, 5, 6, 9, 13, 15, 16, 19, 20, 22, 23, 24, 25, 28)
+    beta = (3, 4, 5, 7, 9, 13, 15, 16, 19, 20, 22, 23, 25, 26, 28)
+    gamma = (3, 4, 5, 8, 10, 15, 16, 17, 19, 20, 22, 23, 25, 26, 30)
+    report = verify_groebner(*richardson(alpha, beta, gamma, 30, 15), 4)
+    assert report.per_degree == tuple((m, c, c) for m, c in enumerate((1, 15, 119, 665, 2940)))
+    assert report.counts_equal and report.brsk_injective
 
 
 def test_side_images_match_the_walk_and_brsk_negative_exhaustive():
