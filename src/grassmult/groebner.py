@@ -25,14 +25,16 @@ themselves from the same faces: each multiset's brsk image is its
 predecessor's grown by one insertion (bounded_images).  A side's
 standard monomials are the chains of one table of rows shared by every
 degree (_standard_table): it counts them, and verify checks each brsk
-image as a chain of it.  The table numbers its rows and compares them
-by their prefix-count profiles (multisets.diff_profile), in which the
-order on formal differences is pointwise dominance.  It finds its rows
-by growing their profiles one value of t at a time and dropping every
-prefix that no row above the bound extends (_standard_rows), so the
-rows cost about n steps each, not one test per pair of subsets of the
-complement and of beta; verify reads each image's rows as ids through
-one lookup each.
+image as a chain of it.  The table keys its rows by their prefix-count
+profiles (multisets.diff_profile), which name them and in which the
+order on formal differences is pointwise dominance.  One search gives
+the rows and their order: it grows profiles one value of t at a time
+and drops every prefix that no row above a given bound extends
+(_standard_rows).  Run from the bound it lists the rows, and from each
+row the rows that may follow it, each run about n steps per row it
+keeps, not one test per pair of subsets of the complement and of beta,
+nor one per pair of rows; verify walks each image's rows through the
+table, one lookup each.
 bounded_multisets_of_degree lists the mixed multisets of one degree by
 testing each with brsk.multiset_bounded_by; tests/oracles.py keeps a
 walk over each side's bounded supports, joined, as its oracle.
@@ -44,7 +46,7 @@ from math import comb
 
 from .brsk import insert_pair, multiset_bounded_by
 from .grassmannian import BetaGrid, richardson, sides, theta_to_rs, validate_index
-from .multisets import diff_profile, dominates, pairs, proj
+from .multisets import diff_profile, pairs, proj
 from .multiplicity import bounded_faces, maximal_bounded_subsets
 
 SignedMinor = namedtuple("SignedMinor", ["R", "S", "sign", "expansion"])
@@ -205,81 +207,75 @@ def count_monomials_outside_initial(Ttil, Wtil, grid: BetaGrid, m_max: int):
 
 
 def _standard_table(T, side: BetaGrid, m_max: int):
-    """One side's standard monomials as a table on row ids:
-    (index, follow, counts).
+    """One side's standard monomials as a table on the rows'
+    prefix-count profiles (multisets.diff_profile): (root, below, counts).
 
     Its rows are the negative rows (p, q) of the side's grid, p strictly
-    below q termwise, of at most m_max boxes, that lie above T.  index
-    maps each row to its id, 1 on; id 0 is the root (T(1), T(2)).
-    follow is the set of id pairs (i, j) whose row j may come after
-    id i, so the standard monomials are the chains of ids from 0; the
-    row order is transitive, so the rows above the root are exactly
-    those a chain reaches.  counts[r] is the number of chains of r boxes,
-    r = 0..m_max, from one recursion on ids shared by every degree.
+    below q termwise, of at most m_max boxes, that lie above T; root is
+    the profile of (T(1), T(2)).  A row's profile rises exactly at p, in
+    the complement, and falls exactly at q, in beta, so it names its
+    row.  below maps root to {row: profile} for every row, and each
+    row's profile to that map for the rows that may come after the row,
+    so the standard monomials are the walks from root through below.
+    counts[r] is the number of chains of r boxes, r = 0..m_max, from one
+    recursion on profiles shared by every degree.
 
-    The order on formal differences is read from one prefix-count
-    profile per row (multisets.diff_profile): p and q are disjoint, so a
-    row is negative exactly when its profile is >= 0 everywhere, and one
-    row lies below another, or below the root, exactly when its profile
-    dominates.  So the rows need no candidate filter: _standard_rows
-    builds each row's profile one value at a time and drops a prefix as
-    soon as no row above the root can extend it, at a cost that grows
-    with the rows kept, not with the C(n-d, k) * C(d, k) pairs (p, q) of
-    each size k.  diff_profile runs for the root alone.  follow still
-    compares every pair of profiles.  tests/oracles.py keeps the table
-    built from formal_diff_leq on every candidate row tuple as the
-    oracle.
+    The order on formal differences is pointwise dominance of profiles,
+    and a row is negative exactly when its profile is >= 0.  So one
+    search gives the rows and their order: _standard_rows from root
+    lists the rows, and from a row's profile the rows after it, at a
+    cost that grows with the rows kept, not with the C(n-d, k) * C(d, k)
+    pairs (p, q) of each size k nor with the pairs of rows.  below
+    stores each row and profile once, as the root search built them.
+    tests/oracles.py keeps the table built from formal_diff_leq on every
+    candidate row tuple as the oracle.
     """
     root = diff_profile(proj(T, 1), proj(T, 2), side.n)
-    profiles = [root]
-    sizes = [0]
-    index = {}
-    for row, h in _standard_rows(root, side, m_max):
-        index[row] = len(profiles)
-        profiles.append(h)
-        sizes.append(len(row[0]))
-    follow = {
-        (i, j) for i, h in enumerate(profiles) for j, g in enumerate(profiles) if j and dominates(h, g)
-    }
-    ways = [[1] * len(profiles)]  # ways[r][i]: completions after id i with r boxes left
+    rows = dict(_standard_rows(root, side, m_max))
+    own = {row: (row, h) for row, h in rows.items()}
+    below = {root: rows}
+    for h in rows.values():
+        below[h] = dict(own[row] for row, _ in _standard_rows(h, side, m_max))
+    ways = [dict.fromkeys(below, 1)]  # ways[r][h]: completions after profile h with r boxes left
     for r in range(1, m_max + 1):
-        layer = [0] * len(profiles)
-        for i, j in follow:
-            if sizes[j] <= r:
-                layer[i] += ways[r - sizes[j]][j]
+        layer = dict.fromkeys(below, 0)
+        for h, after in below.items():
+            for (p, _), g in after.items():
+                if len(p) <= r:
+                    layer[h] += ways[r - len(p)][g]
         ways.append(layer)
-    return index, follow, [layer[0] for layer in ways]
+    return root, below, [layer[root] for layer in ways]
 
 
 def _standard_rows(root, side: BetaGrid, m_max: int):
     """The rows of _standard_table with their profiles: ((p, q), h) for
     every nonempty row of at most m_max boxes whose profile h satisfies
-    0 <= h <= root.
+    0 <= h <= root.  root is any bound's profile: the table's root, for
+    its rows, or a row's, for the rows that may come after that row.
 
     One sweep over t = 1..n grows every live prefix of a row by t: into
     p (t in the complement, h rises by 1), into q (t in beta, h falls by
     1) or into neither.  A prefix dies as soon as h(t) < 0,
     h(t) > root(t), |p| > m_max, or h(t) exceeds the beta entries after
     t, since it could never return to 0; so every prefix alive at t = n
-    ends at h(n) = 0.  The root's profile rises only at complement
-    entries and falls only at beta entries, by one at each when the
-    bound's coordinates are distinct, as a twisted chain's are; then
-    every live prefix extends to a row or to the empty one, and the
-    sweep grows at most n (rows + 1) prefixes.
+    ends at h(n) = 0.  A row's profile rises only at complement entries
+    and falls only at beta entries, by one at each, and so does the
+    root's when the bound's coordinates are distinct, as a twisted
+    chain's are; then every live prefix extends to a row or to the
+    empty one, and the sweep grows at most n (rows + 1) prefixes.
     """
-    n = side.n
     beta = set(side.beta)
-    left = [0] * (n + 1)  # left[t]: beta entries after t
-    for t in range(n - 1, -1, -1):
-        left[t] = left[t + 1] + (t + 1 in beta)
+    left = len(beta)  # beta entries after t
     prefixes = [(0, (), (), ())]  # (h(t), p, q, h) per live prefix
-    for t in range(1, n + 1):
-        cap = min(root[t - 1], left[t])
+    for t in range(1, side.n + 1):
+        in_beta = t in beta
+        left -= in_beta
+        cap = min(root[t - 1], left)
         grown = []
         for level, p, q, h in prefixes:
             if level <= cap:
                 grown.append((level, p, q, h + (level,)))
-            if t in beta:
+            if in_beta:
                 if 0 < level <= cap + 1:
                     grown.append((level - 1, p, q + (t,), h + (level - 1,)))
             elif level < cap and len(p) < m_max:
@@ -319,11 +315,12 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     brsk_negative images from one face search (bounded_images), and its
     table of standard monomials is built once.  Each image, all
     negative, must be a chain of the table: a semistandard bitableau on
-    the side's grid above its bound.  Its rows zip(P, Q) are read as ids
-    through the table's index, a row off the table reading as no id,
-    and the chain is tested on the ids.  Images are told apart by their
-    id tuples: ids name table rows one to one, and an image that is not
-    a chain fails anyway, so this is the verdict of comparing the
+    the side's grid above its bound.  Its rows zip(P, Q) are walked from
+    the root through the table's below maps, a row missing from the map
+    it is looked up in ending the walk as no chain.  Images are told
+    apart by the profiles their walks visit: a profile names one row,
+    so a chain's profiles name its rows, and an image that is not a
+    chain fails anyway, so this is the verdict of comparing the
     bitableaux.  tests/oracles.py keeps the check of every mixed
     multiset as the oracle.
     """
@@ -332,17 +329,23 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     bounded, standard = [], []
     injective = True
     for T, side in pair:
-        index, follow, counts = _standard_table(T, side, m_max)
+        root, below, counts = _standard_table(T, side, m_max)
         standard.append(counts)
         found = [1] + [0] * m_max
         images = set()
         for U, (P, Q) in bounded_images(T, side, m_max):
             found[len(U)] += 1
-            ids = tuple(map(index.get, zip(P, Q)))
-            chain = len(P) == len(Q) and follow.issuperset(zip((0, *ids), ids))
-            if ids in images or not chain:
+            h, walk = root, []
+            for row in zip(P, Q):
+                h = below[h].get(row)
+                if h is None:
+                    injective = False
+                    break
+                walk.append(h)
+            walk = tuple(walk)
+            if len(P) != len(Q) or walk in images:
                 injective = False
-            images.add(ids)
+            images.add(walk)
         bounded.append(found)
     per_degree = tuple(zip(range(m_max + 1), _convolve(*bounded), _convolve(*standard)))
     witness = next((m for m, a, b in per_degree if a != b), None)

@@ -8,7 +8,6 @@ check_integers and check_bounds: one function per shared point rule.
 """
 
 from itertools import accumulate
-from operator import ge
 
 
 def nmul(values) -> tuple[int, ...]:
@@ -110,9 +109,9 @@ def diff_profile(A, B, n: int) -> tuple[int, ...]:
     It is exact for formal_diff_leq.  X <= Y termwise, for X and Y of
     one degree, exactly when X has at least as many entries <= t as Y
     at every t.  So A - B <= C - D, that is A + D <= C + B termwise,
-    exactly when diff_profile(A, B, n) dominates diff_profile(C, D, n)
-    at every t (dominates): the counts agree below 1, and above n when
-    the degrees match.  For disjoint sets p and q of one size, the
+    exactly when diff_profile(A, B, n) is at least diff_profile(C, D, n)
+    at every t = 1..n: the counts agree below 1, and above n when the
+    degrees match.  For disjoint sets p and q of one size, the
     profile of (p, q) is >= 0 everywhere exactly when p < q termwise:
     disjoint entries never tie.
     """
@@ -122,11 +121,6 @@ def diff_profile(A, B, n: int) -> tuple[int, ...]:
     for b in B:
         delta[b] -= 1
     return tuple(accumulate(delta[1:]))
-
-
-def dominates(h, g) -> bool:
-    """Whether the profile h is >= the profile g at every t."""
-    return all(map(ge, h, g))
 
 
 def multiset_order_leq(U, V) -> bool:

@@ -649,7 +649,7 @@ def standard_table_by_rows(T, side, m_max):
     (T(1), T(2)), follow maps the root and each negative row (p, q) of
     at most m_max boxes above the root to the set of rows that may come
     next, and counts[r] is the number of chains of r boxes from the
-    root.  The oracle for groebner's table on row ids."""
+    root.  The oracle for groebner's table on profiles."""
     root = (proj(T, 1), proj(T, 2))
     rows = [
         (p, q)

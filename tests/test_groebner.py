@@ -29,6 +29,7 @@ from grassmult.groebner import (
     verify_groebner,
 )
 from grassmult.multisets import (
+    diff_profile,
     formal_diff_leq,
     multiset_order_leq,
     negative_part,
@@ -364,11 +365,11 @@ def test_f_vector_counts_match_the_side_walks_exhaustive():
     assert checked == 2606
 
 
-def test_standard_table_on_row_ids_matches_the_row_tuple_oracle_exhaustive():
+def test_standard_table_matches_the_row_tuple_oracle_exhaustive():
     """Every side of every triple with n <= 6 and every d at every
     m_max <= 4, and of every (7, 3) triple at m_max = 3: the table on
-    row ids has the oracle's rows, numbered 1 on, the oracle's follow
-    relation read through its index, and the oracle's counts."""
+    profiles has the oracle's rows, under each row's profile the rows
+    the oracle lets follow it, and the oracle's counts."""
     cases = [(n, d, range(5)) for n in range(2, 7) for d in range(1, n)] + [(7, 3, [3])]
     checked = 0
     for n, d, m_maxes in cases:
@@ -412,16 +413,20 @@ def _random_triple(rng, n, d):
 
 
 def _assert_table_matches_oracle(T, side, m_max, triple):
-    """The table on row ids has the oracle's rows, numbered 1 on, the
-    oracle's follow relation read through its index, and its counts."""
-    index, follow, counts = groebner._standard_table(T, side, m_max)
-    root, by_rows, expected = standard_table_by_rows(T, side, m_max)
+    """The table is keyed by the profiles of the oracle's root and of
+    each of its rows; under each key it maps the rows the oracle lets
+    follow, each to its profile, all shared with the root's map; its
+    counts are the oracle's."""
+    root, below, counts = groebner._standard_table(T, side, m_max)
+    by_rows_root, follow, expected = standard_table_by_rows(T, side, m_max)
     case = (*triple, T, m_max)
-    assert set(index) == by_rows[root], case
-    assert sorted(index.values()) == list(range(1, len(index) + 1)), case
-    assert follow == {(0, index[r]) for r in by_rows[root]} | {
-        (index[row], index[r]) for row in index for r in by_rows[row]
-    }, case
+    profile = {row: diff_profile(*row, side.n) for row in follow}
+    assert root == profile[by_rows_root], case
+    assert set(below) == set(profile.values()), case
+    for row, nexts in follow.items():
+        after = below[profile[row]]
+        assert after == {r: profile[r] for r in nexts}, case
+        assert all(h is below[root][r] for r, h in after.items()), case
     assert counts == expected, case
 
 
