@@ -26,15 +26,14 @@ predecessor's grown by one insertion (bounded_images).  A side's
 standard monomials are the chains of one table of rows shared by every
 degree (_standard_table): it counts them, and verify checks each brsk
 image as a chain of it.  The table keys its rows by their prefix-count
-profiles (multisets.diff_profile), which name them and in which the
-order on formal differences is pointwise dominance.  One search gives
-the rows and their order: it grows profiles one value of t at a time
-and drops every prefix that no row above a given bound extends
-(_standard_rows).  Run from the bound it lists the rows, and from each
-row the rows that may follow it, each run about n steps per row it
-keeps, not one test per pair of subsets of the complement and of beta,
-nor one per pair of rows; verify walks each image's rows through the
-table, one lookup each.
+profiles (multisets.diff_profile, once per row), which name them and
+in which the order on formal differences is pointwise dominance.  One
+search gives the rows and their order (_standard_rows): it grows rows
+(p, q) one t at a time, the level |p| - |q| being the profile at t, and
+drops every prefix that no row above a given bound extends.  Run from
+the bound it lists the rows, and from a row's profile the rows after
+it, about n steps per row kept, not one test per pair of rows nor per
+pair of subsets of the complement and of beta.
 bounded_multisets_of_degree lists the mixed multisets of one degree by
 testing each with brsk.multiset_bounded_by; tests/oracles.py keeps a
 walk over each side's bounded supports, joined, as its oracle.
@@ -225,17 +224,16 @@ def _standard_table(T, side: BetaGrid, m_max: int):
     search gives the rows and their order: _standard_rows from root
     lists the rows, and from a row's profile the rows after it, at a
     cost that grows with the rows kept, not with the C(n-d, k) * C(d, k)
-    pairs (p, q) of each size k nor with the pairs of rows.  below
-    stores each row and profile once, as the root search built them.
-    tests/oracles.py keeps the table built from formal_diff_leq on every
-    candidate row tuple as the oracle.
+    pairs (p, q) of each size k nor with the pairs of rows.  Each row's
+    profile is taken once, and every map stores those row and profile
+    objects.  tests/oracles.py keeps the table built from formal_diff_leq
+    on every candidate row tuple as the oracle.
     """
     root = diff_profile(proj(T, 1), proj(T, 2), side.n)
-    rows = dict(_standard_rows(root, side, m_max))
-    own = {row: (row, h) for row, h in rows.items()}
-    below = {root: rows}
-    for h in rows.values():
-        below[h] = dict(own[row] for row, _ in _standard_rows(h, side, m_max))
+    own = {row: (row, diff_profile(*row, side.n)) for row in _standard_rows(root, side, m_max)}
+    below = {root: dict(own.values())}
+    for _, h in own.values():
+        below[h] = dict(own[row] for row in _standard_rows(h, side, m_max))
     ways = [dict.fromkeys(below, 1)]  # ways[r][h]: completions after profile h with r boxes left
     for r in range(1, m_max + 1):
         layer = dict.fromkeys(below, 0)
@@ -248,40 +246,41 @@ def _standard_table(T, side: BetaGrid, m_max: int):
 
 
 def _standard_rows(root, side: BetaGrid, m_max: int):
-    """The rows of _standard_table with their profiles: ((p, q), h) for
-    every nonempty row of at most m_max boxes whose profile h satisfies
-    0 <= h <= root.  root is any bound's profile: the table's root, for
-    its rows, or a row's, for the rows that may come after that row.
+    """The rows of _standard_table: every nonempty row (p, q) of at
+    most m_max boxes whose profile h satisfies 0 <= h <= root.  root is
+    any bound's profile: the table's root, for its rows, or a row's,
+    for the rows that may come after that row.
 
-    One sweep over t = 1..n grows every live prefix of a row by t: into
-    p (t in the complement, h rises by 1), into q (t in beta, h falls by
-    1) or into neither.  A prefix dies as soon as h(t) < 0,
-    h(t) > root(t), |p| > m_max, or h(t) exceeds the beta entries after
-    t, since it could never return to 0; so every prefix alive at t = n
-    ends at h(n) = 0.  A row's profile rises only at complement entries
-    and falls only at beta entries, by one at each, and so does the
-    root's when the bound's coordinates are distinct, as a twisted
+    One sweep over t = 1..n grows every live prefix (p, q) of a row by
+    t: into p (t in the complement), into q (t in beta) or into
+    neither; its level |p| - |q| is the row's profile h at t.  A prefix
+    dies as soon as h(t) < 0, h(t) > root(t), |p| > m_max, or h(t)
+    exceeds the beta entries after t, since it could never return to 0;
+    so every prefix alive at t = n ends at h(n) = 0.  A row's profile
+    steps by one, up at complement entries and down at beta entries,
+    and so does a bound's whose coordinates are distinct, as a twisted
     chain's are; then every live prefix extends to a row or to the
     empty one, and the sweep grows at most n (rows + 1) prefixes.
     """
     beta = set(side.beta)
     left = len(beta)  # beta entries after t
-    prefixes = [(0, (), (), ())]  # (h(t), p, q, h) per live prefix
+    prefixes = [((), ())]  # (p, q) per live prefix
     for t in range(1, side.n + 1):
         in_beta = t in beta
         left -= in_beta
         cap = min(root[t - 1], left)
         grown = []
-        for level, p, q, h in prefixes:
+        for p, q in prefixes:
+            level = len(p) - len(q)
             if level <= cap:
-                grown.append((level, p, q, h + (level,)))
+                grown.append((p, q))
             if in_beta:
                 if 0 < level <= cap + 1:
-                    grown.append((level - 1, p, q + (t,), h + (level - 1,)))
+                    grown.append((p, q + (t,)))
             elif level < cap and len(p) < m_max:
-                grown.append((level + 1, p + (t,), q, h + (level + 1,)))
+                grown.append((p + (t,), q))
         prefixes = grown
-    return [((p, q), h) for _, p, q, h in prefixes if p]
+    return [(p, q) for p, q in prefixes if p]
 
 
 def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):
@@ -304,9 +303,8 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     the grid bounded by the pair (Ttil, Wtil) for every degree up to
     m_max, and check that bounded RSK is injective from bounded
     multisets into bounded bitableaux at each degree.  Takes the
-    arguments of the two counts, count_monomials_outside_initial and
-    count_standard_monomials; grassmannian.richardson builds them from
-    a triple.
+    arguments of count_monomials_outside_initial and
+    count_standard_monomials; grassmannian.richardson builds them.
 
     brsk stacks the bitableau of a multiset's negative side on that of
     its positive side, and every row says which side it came from, so
@@ -321,8 +319,10 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     apart by the profiles their walks visit: a profile names one row,
     so a chain's profiles name its rows, and an image that is not a
     chain fails anyway, so this is the verdict of comparing the
-    bitableaux.  tests/oracles.py keeps the check of every mixed
-    multiset as the oracle.
+    bitableaux.  The walks hold only the table's own profile objects;
+    a set of the bitableaux would keep every image's rows alive, half
+    again the peak memory at (30, 15) and m_max = 5.  tests/oracles.py
+    keeps the check of every mixed multiset as the oracle.
     """
     pair = sides(Ttil, Wtil, grid)
     _check_degree(m_max)

@@ -398,6 +398,30 @@ def test_standard_table_matches_the_row_tuple_oracle_on_random_larger_triples():
     assert checked == 840
 
 
+def test_standard_table_matches_the_row_tuple_oracle_on_bounds_that_are_not_twisted_chains():
+    """Seeded random bounds of one to four points of a side's negative
+    region, which may repeat points and share coordinates, 4 <= n <= 9,
+    every d, at every m_max <= 3.  Only such a bound's profile can step
+    by more than one, and only then does the cap of beta entries after
+    t end a prefix in _standard_rows that the bound would keep; the
+    Richardson bounds of the tests above are twisted chains."""
+    rng = random.Random(31)
+    checked = shared = 0
+    for n in range(4, 10):
+        for d in range(1, n):
+            for _ in range(12):
+                region = []
+                while not region:
+                    side = beta_grid(sorted(rng.sample(range(1, n + 1), d)), n)
+                    region = sorted(negative_region(side))
+                T = tuple(sorted(rng.choice(region) for _ in range(rng.randint(1, 4))))
+                shared += len(set(proj(T, 1) + proj(T, 2))) < 2 * len(T)
+                for m_max in range(4):
+                    _assert_table_matches_oracle(T, side, m_max, (side.beta, T))
+                    checked += 1
+    assert (checked, shared) == (1584, 282)
+
+
 def _random_triple(rng, n, d):
     """A random Richardson triple of d-subsets of 1..n, drawn without
     listing triples(n, d): a random beta, then random d-subsets until
