@@ -78,8 +78,9 @@ def insert_pair(P, Q, a: int, b: int):
     b in Q (_place_left).  Asks the kernel for the row of the new box
     alone, not a bumping record.  Checks nothing: the caller feeds the
     pairs in lex_sort order, which keeps P semistandard on each next
-    bound.  groebner.bounded_images grows the image of a multiset by a
-    last pair with it.
+    bound.  brsk_negative is its one caller; groebner.bounded_images
+    runs the same step on a grid's rows as bitmasks, and
+    tests/test_groebner.py compares the two.
     """
     _place_left(Q, insert_rows(P, a, b, record=False), b)
 

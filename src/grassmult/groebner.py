@@ -25,15 +25,19 @@ themselves from the same faces: each multiset's brsk image is its
 predecessor's grown by one insertion (bounded_images).  A side's
 standard monomials are the chains of one table of rows shared by every
 degree (_standard_table): it counts them, and verify checks each brsk
-image as a chain of it.  The table keys its rows by their prefix-count
-profiles (multisets.diff_profile, once per row), which name them and
-in which the order on formal differences is pointwise dominance.  One
-search gives the rows and their order (_standard_rows): it grows rows
-(p, q) one t at a time, the level |p| - |q| being the profile at t, and
-drops every prefix that no row above a given bound extends.  Run from
-the bound it lists the rows, and from a row's profile the rows after
-it, about n steps per row kept, not one test per pair of rows nor per
-pair of subsets of the complement and of beta.
+image as a chain of it.  On a side's grid a row (p, q) has p in the
+complement and q in beta, two disjoint subsets of 1..n, so one int,
+its row mask with bit t set for each t in p and in q, names it: verify
+grows each image as a tuple of row masks by a bitwise insertion, and
+the table keys its rows by their masks.  The order on formal
+differences is pointwise dominance of the rows' prefix-count profiles
+(multisets.diff_profile, once per row).  One search gives the rows and
+their order (_standard_rows): it grows row masks one t at a time, the
+level |p| - |q| being the profile at t, and drops every prefix that no
+row above a given bound extends.  Run from the bound it lists the rows,
+and from a row's profile the rows after it, about n steps per row kept,
+not one test per pair of rows nor per pair of subsets of the
+complement and of beta.
 bounded_multisets_of_degree lists the mixed multisets of one degree by
 testing each with brsk.multiset_bounded_by; tests/oracles.py keeps a
 walk over each side's bounded supports, joined, as its oracle.
@@ -43,7 +47,7 @@ from collections import Counter, namedtuple
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
-from .brsk import insert_pair, multiset_bounded_by
+from .brsk import multiset_bounded_by
 from .grassmannian import BetaGrid, richardson, sides, theta_to_rs, validate_index
 from .multisets import diff_profile, pairs, proj
 from .multiplicity import bounded_faces, maximal_bounded_subsets
@@ -134,34 +138,59 @@ def initial_term(f: SignedMinor):
 def bounded_images(T, grid: BetaGrid, m_max: int):
     """Every nonempty multiset on the negative points of the grid
     bounded below by T, of degree at most m_max, with its
-    brsk.brsk_negative image: yields (U, (P, Q)), U in brsk's insertion
-    order.
+    brsk.brsk_negative image as row masks: yields (U, rows), U in
+    brsk's insertion order.
+
+    On the grid every entry of P is in the complement and every entry
+    of Q in beta, two disjoint subsets of 1..n, so row i of the image
+    (P, Q) is named without loss by the int rows[i] with bit t set for
+    each t in P_i and in Q_i.  tests/test_groebner.py compares rows with
+    brsk_negative's rows read as masks.
 
     One walk of multiplicity.bounded_faces(T, grid, m_max).  Its faces
     come in preorder and list their points in insertion order, so the
     multisets supported on a face S + (p,) are those supported on S
     followed by j >= 1 copies of p, and brsk inserts those copies last.
-    Each image of S is copied to mutable rows once and grown by
-    brsk.insert_pair one copy of p at a time: one insertion per
-    multiset, not one per pair, and no bumping record.  The images at
-    each size of the current branch are kept on a stack.
+    Each image of S is grown one copy of p = (a, b) at a time by the
+    bounded insertion of a below b on masks: the entry that a value
+    cur bumps from a row is the lowest set bit of that row's complement
+    bits below b that are >= cur, and the row of the new box also takes
+    b, the insertion's place in Q.  One insertion per multiset, not one
+    per pair, into a new tuple that shares the rows it leaves alone.
+    The images at each size of the current branch are kept on a stack.
     """
     _check_degree(m_max)
-    stack = [[((), (), ())]]  # per face size: (U, P, Q) for the face's multisets of degree < m_max
+    complement = _mask(grid.complement)
+    stack = [[((), ())]]  # per face size: (U, rows) for the face's multisets of degree < m_max
     for k, p in bounded_faces(T, grid, m_max):
         del stack[k:]
         grown = []
         a, b = p
-        for U, P, Q in stack[-1]:
-            P, Q = [list(row) for row in P], [list(row) for row in Q]
+        bit_a, bit_b = 1 << a, 1 << b
+        below_b = complement & (bit_b - 1)
+        for U, rows in stack[-1]:
             for _ in range(len(U), m_max):
-                insert_pair(P, Q, a, b)
+                cur, bumped = bit_a, []
+                for i, row in enumerate(rows):
+                    entry = row & below_b & -cur
+                    if not entry:
+                        rows = (*bumped, row | cur | bit_b, *rows[i + 1 :])
+                        break
+                    entry &= -entry
+                    bumped.append(row ^ entry | cur)
+                    cur = entry
+                else:
+                    rows = (*bumped, cur | bit_b)
                 U += (p,)
-                image = (tuple(map(tuple, P)), tuple(map(tuple, Q)))
-                yield U, image
+                yield U, rows
                 if len(U) < m_max:
-                    grown.append((U, *image))
+                    grown.append((U, rows))
         stack.append(grown)
+
+
+def _mask(values):
+    """The int with bit t set for each t in values."""
+    return sum(1 << t for t in values)
 
 
 def _check_degree(m: int):
@@ -206,81 +235,92 @@ def count_monomials_outside_initial(Ttil, Wtil, grid: BetaGrid, m_max: int):
 
 
 def _standard_table(T, side: BetaGrid, m_max: int):
-    """One side's standard monomials as a table on the rows'
-    prefix-count profiles (multisets.diff_profile): (root, below, counts).
+    """One side's standard monomials as a table on row masks (as in
+    bounded_images): (below, counts).
 
     Its rows are the negative rows (p, q) of the side's grid, p strictly
-    below q termwise, of at most m_max boxes, that lie above T; root is
-    the profile of (T(1), T(2)).  A row's profile rises exactly at p, in
-    the complement, and falls exactly at q, in beta, so it names its
-    row.  below maps root to {row: profile} for every row, and each
-    row's profile to that map for the rows that may come after the row,
-    so the standard monomials are the walks from root through below.
-    counts[r] is the number of chains of r boxes, r = 0..m_max, from one
-    recursion on profiles shared by every degree.
+    below q termwise, of at most m_max boxes, that lie above T.  below
+    maps 0, the mask of no row, to {row: row} for every row, and each
+    row to that map for the rows that may come after the row, so the
+    standard monomials are the walks from 0 through below.  counts[r] is
+    the number of chains of r boxes, r = 0..m_max, from one recursion on
+    rows shared by every degree, which reads each row's box count once
+    per degree, not once per pair of rows.
 
-    The order on formal differences is pointwise dominance of profiles,
-    and a row is negative exactly when its profile is >= 0.  So one
-    search gives the rows and their order: _standard_rows from root
-    lists the rows, and from a row's profile the rows after it, at a
-    cost that grows with the rows kept, not with the C(n-d, k) * C(d, k)
-    pairs (p, q) of each size k nor with the pairs of rows.  Each row's
-    profile is taken once, and every map stores those row and profile
-    objects.  tests/oracles.py keeps the table built from formal_diff_leq
-    on every candidate row tuple as the oracle.
+    The order on formal differences is pointwise dominance of the rows'
+    prefix-count profiles (multisets.diff_profile), and a row is
+    negative exactly when its profile is >= 0.  So one search gives the
+    rows and their order: _standard_rows from the profile of
+    (T(1), T(2)) lists the rows, and from a row's profile the rows after
+    it, at a cost that grows with the rows kept, not with the
+    C(n-d, k) * C(d, k) pairs (p, q) of each size k nor with the pairs
+    of rows.  Profiles only bound those runs: each row's is taken once.
+    Every map stores the root map's row objects.  tests/oracles.py keeps
+    the table built from formal_diff_leq on every candidate row tuple as
+    the oracle.
     """
-    root = diff_profile(proj(T, 1), proj(T, 2), side.n)
-    own = {row: (row, diff_profile(*row, side.n)) for row in _standard_rows(root, side, m_max)}
-    below = {root: dict(own.values())}
-    for _, h in own.values():
-        below[h] = dict(own[row] for row in _standard_rows(h, side, m_max))
-    ways = [dict.fromkeys(below, 1)]  # ways[r][h]: completions after profile h with r boxes left
+    beta = _mask(side.beta)
+    complement = _mask(side.complement)
+    rows = _standard_rows(diff_profile(proj(T, 1), proj(T, 2), side.n), beta, m_max)
+    own = dict(zip(rows, rows))
+    below = {0: own}
+    for row in rows:
+        p = [t for t in side.complement if row >> t & 1]
+        q = [t for t in side.beta if row >> t & 1]
+        after = [own[r] for r in _standard_rows(diff_profile(p, q, side.n), beta, m_max)]
+        below[row] = dict(zip(after, after))
+    boxes = {row: (row & complement).bit_count() for row in rows}
+    ways = [dict.fromkeys(below, 1)]  # ways[r][h]: completions after row h with r boxes left
     for r in range(1, m_max + 1):
-        layer = dict.fromkeys(below, 0)
-        for h, after in below.items():
-            for (p, _), g in after.items():
-                if len(p) <= r:
-                    layer[h] += ways[r - len(p)][g]
-        ways.append(layer)
-    return root, below, [layer[root] for layer in ways]
+        # chains of r boxes that start at each row
+        start = {g: ways[r - k][g] if k <= r else 0 for g, k in boxes.items()}
+        ways.append({h: sum(map(start.__getitem__, after)) for h, after in below.items()})
+    return below, [layer[0] for layer in ways]
 
 
-def _standard_rows(root, side: BetaGrid, m_max: int):
-    """The rows of _standard_table: every nonempty row (p, q) of at
-    most m_max boxes whose profile h satisfies 0 <= h <= root.  root is
-    any bound's profile: the table's root, for its rows, or a row's,
-    for the rows that may come after that row.
+def _standard_rows(bound, beta: int, m_max: int):
+    """The rows of _standard_table, as masks: every nonempty row (p, q)
+    of at most m_max boxes, on the grid whose beta has the mask beta,
+    whose profile h satisfies 0 <= h <= bound.  bound is any profile on
+    1..n, n = len(bound): the table's bound's, for its rows, or a
+    row's, for the rows that may come after that row.
 
-    One sweep over t = 1..n grows every live prefix (p, q) of a row by
-    t: into p (t in the complement), into q (t in beta) or into
-    neither; its level |p| - |q| is the row's profile h at t.  A prefix
-    dies as soon as h(t) < 0, h(t) > root(t), |p| > m_max, or h(t)
-    exceeds the beta entries after t, since it could never return to 0;
-    so every prefix alive at t = n ends at h(n) = 0.  A row's profile
-    steps by one, up at complement entries and down at beta entries,
-    and so does a bound's whose coordinates are distinct, as a twisted
-    chain's are; then every live prefix extends to a row or to the
-    empty one, and the sweep grows at most n (rows + 1) prefixes.
+    One sweep over t = 1..n grows every live prefix of a row by t: into
+    p (t not in beta), into q (t in beta) or into neither; its level
+    |p| - |q| is the row's profile h at t.  A prefix dies as soon as
+    h(t) < 0, h(t) > bound(t), |p| > m_max, or h(t) exceeds the beta
+    entries after t, since it could never return to 0; so every prefix
+    alive at t = n ends at h(n) = 0.  A row's profile steps by one, up
+    at complement entries and down at beta entries, and so does a
+    bound's whose coordinates are distinct, as a twisted chain's are;
+    then every live prefix extends to a row or to the empty one, and
+    the sweep grows at most n (rows + 1) prefixes.  Where the bound is
+    0 and every live prefix is at level 0, t changes nothing, so the
+    sweep skips it: a row's profile is 0 outside the span of the row.
     """
-    beta = set(side.beta)
-    left = len(beta)  # beta entries after t
-    prefixes = [((), ())]  # (p, q) per live prefix
-    for t in range(1, side.n + 1):
-        in_beta = t in beta
-        left -= in_beta
-        cap = min(root[t - 1], left)
+    prefixes = [0]
+    settled = True  # every live prefix is at level 0
+    for t, cap in enumerate(bound, 1):
+        if settled and not cap:
+            continue
+        bit = 1 << t
+        in_beta = beta & bit
+        cap = min(cap, (beta >> t + 1).bit_count())  # beta entries after t
         grown = []
-        for p, q in prefixes:
-            level = len(p) - len(q)
+        for row in prefixes:
+            q = (row & beta).bit_count()
+            p = row.bit_count() - q
+            level = p - q
             if level <= cap:
-                grown.append((p, q))
+                grown.append(row)
             if in_beta:
                 if 0 < level <= cap + 1:
-                    grown.append((p, q + (t,)))
-            elif level < cap and len(p) < m_max:
-                grown.append((p + (t,), q))
+                    grown.append(row | bit)
+            elif level < cap and p < m_max:
+                grown.append(row | bit)
         prefixes = grown
-    return [(p, q) for p, q in prefixes if p]
+        settled = not cap
+    return [row for row in prefixes if row]
 
 
 def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):
@@ -295,7 +335,7 @@ def count_standard_monomials(Ttil, Wtil, grid: BetaGrid, m_max: int):
     two sides' tables (_standard_table).
     """
     _check_degree(m_max)
-    return _convolve(*(_standard_table(T, side, m_max)[2] for T, side in sides(Ttil, Wtil, grid)))
+    return _convolve(*(_standard_table(T, side, m_max)[1] for T, side in sides(Ttil, Wtil, grid)))
 
 
 def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
@@ -310,40 +350,42 @@ def verify_groebner(Ttil, Wtil, grid: BetaGrid, m_max: int) -> GroebnerReport:
     its positive side, and every row says which side it came from, so
     brsk is injective and bounded on the pairs exactly when it is on
     each side.  Each side's bounded multisets come with their
-    brsk_negative images from one face search (bounded_images), and its
-    table of standard monomials is built once.  Each image, all
-    negative, must be a chain of the table: a semistandard bitableau on
-    the side's grid above its bound.  Its rows zip(P, Q) are walked from
-    the root through the table's below maps, a row missing from the map
-    it is looked up in ending the walk as no chain.  Images are told
-    apart by the profiles their walks visit: a profile names one row,
-    so a chain's profiles name its rows, and an image that is not a
-    chain fails anyway, so this is the verdict of comparing the
-    bitableaux.  The walks hold only the table's own profile objects;
-    a set of the bitableaux would keep every image's rows alive, half
-    again the peak memory at (30, 15) and m_max = 5.  tests/oracles.py
-    keeps the check of every mixed multiset as the oracle.
+    brsk_negative images, as row masks, from one face search
+    (bounded_images), and its table of standard monomials is built
+    once.  Each image, all negative, must be a chain of the table: a
+    semistandard bitableau on the side's grid above its bound.  Its row
+    masks are walked from 0 through the table's below maps, a row
+    missing from the map it is looked up in ending the walk as no
+    chain; a row whose P and Q differ in length has a mask with more
+    bits in one of complement and beta than in the other, which is no
+    key.  Images are told apart by the rows their walks visit: a
+    chain's walk is its rows, and an image that is not a chain fails
+    anyway, so this is the verdict of comparing the bitableaux.  The
+    walks hold only the table's own row objects; a set of the images
+    would keep every image's new row ints alive, 37 -> 45 MB of peak
+    memory at (30, 15) and m_max = 6.  tests/oracles.py keeps the check
+    of every mixed multiset as the oracle.
     """
     pair = sides(Ttil, Wtil, grid)
     _check_degree(m_max)
     bounded, standard = [], []
     injective = True
     for T, side in pair:
-        root, below, counts = _standard_table(T, side, m_max)
+        below, counts = _standard_table(T, side, m_max)
         standard.append(counts)
         found = [1] + [0] * m_max
         images = set()
-        for U, (P, Q) in bounded_images(T, side, m_max):
+        for U, rows in bounded_images(T, side, m_max):
             found[len(U)] += 1
-            h, walk = root, []
-            for row in zip(P, Q):
+            h, walk = 0, []
+            for row in rows:
                 h = below[h].get(row)
                 if h is None:
                     injective = False
                     break
                 walk.append(h)
             walk = tuple(walk)
-            if len(P) != len(Q) or walk in images:
+            if walk in images:
                 injective = False
             images.add(walk)
         bounded.append(found)

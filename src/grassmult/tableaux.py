@@ -9,9 +9,10 @@ of the more common convention, so insertion bumps along rows).
 Each direction of insertion runs one kernel that works in place on a
 list of mutable rows.  Forward, insert_rows bumps a value in:
 brsk.brsk_trace runs it on its own rows for each bumping record, and
-brsk.insert_pair on rows its caller keeps for the row of the new box
-alone (brsk.brsk_negative, groebner.bounded_images), on input that
-brsk.lex_sort checks once; bounded_insert checks its input and runs it
+brsk.insert_pair on rows its caller, brsk.brsk_negative, keeps for the
+row of the new box alone, on input that brsk.lex_sort checks once
+(groebner.bounded_images runs the same insertion on row bitmasks, a
+grid's rows only); bounded_insert checks its input and runs it
 on a copy, the checked one-step door.  Backward, reverse_insert_rows
 takes the rightmost entry below the bound out of a row and bumps a value
 out: reverse_bounded_insert runs it as bounded_insert runs insert_rows,

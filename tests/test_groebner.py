@@ -29,7 +29,6 @@ from grassmult.groebner import (
     verify_groebner,
 )
 from grassmult.multisets import (
-    diff_profile,
     formal_diff_leq,
     multiset_order_leq,
     negative_part,
@@ -368,8 +367,8 @@ def test_f_vector_counts_match_the_side_walks_exhaustive():
 def test_standard_table_matches_the_row_tuple_oracle_exhaustive():
     """Every side of every triple with n <= 6 and every d at every
     m_max <= 4, and of every (7, 3) triple at m_max = 3: the table on
-    profiles has the oracle's rows, under each row's profile the rows
-    the oracle lets follow it, and the oracle's counts."""
+    row masks has the oracle's rows, under each row's mask the rows the
+    oracle lets follow it, and the oracle's counts."""
     cases = [(n, d, range(5)) for n in range(2, 7) for d in range(1, n)] + [(7, 3, [3])]
     checked = 0
     for n, d, m_maxes in cases:
@@ -383,8 +382,9 @@ def test_standard_table_matches_the_row_tuple_oracle_exhaustive():
 
 def test_standard_table_matches_the_row_tuple_oracle_on_random_larger_triples():
     """Both sides of seeded random triples with 8 <= n <= 12, every d,
-    at every m_max <= 3: beyond the exhaustive range, where the rows'
-    profiles are longer and the bounds have more points."""
+    at every m_max <= 3: beyond the exhaustive range, where the bounds
+    have more points and the row masks pass 256, so that sharing the
+    root map's objects is not the small-int cache's doing."""
     rng = random.Random(2029)
     checked = 0
     for n in range(8, 13):
@@ -437,21 +437,33 @@ def _random_triple(rng, n, d):
 
 
 def _assert_table_matches_oracle(T, side, m_max, triple):
-    """The table is keyed by the profiles of the oracle's root and of
-    each of its rows; under each key it maps the rows the oracle lets
-    follow, each to its profile, all shared with the root's map; its
-    counts are the oracle's."""
-    root, below, counts = groebner._standard_table(T, side, m_max)
-    by_rows_root, follow, expected = standard_table_by_rows(T, side, m_max)
+    """The table is keyed by 0 for the oracle's root and by the mask of
+    each of the oracle's rows; under each key it maps the masks of the
+    rows the oracle lets follow, each to itself, all the root map's
+    objects; its counts are the oracle's."""
+    below, counts = groebner._standard_table(T, side, m_max)
+    root, follow, expected = standard_table_by_rows(T, side, m_max)
     case = (*triple, T, m_max)
-    profile = {row: diff_profile(*row, side.n) for row in follow}
-    assert root == profile[by_rows_root], case
-    assert set(below) == set(profile.values()), case
-    for row, nexts in follow.items():
-        after = below[profile[row]]
-        assert after == {r: profile[r] for r in nexts}, case
-        assert all(h is below[root][r] for r, h in after.items()), case
+    mask = {(p, q): row_masks([p], [q])[0] for p, q in follow}
+    rows = follow[root]  # every row lies above the root
+    assert set(below) == {0} | {mask[row] for row in rows}, case
+    for h, row in [(0, root), *((mask[row], row) for row in rows)]:
+        after = below[h]
+        assert after == {mask[r]: mask[r] for r in follow[row]}, case
+        assert all(g is below[0][r] for r, g in after.items()), case
     assert counts == expected, case
+
+
+def row_masks(P, Q):
+    """The rows of the bitableau (P, Q) as groebner names them on a
+    side's grid: row i as the int with bit t set for each t in P_i and
+    in Q_i."""
+    return tuple(bits((*p, *q)) for p, q in zip(P, Q, strict=True))
+
+
+def bits(values):
+    """The int with bit t set for each t in values."""
+    return sum(1 << t for t in values)
 
 
 def test_verify_by_sides_matches_the_per_multiset_oracle_exhaustive():
@@ -487,8 +499,8 @@ def test_verify_holds_on_a_30_15_triple_through_degree_4():
 def test_side_images_match_the_walk_and_brsk_negative_exhaustive():
     """Every triple with n <= 6 and every d, m_max = 4: the multisets
     that bounded_images lists for each side are, degree by degree, those
-    of that side's walk, each in insertion order and with its
-    brsk_negative image."""
+    of that side's walk, each in insertion order and with the rows of
+    its brsk_negative image as masks."""
     checked = listed = 0
     for n in range(2, 7):
         for d in range(1, n):
@@ -497,13 +509,36 @@ def test_side_images_match_the_walk_and_brsk_negative_exhaustive():
                     by_degree = [[()]] + [[] for _ in range(4)]
                     for U, image in groebner.bounded_images(T, side, 4):
                         assert U == lex_sort(U), (T, side, U)
-                        assert image == brsk_negative(U), (T, side, U)
+                        assert image == row_masks(*brsk_negative(U)), (T, side, U)
                         by_degree[len(U)].append(tuple(sorted(U)))
                         listed += 1
                     walk = side_walk(T, side, 4)
                     assert [sorted(ms) for ms in by_degree] == [sorted(ms) for ms in walk], (T, side)
                 checked += 1
     assert (checked, listed) == (2606, 162386)
+
+
+def test_side_images_match_brsk_negative_on_random_larger_triples():
+    """Both sides of seeded random triples with 8 <= n <= 12, every d,
+    at m_max = 4: beyond the exhaustive range, bounded_images lists each
+    multiset once and grows brsk_negative's image of it, as row masks;
+    some images have several rows, so values were bumped."""
+    rng = random.Random(32)
+    checked = listed = stacked = 0
+    for n in range(8, 13):
+        for d in range(2, n - 1):
+            for _ in range(3):
+                alpha, beta, gamma = _random_triple(rng, n, d)
+                for T, side in sides(*richardson(alpha, beta, gamma, n, d)):
+                    multisets = []
+                    for U, image in groebner.bounded_images(T, side, 4):
+                        assert image == row_masks(*brsk_negative(U)), (alpha, beta, gamma, U)
+                        multisets.append(tuple(sorted(U)))
+                        stacked += len(image) > 1
+                    assert len(set(multisets)) == len(multisets), (alpha, beta, gamma, T)
+                    checked += 1
+                    listed += len(multisets)
+    assert (checked, listed, stacked) == (210, 157571, 153289)
 
 
 def test_verify_tests_each_support_once_exhaustive(monkeypatch):
@@ -571,12 +606,13 @@ def every_support(points, max_size, start=0, size=0):
 
 def breaking_images(monkeypatch, on_side, broken):
     """Make verify's source of (multiset, image) pairs send each
-    multiset U whose points are on_side to broken(U, image)."""
+    multiset U whose points are on_side to broken(U, image, grid), the
+    image being its rows as masks on the side's grid."""
     real = groebner.bounded_images
 
     def images(T, grid, m_max):
         for U, image in real(T, grid, m_max):
-            yield U, (broken(U, image) if on_side(U[0]) else image)
+            yield U, (broken(U, image, grid) if on_side(U[0]) else image)
 
     monkeypatch.setattr(groebner, "bounded_images", images)
 
@@ -610,7 +646,7 @@ def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
     breaking_images(
         monkeypatch,
         walked_on(side, SIDED[2]),
-        lambda U, image: brsk_negative(sorted(U)[:1] * len(U)),
+        lambda U, image, grid: row_masks(*brsk_negative(sorted(U)[:1] * len(U))),
     )
     report = verify_groebner(*SIDED, 3)
     assert not report.brsk_injective
@@ -621,16 +657,19 @@ def test_verify_reports_a_collision_on_one_side(monkeypatch, side):
 @pytest.mark.parametrize(
     "broken",
     [
-        lambda P, Q: (P[::-1], Q[::-1]),  # in two different rows, the first not below the next
-        lambda P, Q: (P, Q[:-1]),  # halves with different numbers of rows
-        lambda P, Q: (P, Q + Q[-1:]),  # one row more in Q: zip(P, Q) reads every row of P
+        lambda rows, beta: rows[::-1],  # in two different rows, the first not below the next
+        lambda rows, beta: (*rows[:-1], rows[-1] & ~beta),  # a last row with P but no Q entries
+        lambda rows, beta: (*rows, rows[-1] & beta),  # one row more, with the last row's Q entries only
     ],
     ids=["rows_reversed", "last_q_row_dropped", "last_q_row_repeated"],
 )
 def test_verify_reports_an_image_that_is_not_a_bitableau_chain(monkeypatch, side, broken):
-    """Break every image of one side: verify reports a mismatch and
+    """Break every image of one side, given as row masks on the side's
+    grid, whose beta has the mask beta: verify reports a mismatch and
     lets no exception escape."""
-    breaking_images(monkeypatch, walked_on(side, SIDED[2]), lambda U, image: broken(*image))
+    breaking_images(
+        monkeypatch, walked_on(side, SIDED[2]), lambda U, image, grid: broken(image, bits(grid.beta))
+    )
     report = verify_groebner(*SIDED, 3)
     assert not report.brsk_injective
     assert report.counts_equal
@@ -646,13 +685,16 @@ LOOSE = richardson((1, 2), (2, 4), (4, 5), 5, 2)
 )
 def test_verify_reports_an_image_off_the_side_grid(monkeypatch, side, U, row):
     """Send one multiset of one side to a one-row bitableau whose entry
-    in P is not in the side's complement.  The row is negative and
-    above the side's bound, so only the side's table refuses it."""
+    in P is not in the side's complement, as its row mask.  The row is
+    negative and above the side's bound, so only the side's table
+    refuses it: on the grid its mask holds two entries of beta."""
     T, grid = sides(*LOOSE)[side]
     B = ((row[0],), (row[1],))
     assert row[0][0] not in grid.complement and bitableau_bounded_by(B, T, ())
     assert verify_groebner(*LOOSE, 3).brsk_injective
-    breaking_images(monkeypatch, lambda u: True, lambda V, image: B if tuple(sorted(V)) == U else image)
+    breaking_images(
+        monkeypatch, lambda u: True, lambda V, image, grid: row_masks(*B) if tuple(sorted(V)) == U else image
+    )
     report = verify_groebner(*LOOSE, 3)
     assert not report.brsk_injective
     assert report.counts_equal
