@@ -6,7 +6,7 @@ lemma along an insertion is a test oracle in tests/oracles.py.
 
 from collections import namedtuple
 
-from .chains import chain_bounded, completely_disjointed
+from .chains import canonicalize, chain_bounded, completely_disjointed
 from .multisets import check_bounds, check_integers, is_nonvanishing, pairs, sign
 from .tableaux import insert_rows, reverse_insert_rows, split_parts
 
@@ -40,18 +40,21 @@ def _frozen(rows):
 def brsk_negative(U):
     """Insert a negative multiset pair by pair: returns (P, Q).
 
-    lex_sort validates U once; insert_pair then runs each step on
-    mutable rows of P and Q, which are frozen once at the end.  The lex
-    order keeps P semistandard on each next bound, so no step
-    re-validates.  That Q is row-strict and (P, Q) negative or empty are
-    proved, so the result is not re-checked either.  tests/test_brsk.py
-    asserts both, and checks this loop against the per-step oracle:
-    bounded insertion by splitting P at the bound, then a left placement
-    in Q, rebuilding both tableaux at every step.
+    lex_sort validates U once; each step bounded-inserts a into the
+    mutable rows of P below b (tableaux.insert_rows, for the new box's
+    row alone) and places b in that row of Q (_place_left); both are
+    frozen once at the end.  The lex order keeps P semistandard on each
+    next bound, so no step re-validates.  That Q is row-strict and
+    (P, Q) negative or empty are proved, so the result is not re-checked
+    either.  tests/test_brsk.py asserts both, and checks this loop
+    against the per-step oracle: bounded insertion by splitting P at the
+    bound, then a left placement in Q, rebuilding both tableaux at every
+    step.  groebner.bounded_images runs the same step on a grid's rows
+    as bitmasks, and tests/test_groebner.py compares the two.
     """
     P, Q = [], []
     for a, b in lex_sort(U):
-        insert_pair(P, Q, a, b)
+        _place_left(Q, insert_rows(P, a, b, record=False), b)
     return _frozen(P), _frozen(Q)
 
 
@@ -60,29 +63,16 @@ def brsk_trace(U):
 
     lex_sort checks U once.  Like brsk_negative, it runs the kernel
     tableaux.insert_rows on its own mutable rows, here with the bumping
-    record, places b in Q as insert_pair does, and yields frozen
+    record, places b in Q as brsk_negative does, and yields frozen
     snapshots.  brsk --trace and demos/insertion_walkthrough.py read it;
-    tests/test_brsk.py runs insert_pair beside it and compares the
-    tableaux after every pair.
+    tests/test_brsk.py compares each snapshot with brsk_negative of the
+    pairs inserted so far.
     """
     P, Q = [], []
     for a, b in lex_sort(U):
         record = insert_rows(P, a, b)
         _place_left(Q, record.new_box[0], b)
         yield BrskStep((a, b), record, _frozen(P), _frozen(Q))
-
-
-def insert_pair(P, Q, a: int, b: int):
-    """One step of brsk_negative on the mutable rows P and Q, in place:
-    bounded-insert a into P below b (tableaux.insert_rows), then place
-    b in Q (_place_left).  Asks the kernel for the row of the new box
-    alone, not a bumping record.  Checks nothing: the caller feeds the
-    pairs in lex_sort order, which keeps P semistandard on each next
-    bound.  brsk_negative is its one caller; groebner.bounded_images
-    runs the same step on a grid's rows as bitmasks, and
-    tests/test_groebner.py compares the two.
-    """
-    _place_left(Q, insert_rows(P, a, b, record=False), b)
 
 
 def _place_left(Q, row: int, b: int):
@@ -100,18 +90,22 @@ def _reverse_negative(P, Q):
     bitableau (P, Q), one that split_parts accepts, in the reverse of
     lex_sort's insertion order.
 
-    Each step takes the minimum entry b of Q off the left end of the
-    lowest row of Q that it heads, and runs tableaux.reverse_insert_rows
-    from that row of P, which refuses a box that cannot come out.  Both
-    tableaux are copied to mutable rows once; an emptied trailing row
-    pair is dropped, an emptied row above others is kept and skipped.
-    tests/test_brsk.py checks this loop against the per-step oracle,
-    which rebuilds both tableaux at every step.
+    Entries leave Q only from the left end of a row, and split_parts
+    has checked that Q's rows strictly increase, so the order of the
+    steps is fixed up front: every entry b of every row i of Q, by
+    value, lower rows first on ties (the mirror of lex_sort).  Each step
+    runs tableaux.reverse_insert_rows from row i of a mutable copy of P,
+    which refuses a box that cannot come out.  No row is trimmed: the
+    kernel reads only row i, the rows above it and, in its shape test,
+    the entries below b of row i + 1, which are none for an emptied row
+    as for a missing one.  tests/test_brsk.py checks this loop against
+    the per-step oracle, which rebuilds both tableaux at every step.
 
     The kernel does not check that P is semistandard on b; split_parts'
-    test implies it before every step.  (1) On sorted rows of one size,
-    the test that a pair is in order with the pair above says: for every
-    t, #(P_{k-1} <= t) + #(Q_k <= t) >= #(P_k <= t) + #(Q_{k-1} <= t).
+    test implies it before every step (Q below stands for the entries
+    not yet taken).  (1) On sorted rows of one size, the test that a
+    pair is in order with the pair above says: for every t,
+    #(P_{k-1} <= t) + #(Q_k <= t) >= #(P_k <= t) + #(Q_{k-1} <= t).
     (2) With b = min Q, no entry of Q is <= t for t < b, so for those t
     it says that P's rows below b weakly shorten and their columns
     weakly rise: P is semistandard on b.  (3) A step takes b off row i of
@@ -123,21 +117,9 @@ def _reverse_negative(P, Q):
     half keeps the test as it is, so that half is covered too;
     tests/test_brsk.py asserts the check before every kernel call.
     """
-    P = [list(row) for row in P]
-    Q = [list(row) for row in Q]
-    emitted = []
-    while True:
-        b = None
-        for k, row in enumerate(Q, 1):
-            if row and (b is None or row[0] <= b):
-                b, i = row[0], k
-        if b is None:
-            return emitted
-        emitted.append((reverse_insert_rows(P, b, i), b))
-        del Q[i - 1][0]
-        if i == len(Q) and not Q[-1]:
-            Q.pop()
-            P.pop()
+    rows = [list(row) for row in P]
+    steps = sorted((b, -i) for i, row in enumerate(Q, 1) for b in row)
+    return [(reverse_insert_rows(rows, b, -minus_i), b) for b, minus_i in steps]
 
 
 def rbrsk(B):
@@ -210,14 +192,15 @@ def multiset_bounded_by(U, T, W) -> bool:
     order then agrees with the depth order on chains, so the test is
     chains.chain_bounded on the support of U: polynomial time, not one
     comparison per chain.  For other bounds the two can differ: U =
-    {(1, 3)} passes the chain condition against T = {(1, 2), (2, 3)}
-    but not the depth order.  So a bound that is not completely
-    disjointed (chains.completely_disjointed), as that T is not, is a
-    ValueError, after multisets.check_bounds has refused bounds of the
-    wrong sign.  tests/test_brsk.py keeps the enumeration of every
-    chain as its oracle.
+    {(1, 3)} passes the chain condition against T = {(1, 2), (2, 3)},
+    which shares a coordinate, and U = {(1, 4)} against the crossing T
+    = {(1, 3), (2, 4)}, but neither passes the depth order.  So a bound
+    that is not a twisted chain (completely disjointed, and its own
+    chains.canonicalize) is a ValueError, after multisets.check_bounds
+    has refused bounds of the wrong sign.  tests/test_brsk.py keeps the
+    enumeration of every chain as its oracle.
     """
     check_bounds(T, W)
-    if not (completely_disjointed(T) and completely_disjointed(W)):
-        raise ValueError("bounds must be completely disjointed")
+    if not all(completely_disjointed(X) and canonicalize(X) == pairs(X) for X in (T, W)):
+        raise ValueError("bounds must be twisted chains")
     return chain_bounded(U, T, W)

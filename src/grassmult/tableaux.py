@@ -9,18 +9,19 @@ of the more common convention, so insertion bumps along rows).
 Each direction of insertion runs one kernel that works in place on a
 list of mutable rows.  Forward, insert_rows bumps a value in:
 brsk.brsk_trace runs it on its own rows for each bumping record, and
-brsk.insert_pair on rows its caller, brsk.brsk_negative, keeps for the
-row of the new box alone, on input that brsk.lex_sort checks once
-(groebner.bounded_images runs the same insertion on row bitmasks, a
-grid's rows only); bounded_insert checks its input and runs it
-on a copy, the checked one-step door.  Backward, reverse_insert_rows
-takes the rightmost entry below the bound out of a row and bumps a value
-out: reverse_bounded_insert runs it as bounded_insert runs insert_rows,
-and brsk.rbrsk on its own rows for each pair it takes back, after
-split_parts has checked the bitableau.  Only the benchmark and the tests
-call the two doors.  Neither kernel checks that its rows are
-semistandard on the bound; the order of brsk's pairs keeps them so, and
-split_parts' test those of rbrsk (brsk._reverse_negative).
+brsk.brsk_negative on its own rows for the row of the new box alone,
+both on input that brsk.lex_sort checks once (groebner.bounded_images
+runs the same insertion on row bitmasks, a grid's rows only);
+bounded_insert checks its input and runs it on a copy, the checked
+one-step door.  Backward, reverse_insert_rows takes the rightmost entry
+below the bound out of a row and bumps a value out:
+reverse_bounded_insert runs it as bounded_insert runs insert_rows, and
+brsk.rbrsk on one copy of P's rows for each pair it takes back, in an
+order read off Q by one sort, after split_parts has checked the
+bitableau.  Only the benchmark and the tests call the two doors.
+Neither kernel checks that its rows are semistandard on the bound; the
+order of brsk's pairs keeps them so, and split_parts' test those of
+rbrsk (brsk._reverse_negative).
 Schensted insertion is bounded insertion with a bound above every entry.
 A bitableau's one semistandard rule is _row_signs, which split_parts and
 bitableau_bounded_by both run.
@@ -88,8 +89,9 @@ def insert_rows(rows, a: int, b: int, record: bool = True):
     on b.
 
     bounded_insert and brsk.brsk_trace report the whole record.
-    brsk.insert_pair needs only the new box's row (1-indexed), to place
-    b in Q: with record false the kernel builds no route and returns it.
+    brsk.brsk_negative needs only the new box's row (1-indexed), to
+    place b in Q: with record false the kernel builds no route and
+    returns it.
     """
     route = [] if record else None
     cur = a
@@ -124,7 +126,7 @@ def bounded_insert(P, a: int, b: int):
     Checks its input once: integer entries and a, a < b, P row strict
     and semistandard on b.  tests/test_brsk.py keeps its
     split-insert-reassemble form as the per-step oracle of it and of
-    brsk.insert_pair.
+    brsk.brsk_negative.
     """
     P = tableau(P)
     if type(a) is not int:
@@ -148,7 +150,9 @@ def reverse_insert_rows(rows, b: int, i: int) -> int:
 
     Each row above gives up its greatest entry below b that is at most
     the value coming up and takes that value in its place.  An emptied
-    row stays in the list.  Like insert_rows it leaves the check that
+    row stays in the list; the kernel reads only row i, the rows above
+    it and the entries below b of row i + 1, so an empty row i + 1
+    reads as a missing one.  Like insert_rows it leaves the check that
     the rows are semistandard on b to its callers.  It refuses, as a
     ValueError and before it changes a row, an empty new box and a
     removal that breaks the truncated shape; a reverse bump with no

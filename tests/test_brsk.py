@@ -15,7 +15,6 @@ from grassmult.brsk import (
     brsk,
     brsk_negative,
     brsk_trace,
-    insert_pair,
     lex_sort,
     multiset_bounded_by,
     rbrsk,
@@ -38,7 +37,6 @@ from grassmult.tableaux import (
     row_strict,
     semistandard_below,
     split_parts,
-    tableau,
 )
 from oracles import (
     PreconditionError,
@@ -186,10 +184,9 @@ def test_multiset_bounded_by():
 
 
 def test_bounded_by_checks_every_chain():
-    # (1,4) and (2,3) below (1,4),(2,3); the chain {(2,4)} alone would pass,
-    # but {(1,3),(2,4)} governs via its two-point chain... build a case where
-    # a longer chain inside U is the one that fails:
-    T = ((1, 3), (2, 4))
+    # a two-point bound, the twisted chain (2,3) < (1,4): the crossing
+    # points of U form no chain, and each alone is bounded by T
+    T = ((1, 4), (2, 3))
     good = pairs([(1, 3), (2, 4)])
     assert multiset_bounded_by(good, T, ())
     # the two-point chain {(2,5),(3,4)} inside U needs a two-point lower bound
@@ -365,8 +362,8 @@ def checked_kernel_inputs():
 
 
 def check_against_steps(U):
-    """The kernel against the per-step oracle, the traced steps against
-    insert_pair at every pair, the postconditions that brsk,
+    """The kernel against the per-step oracle, each traced step against
+    brsk_negative of the pairs inserted so far, the postconditions that brsk,
     brsk_negative and rbrsk do not re-check, and rbrsk undoing brsk on
     the whole multiset, mixed and positive ones included."""
     B = brsk(U)
@@ -379,10 +376,9 @@ def check_against_steps(U):
         expected, steps = brsk_negative_by_steps(half)
         assert (P, Q) == expected
         trace = []
-        rows = [], []
-        for step in brsk_trace(half):
-            insert_pair(*rows, *step.pair)
-            assert (tableau(rows[0]), tableau(rows[1])) == (step.P, step.Q)
+        order = lex_sort(half)
+        for k, step in enumerate(brsk_trace(half), 1):
+            assert brsk_negative(order[:k]) == (step.P, step.Q)
             trace.append(tuple(step))
         assert trace == steps
         assert row_strict(Q)
@@ -524,16 +520,23 @@ def bounded_by_chains(U, T, W):
     )
 
 
-def test_multiset_bounded_by_refuses_bounds_that_are_not_completely_disjointed():
-    """Against T = {(1, 2), (2, 3)}, which shares the coordinate 2, the
-    chain definition bounds {(1, 3)} and the depth order does not; so
-    such a bound, on either side, is refused."""
-    U, T = ((1, 3),), ((1, 2), (2, 3))
+@pytest.mark.parametrize(
+    "U, T",
+    [
+        (((1, 3),), ((1, 2), (2, 3))),
+        (((1, 4),), ((1, 3), (2, 4))),
+    ],
+    ids=["shared_coordinate", "crossing"],
+)
+def test_multiset_bounded_by_refuses_bounds_that_are_not_twisted_chains(U, T):
+    """Against a bound T that is not a twisted chain, the chain
+    definition can bound U where the depth order does not; so such a
+    bound, on either side, is refused."""
     assert bounded_by_chains(U, T, ())
     assert not chain_bounded(U, T, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bounds must be twisted chains$"):
         multiset_bounded_by(U, T, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bounds must be twisted chains$"):
         multiset_bounded_by(iota(U), (), iota(T))
 
 

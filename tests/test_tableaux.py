@@ -110,16 +110,20 @@ def test_insert_rows_bumps_in_place_below_the_bound():
     assert rows == [[1, 9], [2], [3]]
 
 
+def small_row_strict_tableaux():
+    """Every row-strict tableau of at most 3 rows with entries <= 5."""
+    rows = [row for m in range(6) for row in itertools.combinations(range(1, 6), m)]
+    return (P for r in range(4) for P in itertools.product(rows, repeat=r))
+
+
 def test_semistandard_on_matches_truncation_oracle():
     """The one-pass check against truncating first, on every row-strict
     tableau of at most 3 rows with entries <= 5, at every bound."""
-    rows = [row for m in range(6) for row in itertools.combinations(range(1, 6), m)]
     count = 0
-    for r in range(4):
-        for P in itertools.product(rows, repeat=r):
-            for b in range(1, 7):
-                assert semistandard_below(P, b) == is_young_semistandard(truncate_below(P, b)), (P, b)
-                count += 1
+    for P in small_row_strict_tableaux():
+        for b in range(1, 7):
+            assert semistandard_below(P, b) == is_young_semistandard(truncate_below(P, b)), (P, b)
+            count += 1
     assert count == 6 * (1 + 32 + 32**2 + 32**3)
     # semistandard_below reads row-strict rows; bounded_insert checks that first
     with pytest.raises(ValueError, match="^tableau must be row strict$"):
@@ -151,6 +155,34 @@ def test_reverse_insert_rows_refuses_before_changing_a_row(rows, b, i):
     with pytest.raises(ValueError):
         reverse_insert_rows(rows, b, i)
     assert rows == before
+
+
+def reverse_outcome(rows, b, i):
+    try:
+        return reverse_insert_rows(rows, b, i)
+    except ValueError as error:
+        return str(error)
+
+
+def test_reverse_insert_rows_reads_an_empty_row_below_as_a_missing_one():
+    """brsk._reverse_negative trims no row: on every tableau of the small
+    sweep, at every bound it is semistandard on and from every row, a
+    trailing empty row changes neither the value bumped out, nor the
+    refusal, nor the rows above it."""
+    count = refused = 0
+    for P in small_row_strict_tableaux():
+        for b in range(1, 7):
+            if not semistandard_below(P, b):
+                continue
+            for i in range(1, len(P) + 1):
+                rows = [list(row) for row in P]
+                padded = [list(row) for row in P] + [[]]
+                outcome = reverse_outcome(rows, b, i)
+                assert reverse_outcome(padded, b, i) == outcome, (P, b, i)
+                assert padded == rows + [[]], (P, b, i)
+                count += 1
+                refused += isinstance(outcome, str)
+    assert (count, refused) == (236588, 175689)
 
 
 def test_bounded_insert_preconditions():
